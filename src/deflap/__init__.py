@@ -4,7 +4,7 @@ For a graph G with adjacency matrix A and degree matrix D, the matrix
 studied here is M(s) = I - s*A + s^2*(D - I). At s = 1 it is the
 Laplacian, at s = -1 the signless Laplacian. On trees M(s) admits an
 O(n) congruence diagonalization, which this package exploits to count
-eigenvalues, locate spectral radii by bisection, and generate extremal
+eigenvalues, bracket spectral radii, and generate extremal
 caterpillar sequences whose radii converge to prescribed limit points.
 
 All arithmetic runs at a user-chosen decimal precision (default 50
@@ -21,6 +21,7 @@ from .scalar import (
     Scalar,
     bisect_monotone_root,
     context_from_env,
+    find_root,
     infer_context,
 )
 from .trees import (
@@ -120,6 +121,7 @@ __all__ = [
     "dense_deformed_laplacian",
     "diagonalize_tree",
     "epsilon_k",
+    "find_root",
     "format_counts",
     "free_trees",
     "generate",

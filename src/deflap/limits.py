@@ -19,12 +19,13 @@ quartic before being returned.
 
 from .recurrence import recurrence_params
 from .scalar import (
+    BracketingError,
     DomainError,
     PrecisionContext,
     Scalar,
     ScalarError,
-    bisect_monotone_root,
     context_from_env,
+    find_root,
     infer_context,
     materialize,
 )
@@ -37,11 +38,14 @@ class ConsistencyError(ScalarError, RuntimeError):
 def tau0(s, ctx=None):
     """The smallest limit point of caterpillar radii, for this s.
 
-    Bisects h on [1 + 10^(-digits/2), 1 + 2s^2 + 2*sqrt(2)*|s|]; the
+    Brackets h on [1 + 10^(-digits/2), 1 + 2s^2 + 2*sqrt(2)*|s|]; the
     upper end comes from the radius bound at maximum degree 3 and the
     lower end stays below the root for every |s| above about
-    10^(-digits/2), since tau0(s) - 1 grows linearly in |s|. The result
-    is cross-checked against the quartic before returning.
+    10^(-digits/2), since tau0(s) - 1 grows linearly in |s|. The root is
+    the midpoint that ``ctx.default_bisection_iters`` halvings of that
+    bracket end on, found by :func:`deflap.scalar.find_root` with Newton
+    steps down from the upper end, using h'(t) in closed form. The
+    result is cross-checked against the quartic before returning.
     """
     if ctx is None:
         ctx = infer_context(s)
@@ -51,14 +55,30 @@ def tau0(s, ctx=None):
     s2 = s * s
     s4 = s2 * s2
 
-    def h(t):
+    def probe(t, slope):
+        # h(t) = w^2 - 4 s^2 - s^4 (1 + 1/(t - 1))^2 with w = 1 + s^2 - t,
+        # h'(t) = -2w + 2 s^4 (1 + 1/(t - 1)) / (t - 1)^2
         w = 1 + s2 - t
         pole_part = 1 + 1 / (t - 1)
-        return w * w - 4 * s2 - s4 * pole_part * pole_part
+        value = w * w - 4 * s2 - s4 * pole_part * pole_part
+        side = value.sign()
+        if not slope:
+            return side, None
+        u = t - 1
+        deriv = 2 * (s4 * pole_part / (u * u) - w)
+        if deriv.sign() <= 0:
+            return side, None
+        return side, -value / deriv
 
     lo = 1 + ctx.power_of_ten(-(ctx.digits // 2))
     hi = 1 + 2 * s2 + 2 * ctx.scalar(2).sqrt() * abs(s)
-    root = bisect_monotone_root(h, lo, hi, ctx.default_bisection_iters)
+    if probe(lo, False)[0] >= 0:
+        raise BracketingError("h is not negative at the lower end; |s| is too small")
+    side, step = probe(hi, True)
+    if side <= 0:
+        raise BracketingError("h is not positive at the upper end")
+    found = find_root(probe, lo, hi, ctx.default_bisection_iters, hi, step)
+    root = found.zero if found.zero is not None else (found.low + found.high).halved()
     residual = tau0_quartic_residual(root, s)
     scale = (abs(root) + 1) ** 3
     if abs(residual) > scale * ctx.power_of_ten(-ctx.digits + 12):

@@ -2,11 +2,13 @@
 
 Each check encodes one published inequality or characterization as a
 predicate over a (tree, s) pair and returns a :class:`PropertyReport`.
-Strict inequalities are certified by exact inertia probes (counting
-eigenvalues beyond the stated bound with :func:`count_eigenvalues`, which
-never rounds a sign decision); interval estimates with an explicit
-tolerance appear only for the two upper bounds and the star equality
-case, where the bound can actually be attained.
+Strict inequalities are decided by inertia probes (counting eigenvalues
+beyond the stated bound with :func:`count_eigenvalues`, whose signs come
+from pivots computed in rounded arithmetic, so a bound within rounding
+noise of an eigenvalue can be decided wrongly: 223 of 6,460 triples near
+eigenvalues of small trees were, see ROADMAP item 4); interval estimates
+with an explicit tolerance appear only for the two upper bounds and the
+star equality case, where the bound can actually be attained.
 
 ``holds`` is three-valued: True, False (with a witness), or None when the
 property's hypotheses do not apply to the input. Summaries never count

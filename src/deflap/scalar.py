@@ -1,4 +1,4 @@
-"""Configurable-precision real arithmetic and monotone root bisection.
+"""Configurable-precision real arithmetic and the package's one root finder.
 
 Every numerical quantity in this package is a ``Scalar``: a wrapper around
 mpmath's raw bigfloat tuples with an explicit :class:`PrecisionContext`.
@@ -10,6 +10,12 @@ generator raises its working precision internally while callers keep
 Values are exact dyadic rationals; only operations round. Comparisons are
 exact and total. Mixing Scalars from contexts with different digit counts
 is a programming error and raises :class:`PrecisionMixingError`.
+
+Every root the package computes (spectral radii, the eps_k chain, tau0)
+comes from :func:`find_root`: Newton steps from one end of a bracket,
+then a certified replay of the bisection of that bracket, so each result
+is the bracket a fixed number of halvings would give, reached in a few
+probes instead of one per halving.
 """
 
 import math
@@ -374,13 +380,130 @@ def materialize(value, ctx):
     return ctx.scalar(value)
 
 
+class RootBracket:
+    """What :func:`find_root` leaves of the bisection.
+
+    low and high are the bisection's final bracket; zero is the midpoint
+    at which a probe read an exact zero and the halvings stopped, else
+    None; probes counts the probes the finder ran.
+    """
+
+    __slots__ = ("low", "high", "zero", "probes")
+
+    def __init__(self, low, high, zero, probes):
+        self.low = low
+        self.high = high
+        self.zero = zero
+        self.probes = probes
+
+
+def find_root(probe, lo, hi, iters, start, step):
+    """The bracket ``iters`` halvings of [lo, hi] end on, mostly without them.
+
+    ``probe(x, slope)`` returns ``(side, step)``: side is -1 when x lies
+    on lo's side of the root (bisection would move lo to x), +1 on hi's
+    side, and 0 at an exact zero, where bisection stops; step is the
+    Newton displacement from x toward the root when ``slope`` is true and
+    the probe can form it, else None. The caller has already probed the
+    ends: lo lies on side -1 and hi on side +1. ``start`` is the end to
+    take Newton steps from and ``step`` its displacement (None for none).
+
+    Three phases:
+
+    1. Newton steps from ``start`` while they stay inside (lo, hi), stay
+       on the start's side and keep shrinking; a step below the final
+       bisection width is taken unprobed and ends them.
+    2. Certify a bracket (a, b) around the last iterate c: probe c - g
+       expecting side -1 and c + g expecting +1, with g = max(2 err,
+       final width). err is the size of the last step formed, or, when c
+       gave no usable step, the size^3 / prev^2 that a quadratically
+       converging step of that size leaves. A side that decides
+       otherwise is probed again 16 times farther out, until it decides
+       as expected or reaches lo or hi.
+    3. Replay the bisection: walk its midpoints over the original
+       [lo, hi], probing only those strictly inside (a, b) and deciding
+       the others by position.
+
+    The returned bracket and zero are therefore the bisection's own
+    whenever the probe's sides are monotone outside (a, b), that is,
+    whenever a and b lie clear of the band where rounding noise rather
+    than the root decides a probe. Without a start step the certified
+    bracket is [lo, hi] and the replay is plain bisection.
+    """
+    iters = int(iters)
+    width = Scalar(mpf_shift((hi - lo)._v, -iters), lo.ctx)
+    start_side = 1 if start == hi else -1
+    probes = 0
+
+    x = start
+    err = prev = None
+    for _ in range(iters):
+        if step is None:
+            break
+        size = abs(step)
+        if prev is not None and not size < prev:
+            # steps stopped shrinking: rounding noise decides them now,
+            # and their size measures how far it reaches
+            err = size
+            break
+        nxt = x + step
+        if not (lo < nxt and nxt < hi):
+            break
+        x = nxt
+        if not size > width:
+            err = size
+            break
+        side, step = probe(x, True)
+        probes += 1
+        err = size if prev is None else min(size, size * size * size / (prev * prev))
+        prev = size
+        if side != start_side:
+            break
+
+    ends = [lo, hi]
+    if err is not None:
+        pad = err + err
+        if pad < width:
+            pad = width
+        for i, want in ((0, -1), (1, 1)):
+            g = pad
+            while True:
+                t = x + want * g
+                if not (lo < t and t < hi):
+                    break
+                probes += 1
+                if probe(t, False)[0] == want:
+                    ends[i] = t
+                    break
+                g = g * 16
+    a, b = ends
+
+    for _ in range(iters):
+        mid = (lo + hi).halved()
+        if not mid > a:
+            side = -1
+        elif not mid < b:
+            side = 1
+        else:
+            side = probe(mid, False)[0]
+            probes += 1
+            if side == 0:
+                return RootBracket(lo, hi, mid, probes)
+        if side < 0:
+            lo = mid
+        else:
+            hi = mid
+    return RootBracket(lo, hi, None, probes)
+
+
 def bisect_monotone_root(f, a, b, iters):
     """Bisect a sign change of a continuous strictly monotone ``f`` on [a, b].
 
     Returns the midpoint of the final bracket; the true root is within
     (b-a)/2^iters of it. An exact zero at a midpoint returns immediately.
     Raises BracketingError when f(a), f(b) do not have strictly opposite
-    signs, DomainError when a >= b.
+    signs, DomainError when a >= b. ``f`` gives no slope, so
+    :func:`find_root` probes every midpoint.
     """
     if not isinstance(a, Scalar) or not isinstance(b, Scalar):
         raise DomainError("bisection endpoints must be Scalars")
@@ -394,14 +517,12 @@ def bisect_monotone_root(f, a, b, iters):
         return b
     if fa == fb:
         raise BracketingError("f has the same sign at both endpoints")
-    lo, hi = a, b
-    for _ in range(int(iters)):
-        mid = (lo + hi).halved()
-        s = f(mid).sign()
-        if s == 0:
-            return mid
-        if s == fa:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi).halved()
+
+    def probe(x, slope):
+        sg = f(x).sign()
+        return (0 if sg == 0 else -1 if sg == fa else 1), None
+
+    found = find_root(probe, a, b, iters, b, None)
+    if found.zero is not None:
+        return found.zero
+    return (found.low + found.high).halved()

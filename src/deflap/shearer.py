@@ -23,6 +23,7 @@ from .scalar import (
     PrecisionContext,
     PrecisionError,
     Scalar,
+    find_root,
     infer_context,
     materialize,
 )
@@ -276,20 +277,37 @@ def beta_sequence(run, method="recurrence"):
     return out
 
 
-def _prefix_value(counts, s2, m, delta, j, k):
+def _prefix_value(counts, s2, m, delta, j, k, slope):
     """Sweep value b_j of the full T_k run taken at probe point m.
 
     The terminal degree correction applies only at the true last
-    backbone node, never at the truncation point j.
+    backbone node, never at the truncation point j. Returns (b_j, L):
+    with ``slope``, L = d/dm log|det| of the block of backbone nodes
+    1..j and their leaves, summing b_i'/b_i and 1/(m - 1) per leaf with
+    b_i' = -1 + s^2 b_{i-1}'/b_{i-1}^2 + r_i delta'; otherwise L is None.
     """
     b = 1 - m + counts[0] * delta
+    if slope:
+        ddelta = -s2 / ((m - 1) * (m - 1))
+        db = counts[0] * ddelta - 1
+        total = db / b
     for i in range(1, j):
         if b.is_zero:
             raise PrecisionError("probe hit an intermediate zero; raise the precision")
-        b = 1 + s2 - m - s2 / b + counts[i] * delta
+        q = s2 / b
+        nb = 1 + s2 - m - q + counts[i] * delta
         if i == k - 1:
-            b = b - s2
-    return b
+            nb = nb - s2
+        if slope:
+            db = q * db / b + counts[i] * ddelta - 1
+            total = total + db / nb
+        b = nb
+    if not slope:
+        return b, None
+    leaves = sum(counts[:j])
+    if leaves:
+        total = total + leaves / (m - 1)
+    return b, total
 
 
 def epsilon_k(run, target_digits=None):
@@ -297,8 +315,11 @@ def epsilon_k(run, target_digits=None):
 
     Level j locates the zero eps_j of b_j(eps) (the full-run sweep value
     at probe lam - eps) inside (0, eps_{j-1}); each level's bracket low
-    end seeds the next level's upper end, keeping every bisection on the
-    near side of the pole that b_{j+1} has at eps_j. The last level's
+    end seeds the next level's upper end, keeping every search on the
+    near side of the pole that b_{j+1} has at eps_j. Each level's bracket
+    is that of a fixed number of halvings of [0, upper], found by
+    :func:`deflap.scalar.find_root` with Newton steps from eps = 0, where
+    m = lam lies above every eigenvalue of the j-block. The last level's
     zero is exactly lam - rho(T_k), so the returned upper bracket end
     (padded by one width plus a rounding allowance) is a rigorous bound.
     """
@@ -317,13 +338,21 @@ def epsilon_k(run, target_digits=None):
     level_digits = 25
     iters = int(math.ceil(level_digits * math.log2(10))) + 6
 
-    def make_f(j):
-        def f(eps):
+    def make_probe(j):
+        # the side of eps is the sign of b_j; an exact zero stops the
+        # halvings and keeps the confirmed bracket, since a zero this
+        # deep is cancellation noise, not a root hit
+        def probe(eps, slope):
             m = lam - eps
             delta = s2 * m / (m - 1)
-            return _prefix_value(counts, s2, m, delta, j, k)
+            b, dlog = _prefix_value(counts, s2, m, delta, j, k, slope)
+            side = b.sign()
+            if side < 0 and dlog is not None and dlog.sign() > 0:
+                # Newton in m steps down by 1/dlog, so eps steps up
+                return side, 1 / dlog
+            return side, None
 
-        return f
+        return probe
 
     zero = wctx.zero()
     inset = wctx.power_of_ten(-wd + 8)
@@ -331,8 +360,9 @@ def epsilon_k(run, target_digits=None):
     upper = (lam - 1) * (1 - inset)
     lo = hi = None
     for j in range(1, k + 1):
-        f = make_f(j)
-        if f(zero).sign() >= 0:
+        probe = make_probe(j)
+        side, step = probe(zero, True)
+        if side >= 0:
             raise InvalidRunError("b_%d(0) is not negative; not a valid run" % j)
         if j == 1 and counts[0] == 0:
             # bare backbone end: b_1(eps) = eps - (lam - 1), its zero IS
@@ -340,27 +370,16 @@ def epsilon_k(run, target_digits=None):
             # inside the pole, where b_1 is still (barely) negative
             lo, hi = upper, lam - 1
             continue
-        fh = f(upper).sign()
+        fh = probe(upper, False)[0]
         if fh == 0:
             upper = upper * (1 - inset)
-            fh = f(upper).sign()
+            fh = probe(upper, False)[0]
         if fh <= 0:
             raise PrecisionError(
                 "chain level %d not separated at %d digits; raise the precision" % (j, wd)
             )
-        lo_j, hi_j = zero, upper
-        for _ in range(iters):
-            mid = (lo_j + hi_j).halved()
-            sg = f(mid).sign()
-            if sg < 0:
-                lo_j = mid
-            elif sg > 0:
-                hi_j = mid
-            else:
-                # an exact zero this deep is cancellation noise, not a
-                # root hit; stop refining and keep the confirmed bracket
-                break
-        lo, hi = lo_j, hi_j
+        found = find_root(probe, zero, upper, iters, zero, step)
+        lo, hi = found.low, found.high
         upper = lo
     width = hi - lo
     padded = hi + width
@@ -417,9 +436,9 @@ def format_counts(counts, head=None, tail=None):
 
 
 def convergence_report(lam, s, ks, target_digits=None, ctx=None):
-    """Generate T_k for each k and measure rho(T_k) by bisection.
+    """Generate T_k for each k and bracket rho(T_k) with approximate_radius.
 
-    The bisection runs at whatever precision the run's beta_k demands,
+    The bracket is found at whatever precision the run's beta_k demands,
     re-materializing lam and s there, and resolves the gap lam - rho to
     a relative 1e-5 or to lam*10^-target_digits, whichever is finer.
     """
