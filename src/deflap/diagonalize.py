@@ -2,15 +2,37 @@
 
 One bottom-up sweep produces a diagonal matrix congruent to M(s) + x*I,
 so by Sylvester's law of inertia the sign counts of the output locate
-eigenvalues relative to -x without ever forming the matrix. Everything
-else in this package (radius brackets, caterpillar generation, error
-certificates) reduces to this sweep or to its closed caterpillar form.
+eigenvalues relative to -x without ever forming the matrix (Jacobs &
+Trevisan, "Locating the eigenvalues of trees", LAA 434 (2011) 81-88).
+Everything else in this package (radius brackets, caterpillar
+generation, error certificates) reduces to this sweep or to its closed
+caterpillar form.
+
+The tree sweep is one kernel, :func:`_sweep`, working on raw libmp
+tuples at the context's precision; Scalars appear only at the API edge,
+in :attr:`DiagOutcome.outputs` and in the Newton step of the radius
+probe.
 """
 
 import math
 
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_cmp,
+    mpf_div,
+    mpf_mul,
+    mpf_neg,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+)
+
 from .scalar import BracketingError, DomainError, Scalar, find_root
 from .trees import Caterpillar, Tree
+
+_RND = round_nearest
 
 
 class ZeroPivot(Exception):
@@ -44,52 +66,134 @@ class DiagOutcome:
         return "DiagOutcome(inertia=%r)" % (self.inertia,)
 
 
+def _sign(v):
+    # mpf_cmp(v, fzero), read off the tuple when v is finite and nonzero
+    if v[1]:
+        return -1 if v[0] else 1
+    return mpf_cmp(v, fzero)
+
+
+def _sweep(tree, s2, x, prec, full, slope):
+    """The pivot sweep on raw libmp tuples: returns (d, stop, dlog).
+
+    d[v] starts at (1 + s2*(deg v - 1)) + x and, in postorder, each vertex
+    absorbs -s2/d_c from every child c. Every operation rounds to ``prec``
+    to nearest, children are summed in ``tree.children`` order, and values
+    are shared only where the operands are identical: the starting pivot
+    per distinct degree, and the childless vertices' terms, since they
+    all start at the same pivot and none is rewritten before its parent
+    reads it.
+
+    ``full``: sweep every vertex; a zero child instead forces the pair
+    (d_v, d_c) := (-s2/2, 2) and detaches v from its parent. stop and
+    dlog are None.
+
+    Otherwise stop at the first vertex whose pivot is nonnegative and
+    return it as ``stop``; children are then negative when their parent
+    reads them, so the surgery never arises. With ``slope`` and no stop,
+    dlog is L = sum of d_v'/d_v with d_v' = -1 + s2 sum_c d_c'/d_c^2, the
+    derivative of log|det(M - cI)| in c = -x; otherwise None.
+    """
+    children = tree.children
+    postorder = tree.postorder
+    one = from_int(1, prec, _RND)
+    start = {}
+    for deg in set(tree.degree):
+        t = mpf_mul(s2, from_int(deg - 1, prec, _RND), prec, _RND)
+        start[deg] = mpf_add(mpf_add(one, t, prec, _RND), x, prec, _RND)
+    d = [start[deg] for deg in tree.degree]
+    if s2 == fzero:
+        return d, None, None
+    # every childless vertex has the first postorder vertex's degree
+    leaf = d[postorder[0]]
+    leaf_r = None if leaf == fzero else mpf_div(one, leaf, prec, _RND)
+    if full:
+        cut = set()
+    else:
+        if _sign(leaf) >= 0:
+            return d, postorder[0], None
+        cut = ()
+        if slope:
+            dd = [None] * tree.n
+            leaf_dd = mpf_sub(mpf_mul(s2, fzero, prec, _RND), one, prec, _RND)
+            leaf_term = mpf_div(leaf_dd, leaf, prec, _RND)
+            leaf_dterm = mpf_div(leaf_dd, mpf_mul(leaf, leaf, prec, _RND), prec, _RND)
+            dlog = fzero
+    for v in postorder:
+        kids = children[v]
+        if not kids:
+            if slope:
+                dlog = mpf_add(dlog, leaf_term, prec, _RND)
+            continue
+        if cut:
+            kids = [c for c in kids if c not in cut]
+            if not kids:
+                continue
+        acc = None
+        for c in kids:
+            if not children[c]:
+                r = leaf_r
+                if r is None:
+                    break
+            else:
+                dc = d[c]
+                if dc == fzero:
+                    break
+                r = mpf_div(one, dc, prec, _RND)
+            acc = r if acc is None else mpf_add(acc, r, prec, _RND)
+        else:
+            dv = d[v] = mpf_sub(d[v], mpf_mul(s2, acc, prec, _RND), prec, _RND)
+            if full:
+                continue
+            if _sign(dv) >= 0:
+                return d, v, None
+            if slope:
+                dacc = None
+                for c in kids:
+                    if children[c]:
+                        dc = d[c]
+                        t = mpf_div(dd[c], mpf_mul(dc, dc, prec, _RND), prec, _RND)
+                    else:
+                        t = leaf_dterm
+                    dacc = t if dacc is None else mpf_add(dacc, t, prec, _RND)
+                ddv = dd[v] = mpf_sub(mpf_mul(s2, dacc, prec, _RND), one, prec, _RND)
+                dlog = mpf_add(dlog, mpf_div(ddv, dv, prec, _RND), prec, _RND)
+            continue
+        # c is the first zero child (full mode only)
+        d[v] = mpf_neg(mpf_shift(s2, -1))
+        d[c] = from_int(2, prec, _RND)
+        cut.add(v)
+    return d, None, (dlog if slope else None)
+
+
 def diagonalize_tree(tree, s, x):
     """Run the sweep on a tree: returns a DiagOutcome for M(s) + x*I.
 
     Processing order is the tree's postorder. A vertex whose children all
     carry nonzero values absorbs -s^2/d_c from each child c; a zero child
     instead forces the pair (d_v, d_c) := (-s^2/2, 2) and detaches v from
-    its parent for the rest of the sweep.
+    its parent for the rest of the sweep. The sweep itself runs on raw
+    libmp tuples (:func:`_sweep`); only the returned outputs are Scalars.
     """
     if not isinstance(tree, Tree):
         raise DomainError("diagonalize_tree needs a Tree")
     if not isinstance(s, Scalar):
         raise DomainError("s must be a Scalar")
     ctx = s.ctx
-    x = ctx.scalar(x)
-    s2 = s * s
-    d = [ctx.scalar(1) + s2 * (tree.degree[v] - 1) + x for v in range(tree.n)]
-    if not s2.is_zero:
-        cut = [False] * tree.n
-        for v in tree.postorder:
-            kids = [c for c in tree.children[v] if not cut[c]]
-            if not kids:
-                continue
-            zero_kid = None
-            for c in kids:
-                if d[c].is_zero:
-                    zero_kid = c
-                    break
-            if zero_kid is None:
-                acc = ctx.zero()
-                for c in kids:
-                    acc = acc + 1 / d[c]
-                d[v] = d[v] - s2 * acc
-            else:
-                d[v] = -s2.halved()
-                d[zero_kid] = ctx.scalar(2)
-                cut[v] = True
+    prec = ctx.prec
+    s_raw = s.raw()
+    s2 = mpf_mul(s_raw, s_raw, prec, _RND)
+    d, _, _ = _sweep(tree, s2, ctx.scalar(x).raw(), prec, full=True, slope=False)
     pos = neg = zero = 0
-    for val in d:
-        sg = val.sign()
+    for v in d:
+        sg = _sign(v)
         if sg > 0:
             pos += 1
         elif sg < 0:
             neg += 1
         else:
             zero += 1
-    return DiagOutcome(d, (pos, neg, zero))
+    return DiagOutcome([Scalar(v, ctx) for v in d], (pos, neg, zero))
 
 
 def count_eigenvalues(tree, s, c):
@@ -189,43 +293,26 @@ def _caterpillar_all_negative(cat, s, c, slope):
 
 
 def _tree_all_negative(tree, s, c, slope):
-    """(all_negative, early, step) via the full sweep, stopping at the
+    """(all_negative, early, step) via the kernel sweep, stopping at the
     first nonnegative value.
 
-    Every child is checked negative before its parent absorbs it, so the
-    zero-pivot surgery of :func:`diagonalize_tree` never arises here.
     With ``slope`` and every pivot negative, step is the Newton step
     -1/L, L = sum of d_v'/d_v with d_v' = -1 + s^2 sum_c d_c'/d_c^2;
     otherwise None.
     """
     ctx = s.ctx
-    x = -c
-    s2 = s * s
-    if s2.is_zero:
-        sg = (ctx.scalar(1) + x).sign()
-        return sg < 0, False, None
-    d = [ctx.scalar(1) + s2 * (tree.degree[v] - 1) + x for v in range(tree.n)]
-    dd = [None] * tree.n
-    total = ctx.zero()
-    last = tree.postorder[-1]
-    for v in tree.postorder:
-        kids = tree.children[v]
-        if kids:
-            acc = ctx.zero()
-            for ch in kids:
-                acc = acc + 1 / d[ch]
-            d[v] = d[v] - s2 * acc
-        if d[v].sign() >= 0:
-            return False, v != last, None
-        if slope:
-            dacc = ctx.zero()
-            for ch in kids:
-                dacc = dacc + dd[ch] / (d[ch] * d[ch])
-            dd[v] = s2 * dacc - 1
-            total = total + dd[v] / d[v]
+    prec = ctx.prec
+    s_raw = s.raw()
+    s2 = mpf_mul(s_raw, s_raw, prec, _RND)
+    x = mpf_neg(ctx.scalar(c).raw())
+    if s2 == fzero:
+        return _sign(mpf_add(from_int(1, prec, _RND), x, prec, _RND)) < 0, False, None
+    _, stop, dlog = _sweep(tree, s2, x, prec, full=False, slope=slope)
+    if stop is not None:
+        return False, stop != tree.postorder[-1], None
     if not slope:
         return True, False, None
-    return True, False, _newton_step(total)
+    return True, False, _newton_step(Scalar(dlog, ctx))
 
 
 def _newton_step(dlog):

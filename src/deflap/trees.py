@@ -18,20 +18,23 @@ class Tree:
 
     parent[root] is None; degree counts all neighbors, not just children.
     ``postorder`` visits every child before its parent, which is the order
-    the diagonalization sweep consumes.
+    the diagonalization sweep consumes. A caller that already has it (as
+    :meth:`from_edges` does, from its own traversal) may pass it in; it
+    must equal what :meth:`_compute_postorder` returns.
     """
 
     __slots__ = ("n", "root", "parent", "children", "degree", "postorder", "labels")
 
-    def __init__(self, n, root, parent, children, labels=None):
+    def __init__(self, n, root, parent, children, labels=None, postorder=None):
         self.n = n
         self.root = root
         self.parent = parent
         self.children = children
-        self.degree = [
-            len(children[v]) + (0 if v == root else 1) for v in range(n)
-        ]
-        self.postorder = self._compute_postorder()
+        self.degree = [len(kids) + 1 for kids in children]
+        self.degree[root] -= 1
+        if postorder is None:
+            postorder = self._compute_postorder()
+        self.postorder = postorder
         self.labels = list(labels) if labels is not None else list(range(n))
 
     @classmethod
@@ -55,65 +58,73 @@ class Tree:
             seen.add(u)
             seen.add(v)
         order = sorted(seen)
-        index = {lab: i for i, lab in enumerate(order)}
         n = len(order)
         if len(edges) != n - 1:
             raise DomainError(
                 "%d vertices need %d edges to form a tree, got %d"
                 % (n, n - 1, len(edges))
             )
+        if order[-1] == n - 1 and all(type(lab) is int for lab in order):
+            # n distinct ints up to n - 1 are 0..n-1 already
+            index = None
+            pairs = edges
+        else:
+            index = {lab: i for i, lab in enumerate(order)}
+            pairs = [(index[u], index[v]) for u, v in edges]
         adj = [[] for _ in range(n)]
-        seen_edges = set()
-        for u, v in edges:
-            a, b = index[u], index[v]
-            key = (min(a, b), max(a, b))
-            if key in seen_edges:
-                raise DomainError("duplicate edge %r %r" % (u, v))
-            seen_edges.add(key)
+        for a, b in pairs:
             adj[a].append(b)
             adj[b].append(a)
+        # n - 1 edges with a repeat cannot connect n vertices, so repeats
+        # are looked for only where the build is failing anyway
         if root is None:
             r = n - 1
         else:
-            if root not in index:
+            if root not in seen:
+                _reject_duplicate(edges, pairs)
                 raise DomainError("root %r is not a vertex of the tree" % (root,))
-            r = index[root]
+            r = int(root) if index is None else index[root]
+        # preorder with each vertex's children taken first to last; its
+        # reverse is the postorder (see _compute_postorder)
         parent = [None] * n
         children = [[] for _ in range(n)]
         visited = [False] * n
-        stack = [r]
         visited[r] = True
-        count = 1
+        preorder = []
+        stack = [r]
         while stack:
             v = stack.pop()
+            preorder.append(v)
+            kids = children[v]
             for w in adj[v]:
                 if not visited[w]:
                     visited[w] = True
                     parent[w] = v
-                    children[v].append(w)
-                    stack.append(w)
-                    count += 1
-        if count != n:
+                    kids.append(w)
+            stack.extend(reversed(kids))
+        if len(preorder) != n:
+            _reject_duplicate(edges, pairs)
             raise DomainError("edge list is not connected")
         if labels is None:
             labels = order
-        return cls(n, r, parent, children, labels)
+        preorder.reverse()
+        return cls(n, r, parent, children, labels, preorder)
 
     @classmethod
     def single_vertex(cls):
         return cls(1, 0, [None], [[]])
 
     def _compute_postorder(self):
+        # the reverse of a preorder that takes each vertex's children first
+        # to last: every child before its parent, last child's subtree first
         out = []
-        stack = [(self.root, False)]
+        stack = [self.root]
+        children = self.children
         while stack:
-            v, expanded = stack.pop()
-            if expanded:
-                out.append(v)
-            else:
-                stack.append((v, True))
-                for c in self.children[v]:
-                    stack.append((c, False))
+            v = stack.pop()
+            out.append(v)
+            stack.extend(reversed(children[v]))
+        out.reverse()
         return out
 
     # -- structure queries --------------------------------------------------
@@ -196,6 +207,16 @@ class Tree:
 
     def __repr__(self):
         return "Tree(n=%d, root=%d)" % (self.n, self.root)
+
+
+def _reject_duplicate(edges, pairs):
+    """Raise for the first edge that repeats an earlier one, if any."""
+    seen_edges = set()
+    for (u, v), (a, b) in zip(edges, pairs):
+        key = (a, b) if a < b else (b, a)
+        if key in seen_edges:
+            raise DomainError("duplicate edge %r %r" % (u, v))
+        seen_edges.add(key)
 
 
 class Caterpillar:

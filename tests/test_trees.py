@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from deflap.scalar import DomainError, PrecisionContext
@@ -20,6 +22,143 @@ def test_from_edges_rejects_non_trees():
         Tree.from_edges([(0, 1), (2, 3)])
     with pytest.raises(DomainError):
         Tree.from_edges([(0, 1), (0, 1)])
+
+
+# -- the build before the single-DFS rewrite, kept as a reference ------------
+
+
+def _reference_postorder(tree):
+    out = []
+    stack = [(tree.root, False)]
+    while stack:
+        v, expanded = stack.pop()
+        if expanded:
+            out.append(v)
+        else:
+            stack.append((v, True))
+            for c in tree.children[v]:
+                stack.append((c, False))
+    return out
+
+
+def _reference_from_edges(edges, root=None):
+    """(n, root, parent, children, labels) as the old build made them."""
+    edges = list(edges)
+    if not edges:
+        raise DomainError("no edges; a one-vertex tree needs single_vertex()")
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise DomainError("self-loop at vertex %r" % (u,))
+        if u < 0 or v < 0:
+            raise DomainError("vertex labels must be non-negative")
+        seen.add(u)
+        seen.add(v)
+    order = sorted(seen)
+    index = {lab: i for i, lab in enumerate(order)}
+    n = len(order)
+    if len(edges) != n - 1:
+        raise DomainError(
+            "%d vertices need %d edges to form a tree, got %d" % (n, n - 1, len(edges))
+        )
+    adj = [[] for _ in range(n)]
+    seen_edges = set()
+    for u, v in edges:
+        a, b = index[u], index[v]
+        key = (min(a, b), max(a, b))
+        if key in seen_edges:
+            raise DomainError("duplicate edge %r %r" % (u, v))
+        seen_edges.add(key)
+        adj[a].append(b)
+        adj[b].append(a)
+    if root is None:
+        r = n - 1
+    else:
+        if root not in index:
+            raise DomainError("root %r is not a vertex of the tree" % (root,))
+        r = index[root]
+    parent = [None] * n
+    children = [[] for _ in range(n)]
+    visited = [False] * n
+    stack = [r]
+    visited[r] = True
+    count = 1
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if not visited[w]:
+                visited[w] = True
+                parent[w] = v
+                children[v].append(w)
+                stack.append(w)
+                count += 1
+    if count != n:
+        raise DomainError("edge list is not connected")
+    return n, r, parent, children, order
+
+
+def _edge_lists():
+    """(edges, root) in several label styles and edge orders."""
+    rng = random.Random(7)
+    out = []
+    for n in range(2, 10):
+        for tree in free_trees(n):
+            edges = [(min(u, v), max(u, v)) for u, v in tree.edges()]
+            out.append((edges, None))
+            rng.shuffle(edges)
+            out.append(([(v, u) for u, v in edges], rng.randrange(n)))
+            # sparse labels take the relabeling path
+            out.append(([(3 * u + 7, 3 * v + 7) for u, v in edges], 3 * rng.randrange(n) + 7))
+    for n in (50, 300, 2000):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(perm[rng.randrange(i)], perm[i]) for i in range(1, n)]
+        rng.shuffle(edges)
+        out.append((edges, None))
+        out.append((edges, rng.randrange(n)))
+    out.append(([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], 2.0))
+    return out
+
+
+def test_from_edges_matches_reference_build():
+    for edges, root in _edge_lists():
+        t = Tree.from_edges(edges, root=root)
+        n, r, parent, children, labels = _reference_from_edges(edges, root)
+        assert (t.n, t.root, t.parent, t.children, t.labels) == (n, r, parent, children, labels)
+        assert t.degree == [len(children[v]) + (0 if v == r else 1) for v in range(n)]
+        assert t.postorder == _reference_postorder(t)
+
+
+def test_postorder_matches_reference_routine():
+    # trees built directly, not through from_edges
+    for edges, root in _edge_lists():
+        t = Tree.from_edges(edges, root=root)
+        direct = Tree(t.n, t.root, t.parent, t.children)
+        assert direct.postorder == t.postorder == _reference_postorder(t)
+    single = Tree.single_vertex()
+    assert single.postorder == [0] and single.degree == [0]
+
+
+def test_from_edges_errors_match_reference_build():
+    bad = [
+        ([], None),
+        ([(0, 1), (1, 1)], None),
+        ([(0, -1)], None),
+        ([(0, 1), (1, 2), (2, 0)], None),
+        ([(0, 1), (2, 3)], None),
+        ([(0, 1), (0, 1), (2, 3)], None),
+        ([(0, 1), (0, 1), (2, 3)], 9),
+        ([(0, 1), (1, 2), (2, 0), (3, 4)], 4),
+        ([(0, 1), (1, 2), (2, 0), (3, 4)], 2),
+        ([(0, 1), (1, 2)], 5),
+        ([(10, 11), (11, 10), (12, 13)], 3),
+    ]
+    for edges, root in bad:
+        with pytest.raises(DomainError) as expected:
+            _reference_from_edges(edges, root)
+        with pytest.raises(DomainError) as got:
+            Tree.from_edges(edges, root=root)
+        assert str(got.value) == str(expected.value)
 
 
 def test_postorder_children_before_parents():
