@@ -13,7 +13,7 @@ import json
 import random
 import sys
 
-from .diagonalize import approximate_radius, count_eigenvalues
+from .diagonalize import approximate_radius, count_eigenvalues, gershgorin_cap
 from .limits import ConsistencyError, s_star, tau0
 from .properties import PROPERTY_IDS, sweep
 from .recurrence import classify_orbit, recurrence_params
@@ -95,8 +95,7 @@ def cmd_rho(args, ctx):
     if args.hi is not None:
         hi = ctx.scalar(args.hi)
     else:
-        d = _degree_cap(subject)
-        hi = 1 + s * s * (d - 1) + abs(s) * d + 1
+        hi = gershgorin_cap(s, _degree_cap(subject))
     est = approximate_radius(subject, s, lo, hi, target_digits=args.target_digits)
     value = est.value().to_decimal_string(args.target_digits)
     if args.json:

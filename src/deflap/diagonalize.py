@@ -11,7 +11,10 @@ caterpillar form.
 The tree sweep is one kernel, :func:`_sweep`, working on raw libmp
 tuples at the context's precision; Scalars appear only at the API edge,
 in :attr:`DiagOutcome.outputs` and in the Newton step of the radius
-probe.
+probe. The caterpillar form is one Scalar recurrence along the
+backbone, :func:`_backbone`, read by :func:`caterpillar_outputs`, the
+caterpillar radius probe and the eps_k level probe in
+:mod:`deflap.shearer`, each stopping where it needs to.
 """
 
 import math
@@ -38,9 +41,9 @@ _RND = round_nearest
 class ZeroPivot(Exception):
     """A backbone value hit exactly zero on the caterpillar fast path.
 
-    The generic tree sweep handles zero pivots by edge surgery; the
-    closed-form backbone recurrence cannot, so it signals and the caller
-    falls back to the full sweep.
+    The tree sweep handles zero pivots by edge surgery; the folded
+    backbone recurrence cannot, since its next value divides by the zero,
+    so :func:`caterpillar_outputs` raises this to its caller.
     """
 
     def __init__(self, index):
@@ -210,6 +213,36 @@ def count_eigenvalues(tree, s, c):
     return out.inertia
 
 
+def _backbone(counts, s2, c, slope):
+    """Yield (b_j, b_j') for j = 1..k: the leaf-folded sweep at point c.
+
+    Every pendant leaf pivot is 1 - c, so each leaf adds delta =
+    s2*c/(c - 1) to its backbone node: b_1 = 1 - c + r_1 delta and
+    b_j = 1 + s2 - c - s2/b_{j-1} + r_j delta, less s2 at node k only
+    (never at a point where a caller stops early). With ``slope``,
+    b_j' = -1 + s2 b_{j-1}'/b_{j-1}^2 + r_j delta' is the derivative in c,
+    delta' = -s2/(c - 1)^2; otherwise b_j' is None. The next value divides
+    by b_j, so a caller must stop before resuming past a zero.
+    """
+    k = len(counts)
+    delta = s2 * c / (c - 1)
+    b = 1 - c + counts[0] * delta
+    db = None
+    if slope:
+        ddelta = -s2 / ((c - 1) * (c - 1))
+        db = counts[0] * ddelta - 1
+    yield b, db
+    for j in range(1, k):
+        q = s2 / b
+        nb = 1 + s2 - c - q + counts[j] * delta
+        if j == k - 1:
+            nb = nb - s2
+        if slope:
+            db = q * db / b + counts[j] * ddelta - 1
+        b = nb
+        yield b, db
+
+
 def caterpillar_outputs(cat, s, lam):
     """Backbone outputs b_1..b_k of the sweep at probe point lam.
 
@@ -217,30 +250,21 @@ def caterpillar_outputs(cat, s, lam):
     per-node term and the whole sweep collapses to a scalar recurrence
     along the backbone. Raises DomainError at lam = 1 (leaf pivot
     vanishes, and the folded term has a pole there) and ZeroPivot when an
-    intermediate b_j is exactly zero; callers then use the tree sweep.
+    intermediate b_j is exactly zero; :func:`diagonalize_tree` on
+    ``caterpillar_to_tree(cat)`` handles that input by edge surgery.
     """
     if not isinstance(cat, Caterpillar):
         raise DomainError("caterpillar_outputs needs a Caterpillar")
     if not isinstance(s, Scalar):
         raise DomainError("s must be a Scalar")
-    ctx = s.ctx
-    lam = ctx.scalar(lam)
+    lam = s.ctx.scalar(lam)
     if lam == 1:
         raise DomainError("probe point 1 is a pole of the leaf-folded sweep")
-    counts = cat.counts
-    k = cat.k
-    s2 = s * s
-    # each pendant leaf contributes -s^2/(1-lam), i.e. +delta per leaf
-    delta = s2 * lam / (lam - 1)
-    b = 1 - lam + counts[0] * delta
-    outputs = [b]
-    for j in range(1, k):
-        if b.is_zero:
-            raise ZeroPivot(j - 1)
-        b = 1 + s2 - lam - s2 / b + counts[j] * delta
-        if j == k - 1:
-            b = b - s2
+    outputs = []
+    for j, (b, _) in enumerate(_backbone(cat.counts, s * s, lam, False)):
         outputs.append(b)
+        if b.is_zero and j < cat.k - 1:
+            raise ZeroPivot(j)
     return outputs
 
 
@@ -253,38 +277,22 @@ def _caterpillar_all_negative(cat, s, c, slope):
     node. With ``slope`` and every pivot negative, step is the Newton
     step -1/L toward the largest eigenvalue, where
     L = d/dc log|det(M - cI)| sums b_j'/b_j over the backbone and
-    1/(c - 1) per leaf, with b_j' = -1 + s^2 b_{j-1}'/b_{j-1}^2 + r_j delta';
-    otherwise step is None.
+    1/(c - 1) per leaf; otherwise step is None.
     """
     leaf_pivot = 1 - c
     counts = cat.counts
-    k = cat.k
     leaves = sum(counts)
     if leaves > 0 and leaf_pivot.sign() >= 0:
         return False, True, None
     if leaf_pivot.is_zero:
         # no leaves anywhere, backbone pivots start at zero
         return False, True, None
-    s2 = s * s
-    delta = s2 * c / (c - 1)
-    b = 1 - c + counts[0] * delta
-    if b.sign() >= 0:
-        return False, k > 1, None
-    if slope:
-        ddelta = -s2 / ((c - 1) * (c - 1))
-        db = counts[0] * ddelta - 1
-        total = db / b
-    for j in range(1, k):
-        q = s2 / b
-        nb = 1 + s2 - c - q + counts[j] * delta
-        if j == k - 1:
-            nb = nb - s2
-        if nb.sign() >= 0:
-            return False, j < k - 1, None
+    total = None
+    for j, (b, db) in enumerate(_backbone(counts, s * s, c, slope)):
+        if b.sign() >= 0:
+            return False, j < cat.k - 1, None
         if slope:
-            db = q * db / b + counts[j] * ddelta - 1
-            total = total + db / nb
-        b = nb
+            total = db / b if total is None else total + db / b
     if not slope:
         return True, False, None
     if leaves:
@@ -323,6 +331,15 @@ def _newton_step(dlog):
     return None
 
 
+def gershgorin_cap(s, max_degree):
+    """A strict upper bound on the spectrum of M(s): the largest Gershgorin
+    row bound, 1 + s^2 (d - 1) + |s| d at the largest degree d, plus one.
+
+    Rounding is monotone in d, so this row is the largest one bit for bit.
+    """
+    return 1 + s * s * (max_degree - 1) + abs(s) * max_degree + 1
+
+
 class RadiusEstimate:
     """A bracket [low, high] around the largest eigenvalue.
 
@@ -358,8 +375,8 @@ class RadiusEstimate:
 
 
 def _probe(obj, s, c, slope):
-    # the caterpillar probe checks each sign before dividing, so it never
-    # needs the zero-pivot fallback that caterpillar_outputs does
+    # the caterpillar probe stops at its first nonnegative pivot, so it
+    # never divides by a zero one the way caterpillar_outputs could
     if isinstance(obj, Caterpillar):
         return _caterpillar_all_negative(obj, s, c, slope)
     return _tree_all_negative(obj, s, c, slope)

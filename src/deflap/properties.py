@@ -19,7 +19,7 @@ test harness can swap one out and confirm that injected violations are
 reported.
 """
 
-from .diagonalize import approximate_radius, count_eigenvalues
+from .diagonalize import approximate_radius, count_eigenvalues, gershgorin_cap
 from .scalar import DomainError, Scalar, infer_context
 from .trees import Tree, dense_adjacency
 
@@ -92,31 +92,17 @@ class _Shared:
         self._bracket = None
         self._adj_radius = None
 
-    def upper_cap(self):
-        # Gershgorin row bound for M(s), plus one so the probe is strict
-        s = self.s
-        s2 = s * s
-        best = None
-        for v in range(self.tree.n):
-            d = self.tree.degree[v]
-            row = 1 + s2 * (d - 1) + abs(s) * d
-            if best is None or row > best:
-                best = row
-        return best + 1
+    def _radius(self, width_digits):
+        cap = gershgorin_cap(self.s, self.tree.max_degree())
+        return approximate_radius(self.tree, self.s, self.ctx.zero(), cap, target_digits=width_digits)
 
     def bracket(self, width_digits=None):
         """Radius bracket for the tree itself (n >= 2)."""
         if width_digits is not None and width_digits > self.width_digits:
             # a one-off finer estimate; do not overwrite the shared one
-            return approximate_radius(
-                self.tree, self.s, self.ctx.zero(), self.upper_cap(),
-                target_digits=width_digits,
-            )
+            return self._radius(width_digits)
         if self._bracket is None:
-            self._bracket = approximate_radius(
-                self.tree, self.s, self.ctx.zero(), self.upper_cap(),
-                target_digits=self.width_digits,
-            )
+            self._bracket = self._radius(self.width_digits)
         return self._bracket
 
     def adjacency_radius(self):

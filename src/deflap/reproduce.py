@@ -135,8 +135,22 @@ class ReproducedTable:
         return [row for row in self.rows if not row.ok]
 
 
-def _rel_ok(computed, expected, rel_tol):
-    return abs(computed - expected) <= expected * rel_tol
+def _error_row(key, row, expected_text, ctx, print_digits):
+    """A convergence-report row checked against its published error."""
+    expected = ctx.scalar(expected_text)
+    return ReproducedRow(
+        key=key,
+        computed=row.error,
+        expected=expected_text,
+        ok=abs(row.error - expected) <= expected * ctx.scalar(_ERROR_REL_TOL),
+        detail="error within %s relative of %s" % (_ERROR_REL_TOL, expected_text),
+        cells=(
+            key,
+            counts_cell(row.counts),
+            row.rho.to_decimal_string(print_digits),
+            row.error.to_decimal_string(print_digits),
+        ),
+    )
 
 
 def _table_s(mode, lam):
@@ -170,50 +184,19 @@ def _convergence_table(table_id, ctx, print_digits):
     s = _table_s(mode, lam)
     ks = [k for k, _ in expect]
     report = convergence_report(lam, s, ks, ctx=ctx)
-    rel = ctx.scalar(_ERROR_REL_TOL)
-    rows = []
-    for row, (k, expected_text) in zip(report.rows, expect):
-        expected = ctx.scalar(expected_text)
-        ok = _rel_ok(row.error, expected, rel)
-        rows.append(ReproducedRow(
-            key=str(k),
-            computed=row.error,
-            expected=expected_text,
-            ok=ok,
-            detail="error within %s relative of %s" % (_ERROR_REL_TOL, expected_text),
-            cells=(
-                str(k),
-                counts_cell(row.counts),
-                row.rho.to_decimal_string(print_digits),
-                row.error.to_decimal_string(print_digits),
-            ),
-        ))
+    rows = [
+        _error_row(str(k), row, expected_text, ctx, print_digits)
+        for row, (k, expected_text) in zip(report.rows, expect)
+    ]
     return ("k", "counts", "rho", "error"), rows
 
 
 def _near1_table(ctx, print_digits):
     lam = ctx.scalar("5.4")
-    rel = ctx.scalar(_ERROR_REL_TOL)
     rows = []
     for s_text, expected_text in _NEAR1_ROWS:
-        s = ctx.scalar(s_text)
-        report = convergence_report(lam, s, [_NEAR1_K], ctx=ctx)
-        row = report.rows[0]
-        expected = ctx.scalar(expected_text)
-        ok = _rel_ok(row.error, expected, rel)
-        rows.append(ReproducedRow(
-            key=s_text,
-            computed=row.error,
-            expected=expected_text,
-            ok=ok,
-            detail="error within %s relative of %s" % (_ERROR_REL_TOL, expected_text),
-            cells=(
-                s_text,
-                counts_cell(row.counts),
-                row.rho.to_decimal_string(print_digits),
-                row.error.to_decimal_string(print_digits),
-            ),
-        ))
+        report = convergence_report(lam, ctx.scalar(s_text), [_NEAR1_K], ctx=ctx)
+        rows.append(_error_row(s_text, report.rows[0], expected_text, ctx, print_digits))
     return ("s", "counts", "rho", "error"), rows
 
 

@@ -80,13 +80,14 @@ class PrecisionContext:
     """Shared precision for one computation.
 
     digits: working decimal digits, at least 16 (default 50).
-    default_bisection_iters: iteration count used by callers that do not
-    derive one from a target width.
+    default_bisection_iters: halvings enough to shrink a unit bracket
+    below 10^-digits, for callers that do not derive a count from a
+    target width.
     """
 
     __slots__ = ("digits", "prec", "default_bisection_iters")
 
-    def __init__(self, digits=DEFAULT_DIGITS, default_bisection_iters=None):
+    def __init__(self, digits=DEFAULT_DIGITS):
         digits = int(digits)
         if digits < MIN_DIGITS:
             raise DomainError(
@@ -94,10 +95,7 @@ class PrecisionContext:
             )
         self.digits = digits
         self.prec = dps_to_prec(digits)
-        if default_bisection_iters is None:
-            # enough halvings to shrink a unit bracket below 10^-digits
-            default_bisection_iters = int(digits * 3.33) + 8
-        self.default_bisection_iters = int(default_bisection_iters)
+        self.default_bisection_iters = int(digits * 3.33) + 8
 
     def scalar(self, value):
         """Lift ``value`` (Scalar, int, str, float) into this context.

@@ -17,6 +17,7 @@ specs (ints, decimal strings, or closures) at every rung.
 """
 
 import math
+from itertools import islice
 
 from .scalar import (
     DomainError,
@@ -28,7 +29,7 @@ from .scalar import (
     materialize,
 )
 from .trees import Caterpillar
-from .diagonalize import approximate_radius
+from .diagonalize import _backbone, approximate_radius
 from .recurrence import recurrence_params
 
 
@@ -277,37 +278,31 @@ def beta_sequence(run, method="recurrence"):
     return out
 
 
-def _prefix_value(counts, s2, m, delta, j, k, slope):
-    """Sweep value b_j of the full T_k run taken at probe point m.
+def _level_probe(counts, s2, m, j, slope):
+    """(side, step) of the eps_k chain's level-j probe at point m = lam - eps.
 
-    The terminal degree correction applies only at the true last
-    backbone node, never at the truncation point j. Returns (b_j, L):
-    with ``slope``, L = d/dm log|det| of the block of backbone nodes
-    1..j and their leaves, summing b_i'/b_i and 1/(m - 1) per leaf with
-    b_i' = -1 + s^2 b_{i-1}'/b_{i-1}^2 + r_i delta'; otherwise L is None.
+    side is the sign of b_j, the full T_k run's sweep value at node j (the
+    last node's degree correction applies only when j = k). With
+    ``slope`` and b_j negative, L = d/dm log|det| of backbone nodes 1..j
+    and their leaves sums b_i'/b_i and 1/(m - 1) per leaf, and step is
+    the Newton step 1/L in eps when L is positive; otherwise None. An
+    exact zero before node j raises PrecisionError.
     """
-    b = 1 - m + counts[0] * delta
-    if slope:
-        ddelta = -s2 / ((m - 1) * (m - 1))
-        db = counts[0] * ddelta - 1
-        total = db / b
-    for i in range(1, j):
-        if b.is_zero:
-            raise PrecisionError("probe hit an intermediate zero; raise the precision")
-        q = s2 / b
-        nb = 1 + s2 - m - q + counts[i] * delta
-        if i == k - 1:
-            nb = nb - s2
+    dlog = None
+    for i, (b, db) in enumerate(islice(_backbone(counts, s2, m, slope), j)):
         if slope:
-            db = q * db / b + counts[i] * ddelta - 1
-            total = total + db / nb
-        b = nb
-    if not slope:
-        return b, None
-    leaves = sum(counts[:j])
-    if leaves:
-        total = total + leaves / (m - 1)
-    return b, total
+            dlog = db / b if dlog is None else dlog + db / b
+        if b.is_zero and i < j - 1:
+            raise PrecisionError("probe hit an intermediate zero; raise the precision")
+    side = b.sign()
+    if side < 0 and slope:
+        leaves = sum(counts[:j])
+        if leaves:
+            dlog = dlog + leaves / (m - 1)
+        if dlog.sign() > 0:
+            # Newton in m steps down by 1/dlog, so eps steps up
+            return side, 1 / dlog
+    return side, None
 
 
 def epsilon_k(run, target_digits=None):
@@ -342,17 +337,7 @@ def epsilon_k(run, target_digits=None):
         # the side of eps is the sign of b_j; an exact zero stops the
         # halvings and keeps the confirmed bracket, since a zero this
         # deep is cancellation noise, not a root hit
-        def probe(eps, slope):
-            m = lam - eps
-            delta = s2 * m / (m - 1)
-            b, dlog = _prefix_value(counts, s2, m, delta, j, k, slope)
-            side = b.sign()
-            if side < 0 and dlog is not None and dlog.sign() > 0:
-                # Newton in m steps down by 1/dlog, so eps steps up
-                return side, 1 / dlog
-            return side, None
-
-        return probe
+        return lambda eps, slope: _level_probe(counts, s2, lam - eps, j, slope)
 
     zero = wctx.zero()
     inset = wctx.power_of_ten(-wd + 8)

@@ -3,10 +3,12 @@
 import pytest
 
 from deflap.diagonalize import (
+    ZeroPivot,
     approximate_radius,
     caterpillar_outputs,
     count_eigenvalues,
     diagonalize_tree,
+    gershgorin_cap,
 )
 from deflap.limits import s_star
 from deflap.scalar import BracketingError, DomainError, PrecisionContext
@@ -94,6 +96,23 @@ def test_caterpillar_outputs_match_tree_sweep():
 def test_caterpillar_outputs_pole_at_one():
     with pytest.raises(DomainError):
         caterpillar_outputs(Caterpillar([1, 1]), CTX.scalar("0.5"), CTX.scalar(1))
+
+
+def test_caterpillar_outputs_zero_pivot():
+    # b_1 = 1 - 2 + 2 * (0.25 * 2 / 1) is exactly zero, and b_2 divides by it
+    with pytest.raises(ZeroPivot) as info:
+        caterpillar_outputs(Caterpillar([2, 1]), CTX.scalar("0.5"), 2)
+    assert info.value.index == 0
+
+
+def test_gershgorin_cap_is_the_largest_row():
+    ctx = PrecisionContext(30)
+    for s_text in ("-1.5", "-0.3", "0.7", "1", "2.5"):
+        s = ctx.scalar(s_text)
+        for n in range(2, 9):
+            for tree in free_trees(n):
+                rows = [1 + s * s * (d - 1) + abs(s) * d for d in tree.degree]
+                assert gershgorin_cap(s, tree.max_degree()).raw() == (max(rows) + 1).raw()
 
 
 def test_radius_fast_path_agrees_with_tree_sweep():

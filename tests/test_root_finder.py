@@ -4,39 +4,158 @@
 the bisections that ``approximate_radius``, ``epsilon_k`` and
 ``bisect_monotone_root`` (hence ``tau0``) ran before the finder: each
 test runs both and asserts identical values, not merely close ones.
+
+The caterpillar probes those bisections call are frozen copies of the
+three backbone loops that preceded the shared ``_backbone`` recurrence,
+so the references do not run the code under test; a grid test checks
+the live loops against the copies directly.
 """
 
 import math
+import random
 
 import pytest
 
-from deflap.diagonalize import _probe, approximate_radius
+from deflap.diagonalize import (
+    ZeroPivot,
+    _caterpillar_all_negative,
+    _probe,
+    approximate_radius,
+    caterpillar_outputs,
+)
 from deflap.limits import s_star, tau0
 from deflap.scalar import (
     BracketingError,
+    DomainError,
     PrecisionContext,
     PrecisionError,
+    Scalar,
     bisect_monotone_root,
     find_root,
     materialize,
 )
-from deflap.shearer import EpsilonBound, InvalidRunError, _prefix_value, epsilon_k, generate
-from deflap.trees import free_trees
+from deflap.shearer import EpsilonBound, InvalidRunError, _level_probe, epsilon_k, generate
+from deflap.trees import Caterpillar, free_trees
 
 from test_limits import TABLE as TAU0_TABLE
 
 S_GRID = ("-1.5", "-1", "-0.9", "-0.3", "0.3", "0.9", "1", "1.5")
 
 
+# -- frozen backbone loops --------------------------------------------------
+
+
+def _frozen_caterpillar_outputs(cat, s, lam):
+    if not isinstance(cat, Caterpillar):
+        raise DomainError("caterpillar_outputs needs a Caterpillar")
+    if not isinstance(s, Scalar):
+        raise DomainError("s must be a Scalar")
+    ctx = s.ctx
+    lam = ctx.scalar(lam)
+    if lam == 1:
+        raise DomainError("probe point 1 is a pole of the leaf-folded sweep")
+    counts = cat.counts
+    k = cat.k
+    s2 = s * s
+    delta = s2 * lam / (lam - 1)
+    b = 1 - lam + counts[0] * delta
+    outputs = [b]
+    for j in range(1, k):
+        if b.is_zero:
+            raise ZeroPivot(j - 1)
+        b = 1 + s2 - lam - s2 / b + counts[j] * delta
+        if j == k - 1:
+            b = b - s2
+        outputs.append(b)
+    return outputs
+
+
+def _frozen_caterpillar_all_negative(cat, s, c, slope):
+    leaf_pivot = 1 - c
+    counts = cat.counts
+    k = cat.k
+    leaves = sum(counts)
+    if leaves > 0 and leaf_pivot.sign() >= 0:
+        return False, True, None
+    if leaf_pivot.is_zero:
+        return False, True, None
+    s2 = s * s
+    delta = s2 * c / (c - 1)
+    b = 1 - c + counts[0] * delta
+    if b.sign() >= 0:
+        return False, k > 1, None
+    if slope:
+        ddelta = -s2 / ((c - 1) * (c - 1))
+        db = counts[0] * ddelta - 1
+        total = db / b
+    for j in range(1, k):
+        q = s2 / b
+        nb = 1 + s2 - c - q + counts[j] * delta
+        if j == k - 1:
+            nb = nb - s2
+        if nb.sign() >= 0:
+            return False, j < k - 1, None
+        if slope:
+            db = q * db / b + counts[j] * ddelta - 1
+            total = total + db / nb
+        b = nb
+    if not slope:
+        return True, False, None
+    if leaves:
+        total = total + leaves / (c - 1)
+    return True, False, (-1 / total if total.sign() > 0 else None)
+
+
+def _frozen_prefix_value(counts, s2, m, delta, j, k, slope):
+    b = 1 - m + counts[0] * delta
+    if slope:
+        ddelta = -s2 / ((m - 1) * (m - 1))
+        db = counts[0] * ddelta - 1
+        total = db / b
+    for i in range(1, j):
+        if b.is_zero:
+            raise PrecisionError("probe hit an intermediate zero; raise the precision")
+        q = s2 / b
+        nb = 1 + s2 - m - q + counts[i] * delta
+        if i == k - 1:
+            nb = nb - s2
+        if slope:
+            db = q * db / b + counts[i] * ddelta - 1
+            total = total + db / nb
+        b = nb
+    if not slope:
+        return b, None
+    leaves = sum(counts[:j])
+    if leaves:
+        total = total + leaves / (m - 1)
+    return b, total
+
+
+def _frozen_level_probe(counts, s2, m, j, slope):
+    # epsilon_k's level probe as it read _prefix_value
+    delta = s2 * m / (m - 1)
+    b, dlog = _frozen_prefix_value(counts, s2, m, delta, j, len(counts), slope)
+    side = b.sign()
+    if side < 0 and dlog is not None and dlog.sign() > 0:
+        return side, 1 / dlog
+    return side, None
+
+
 # -- reference bisections ---------------------------------------------------
+
+
+def _reference_probe(obj, s, c):
+    if isinstance(obj, Caterpillar):
+        return _frozen_caterpillar_all_negative(obj, s, c, False)[0]
+    return _probe(obj, s, c, False)[0]
 
 
 def _reference_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     ctx = s.ctx
     lo = ctx.scalar(lo)
     hi = ctx.scalar(hi)
-    below_lo, _, _ = _probe(obj, s, lo, False)
-    below_hi, _, _ = _probe(obj, s, hi, False)
+    below_lo = _reference_probe(obj, s, lo)
+    below_hi = _reference_probe(obj, s, hi)
     if below_lo or not below_hi:
         raise BracketingError("bad reference bracket")
     if iterations is None:
@@ -46,7 +165,7 @@ def _reference_radius(obj, s, lo, hi, iterations=None, target_digits=None):
         iterations = max(1, int(math.ceil(math.log2(span) + target_digits * math.log2(10))))
     for _ in range(int(iterations)):
         mid = (lo + hi).halved()
-        below, _, _ = _probe(obj, s, mid, False)
+        below = _reference_probe(obj, s, mid)
         if below:
             hi = mid
         else:
@@ -68,7 +187,7 @@ def _reference_epsilon_k(run):
         def f(eps):
             m = lam - eps
             delta = s2 * m / (m - 1)
-            return _prefix_value(counts, s2, m, delta, j, k, False)[0]
+            return _frozen_prefix_value(counts, s2, m, delta, j, k, False)[0]
 
         return f
 
@@ -152,6 +271,54 @@ def _assert_same_radius(obj, s, lo, hi, **kw):
     assert (est.low.raw(), est.high.raw(), est.iterations) == (low.raw(), high.raw(), iterations)
     assert est.probes >= 2
     return est
+
+
+def _outcome(fn, *args):
+    """fn's result with every Scalar as its raw tuple, or the exception it
+    raised as (type, args)."""
+    try:
+        out = fn(*args)
+    except (ZeroPivot, PrecisionError, DomainError, ZeroDivisionError) as exc:
+        return type(exc), exc.args
+
+    def raw(v):
+        if isinstance(v, Scalar):
+            return v.raw()
+        if isinstance(v, (list, tuple)):
+            return tuple(raw(x) for x in v)
+        return v
+
+    return raw(out)
+
+
+def _assert_backbone_loops_match(cat, s, c):
+    assert _outcome(caterpillar_outputs, cat, s, c) == _outcome(_frozen_caterpillar_outputs, cat, s, c)
+    s2 = s * s
+    for slope in (False, True):
+        live = _outcome(_caterpillar_all_negative, cat, s, c, slope)
+        assert live == _outcome(_frozen_caterpillar_all_negative, cat, s, c, slope)
+        for j in range(1, cat.k + 1):
+            args = (cat.counts, s2, c, j, slope)
+            assert _outcome(_level_probe, *args) == _outcome(_frozen_level_probe, *args)
+
+
+def test_backbone_loops_match_frozen_copies():
+    rng = random.Random(5)
+    points = ("-0.5", "0", "0.999", "1", "1.001", "1.5", "2", "3.7", "5.4", "30")
+    for digits in (20, 50):
+        ctx = PrecisionContext(digits)
+        for _ in range(12):
+            cat = Caterpillar([rng.randrange(0, 6) for _ in range(rng.randrange(2, 13))])
+            s = ctx.scalar(rng.choice(("-1.3", "-0.4", "0.25", "0.5", "0.9", "1.1")))
+            for c_text in points:
+                _assert_backbone_loops_match(cat, s, ctx.scalar(c_text))
+    # b_1 = -1 + 2 * 0.5 is exactly zero: ZeroPivot(0) from the outputs,
+    # PrecisionError from the level-2 probe without a slope
+    ctx = PrecisionContext(30)
+    cat, s, c = Caterpillar([2, 1, 3]), ctx.scalar("0.5"), ctx.scalar(2)
+    _assert_backbone_loops_match(cat, s, c)
+    assert _outcome(caterpillar_outputs, cat, s, c) == (ZeroPivot, ("zero pivot at backbone position 0",))
+    assert _outcome(_level_probe, cat.counts, s * s, c, 2, False)[0] is PrecisionError
 
 
 @pytest.mark.parametrize("lam_text", ["5.4", "30"])
