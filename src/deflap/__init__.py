@@ -37,6 +37,7 @@ from .trees import (
 from .diagonalize import (
     DiagOutcome,
     RadiusEstimate,
+    adjacency_radius,
     approximate_radius,
     caterpillar_outputs,
     count_eigenvalues,
@@ -105,6 +106,7 @@ __all__ = [
     "SweepResult",
     "TABLE_IDS",
     "Tree",
+    "adjacency_radius",
     "approximate_radius",
     "beta_sequence",
     "bisect_monotone_root",

@@ -18,13 +18,7 @@ from .limits import ConsistencyError, s_star, tau0
 from .properties import PROPERTY_IDS, sweep
 from .recurrence import classify_orbit, recurrence_params
 from .reproduce import TABLE_IDS, reproduce_table
-from .scalar import (
-    DIGITS_ENV_VAR,
-    PrecisionContext,
-    PrecisionError,
-    ScalarError,
-    context_from_env,
-)
+from .scalar import DIGITS_ENV_VAR, PrecisionError, ScalarError, context_from_env
 from .shearer import convergence_report, counts_cell, generate
 from .trees import Caterpillar, Tree, caterpillar_to_tree, free_trees
 
@@ -38,12 +32,6 @@ DEFAULT_S_LIST = "0.001,0.01,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
 
 # the grid the property suite is exercised on by default
 DEFAULT_S_GRID = "-1.5,-1,-0.9,-0.3,0.3,0.9,1,1.5"
-
-
-def _context_for(args):
-    if args.digits is not None:
-        return PrecisionContext(args.digits)
-    return context_from_env()
 
 
 def _emit(text, path):
@@ -194,15 +182,8 @@ def cmd_shearer(args, ctx):
     if args.report is not None:
         ks = _int_list(args.report)
         report = convergence_report(lam, s, ks, ctx=ctx)
-        digits = args.print_digits
         lines = ["k,counts,rho,error"]
-        for row in report.rows:
-            lines.append("%d,%s,%s,%s" % (
-                row.k,
-                counts_cell(row.counts),
-                row.rho.to_decimal_string(digits),
-                row.error.to_decimal_string(digits),
-            ))
+        lines.extend(",".join(row.cells(args.print_digits)) for row in report.rows)
         _emit("\n".join(lines) + "\n", args.csv)
         return EXIT_OK
     if args.k is None:
@@ -283,25 +264,16 @@ def cmd_verify(args, ctx):
     rng = random.Random(args.seed)
     for _ in range(args.random):
         trees.append(_random_tree(rng, rng.randint(2, args.random_n)))
-    rows = []
-    tallies = {"checked": 0, "passed": 0, "failed": 0, "not_applicable": 0}
-    violations = []
-    for tree in trees:
-        cell = _tree_cell(tree)
-        for tok in s_tokens:
-            result = sweep(ids, [tree], [ctx.scalar(tok)], ctx=ctx)
-            for pid, report in zip(ids, result.reports):
-                if report.holds is True:
-                    verdict = "pass"
-                elif report.holds is False:
-                    verdict = "fail"
-                    violations.append(report)
-                else:
-                    verdict = "na"
-                rows.append("%s,%s,%s,%s" % (pid, cell, tok, verdict))
-            part = result.summary()
-            for key in tallies:
-                tallies[key] += part[key]
+    result = sweep(ids, trees, [ctx.scalar(tok) for tok in s_tokens], ctx=ctx)
+    # reports come tree by tree, then s by s, then in ``ids`` order
+    reports = iter(result.reports)
+    verdicts = {True: "pass", False: "fail", None: "na"}
+    rows = [
+        "%s,%s,%s,%s" % (pid, cell, tok, verdicts[next(reports).holds])
+        for cell in map(_tree_cell, trees) for tok in s_tokens for pid in ids
+    ]
+    tallies = result.summary()
+    violations = result.violations()
     if args.csv is not None:
         _emit("property,tree,s,result\n" + "\n".join(rows) + "\n", args.csv)
     print(
@@ -436,7 +408,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        ctx = _context_for(args)
+        ctx = context_from_env(args.digits)
         return args.handler(args, ctx)
     except PrecisionError as exc:
         sys.stderr.write("precision error: %s\n" % (exc,))

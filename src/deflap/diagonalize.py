@@ -4,17 +4,19 @@ One bottom-up sweep produces a diagonal matrix congruent to M(s) + x*I,
 so by Sylvester's law of inertia the sign counts of the output locate
 eigenvalues relative to -x without ever forming the matrix (Jacobs &
 Trevisan, "Locating the eigenvalues of trees", LAA 434 (2011) 81-88).
-Everything else in this package (radius brackets, caterpillar
-generation, error certificates) reduces to this sweep or to its closed
-caterpillar form.
+Everything else in this package (radius brackets, the adjacency radius
+rho(A), caterpillar generation, error certificates) reduces to this
+sweep or to its closed caterpillar form; no library path forms a dense
+matrix.
 
 The tree sweep is one kernel, :func:`_sweep`, working on raw libmp
-tuples at the context's precision; Scalars appear only at the API edge,
-in :attr:`DiagOutcome.outputs` and in the Newton step of the radius
-probe. The caterpillar form is one Scalar recurrence along the
-backbone, :func:`_backbone`, read by :func:`caterpillar_outputs`, the
-caterpillar radius probe and the eps_k level probe in
-:mod:`deflap.shearer`, each stopping where it needs to.
+tuples at the context's precision from a per-degree start table, so it
+sweeps M(s) + x*I and A - c*I alike; Scalars appear only at the API
+edge, in :attr:`DiagOutcome.outputs` and in the Newton step of the
+radius probes, which share one bracket search. The caterpillar form is
+one Scalar recurrence along the backbone, :func:`_backbone`, read by
+:func:`caterpillar_outputs`, the caterpillar radius probe and the eps_k
+level probe in :mod:`deflap.shearer`, each stopping where it needs to.
 """
 
 import math
@@ -76,10 +78,21 @@ def _sign(v):
     return mpf_cmp(v, fzero)
 
 
-def _sweep(tree, s2, x, prec, full, slope):
+def _starts(tree, s2, x, prec):
+    """The start table of M(s) + x*I: degree -> (1 + s2*(deg - 1)) + x."""
+    one = from_int(1, prec, _RND)
+    start = {}
+    for deg in set(tree.degree):
+        t = mpf_mul(s2, from_int(deg - 1, prec, _RND), prec, _RND)
+        start[deg] = mpf_add(mpf_add(one, t, prec, _RND), x, prec, _RND)
+    return start
+
+
+def _sweep(tree, start, s2, prec, full, slope):
     """The pivot sweep on raw libmp tuples: returns (d, stop, dlog).
 
-    d[v] starts at (1 + s2*(deg v - 1)) + x and, in postorder, each vertex
+    d[v] starts at the caller's pivot ``start[deg v]`` (:func:`_starts` for
+    M(s) + x*I; -c with s2 = 1 for A - c*I) and, in postorder, each vertex
     absorbs -s2/d_c from every child c. Every operation rounds to ``prec``
     to nearest, children are summed in ``tree.children`` order, and values
     are shared only where the operands are identical: the starting pivot
@@ -95,15 +108,11 @@ def _sweep(tree, s2, x, prec, full, slope):
     return it as ``stop``; children are then negative when their parent
     reads them, so the surgery never arises. With ``slope`` and no stop,
     dlog is L = sum of d_v'/d_v with d_v' = -1 + s2 sum_c d_c'/d_c^2, the
-    derivative of log|det(M - cI)| in c = -x; otherwise None.
+    derivative of log|det| in c, every start moving as -c; else None.
     """
     children = tree.children
     postorder = tree.postorder
     one = from_int(1, prec, _RND)
-    start = {}
-    for deg in set(tree.degree):
-        t = mpf_mul(s2, from_int(deg - 1, prec, _RND), prec, _RND)
-        start[deg] = mpf_add(mpf_add(one, t, prec, _RND), x, prec, _RND)
     d = [start[deg] for deg in tree.degree]
     if s2 == fzero:
         return d, None, None
@@ -186,7 +195,8 @@ def diagonalize_tree(tree, s, x):
     prec = ctx.prec
     s_raw = s.raw()
     s2 = mpf_mul(s_raw, s_raw, prec, _RND)
-    d, _, _ = _sweep(tree, s2, ctx.scalar(x).raw(), prec, full=True, slope=False)
+    start = _starts(tree, s2, ctx.scalar(x).raw(), prec)
+    d, _, _ = _sweep(tree, start, s2, prec, full=True, slope=False)
     pos = neg = zero = 0
     for v in d:
         sg = _sign(v)
@@ -315,7 +325,12 @@ def _tree_all_negative(tree, s, c, slope):
     x = mpf_neg(ctx.scalar(c).raw())
     if s2 == fzero:
         return _sign(mpf_add(from_int(1, prec, _RND), x, prec, _RND)) < 0, False, None
-    _, stop, dlog = _sweep(tree, s2, x, prec, full=False, slope=slope)
+    return _kernel_probe(tree, _starts(tree, s2, x, prec), s2, ctx, slope)
+
+
+def _kernel_probe(tree, start, s2, ctx, slope):
+    # (all_negative, early, step) of one stop-at-first-nonnegative sweep
+    _, stop, dlog = _sweep(tree, start, s2, ctx.prec, full=False, slope=slope)
     if stop is not None:
         return False, stop != tree.postorder[-1], None
     if not slope:
@@ -400,15 +415,42 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     if not isinstance(s, Scalar):
         raise DomainError("s must be a Scalar")
     ctx = s.ctx
-    lo = ctx.scalar(lo)
-    hi = ctx.scalar(hi)
+    return _bracket(lambda c, slope: _probe(obj, s, c, slope),
+                    ctx.scalar(lo), ctx.scalar(hi), iterations, target_digits)
+
+
+def adjacency_radius(tree, ctx, target_digits=None):
+    """Bracket rho(A), the largest adjacency eigenvalue of a tree.
+
+    The kernel sweeps A - c*I (each pivot starts at -c and absorbs -1/d_c
+    from each child) with :func:`approximate_radius`'s Newton steps over
+    [0, max degree + 1], which holds rho(A) since trace A = 0. The high
+    end bounds rho(A) from above within 10^-target_digits (default: the
+    context's digits).
+    """
+    if not isinstance(tree, Tree):
+        raise DomainError("adjacency_radius needs a Tree")
+    one = from_int(1, ctx.prec, _RND)
+
+    def all_negative(c, slope):
+        start = dict.fromkeys(tree.degree, mpf_neg(c.raw()))
+        return _kernel_probe(tree, start, one, ctx, slope)
+
+    hi = ctx.scalar(tree.max_degree() + 1)
+    return _bracket(all_negative, ctx.zero(), hi, None, target_digits)
+
+
+def _bracket(all_negative, lo, hi, iterations, target_digits):
+    # the search behind both radius brackets; all_negative(c, slope) is a
+    # probe returning (all_negative, early, step)
+    ctx = lo.ctx
     if not lo < hi:
         raise BracketingError("bracket is empty: lo must be strictly below hi")
     early_breaks = 0
 
     def probe(c, slope):
         nonlocal early_breaks
-        below, early, step = _probe(obj, s, c, slope)
+        below, early, step = all_negative(c, slope)
         if early:
             early_breaks += 1
         return (1 if below else -1), step

@@ -8,7 +8,9 @@ from pivots computed in rounded arithmetic, so a bound within rounding
 noise of an eigenvalue can be decided wrongly: 223 of 6,460 triples near
 eigenvalues of small trees were, see ROADMAP item 4); interval estimates
 with an explicit tolerance appear only for the two upper bounds and the
-star equality case, where the bound can actually be attained.
+star equality case, where the bound can actually be attained. The
+adjacency ceiling takes rho(A) from :func:`adjacency_radius`, the pivot
+kernel's bracket, at its high end, so the bound stays an upper bound.
 
 ``holds`` is three-valued: True, False (with a witness), or None when the
 property's hypotheses do not apply to the input. Summaries never count
@@ -19,9 +21,9 @@ test harness can swap one out and confirm that injected violations are
 reported.
 """
 
-from .diagonalize import approximate_radius, count_eigenvalues, gershgorin_cap
+from .diagonalize import adjacency_radius, approximate_radius, count_eigenvalues, gershgorin_cap
 from .scalar import DomainError, Scalar, infer_context
-from .trees import Tree, dense_adjacency
+from .trees import Tree
 
 PROPERTY_IDS = (
     "zero-eig-iff-unit-s",
@@ -90,7 +92,6 @@ class _Shared:
         self.ctx = s.ctx
         self.width_digits = width_digits
         self._bracket = None
-        self._adj_radius = None
 
     def _radius(self, width_digits):
         cap = gershgorin_cap(self.s, self.tree.max_degree())
@@ -104,12 +105,6 @@ class _Shared:
         if self._bracket is None:
             self._bracket = self._radius(self.width_digits)
         return self._bracket
-
-    def adjacency_radius(self):
-        if self._adj_radius is None:
-            eigs = dense_adjacency(self.tree, self.ctx).eigenvalues(self.ctx)
-            self._adj_radius = eigs[-1]
-        return self._adj_radius
 
 
 def _exceeds(tree, s, c):
@@ -311,7 +306,8 @@ def _check_adjacency_ceiling(tree, s, tol, shared):
         if holds:
             return PropertyReport(pid, True)
         return PropertyReport(pid, False, _witness(tree, s, bound=bound, radius=lhs))
-    bound = 1 + s * s * (delta - 1) + abs(s) * shared.adjacency_radius()
+    rho_a = adjacency_radius(tree, ctx, shared.width_digits).high
+    bound = 1 + s * s * (delta - 1) + abs(s) * rho_a
     est = shared.bracket()
     margin = tol if tol is not None else 10 * est.width()
     if est.high <= bound + margin:
@@ -426,8 +422,8 @@ def sweep(property_ids, trees, s_grid, tol=None, ctx=None):
     """Run the named checks over every (tree, s) pair.
 
     trees is any iterable of Tree objects; s_grid a list of Scalar-likes.
-    Shared per-pair work (the radius bracket, the adjacency radius) is
-    computed once per pair, not once per property.
+    Shared per-pair work (the radius bracket) is computed once per pair,
+    not once per property.
     """
     for pid in property_ids:
         if pid not in PROPERTY_CHECKS:

@@ -26,7 +26,7 @@ import time
 
 from .limits import s_star, tau0
 from .scalar import DomainError, PrecisionError, Scalar, infer_context
-from .shearer import convergence_report, counts_cell
+from .shearer import convergence_report
 
 TABLE_IDS = (
     "tau0_table",
@@ -144,12 +144,7 @@ def _error_row(key, row, expected_text, ctx, print_digits):
         expected=expected_text,
         ok=abs(row.error - expected) <= expected * ctx.scalar(_ERROR_REL_TOL),
         detail="error within %s relative of %s" % (_ERROR_REL_TOL, expected_text),
-        cells=(
-            key,
-            counts_cell(row.counts),
-            row.rho.to_decimal_string(print_digits),
-            row.error.to_decimal_string(print_digits),
-        ),
+        cells=row.cells(print_digits, key),
     )
 
 
@@ -226,12 +221,7 @@ def _flagship_table(ctx, print_digits, full_counts_path):
             expected=str(_FLAGSHIP_TOTAL),
             ok=total_ok,
             detail="total vertex count exactly %d" % _FLAGSHIP_TOTAL,
-            cells=(
-                str(_FLAGSHIP_K),
-                counts_cell(row.counts),
-                row.rho.to_decimal_string(print_digits),
-                row.error.to_decimal_string(print_digits),
-            ),
+            cells=row.cells(print_digits),
         ),
         ReproducedRow(
             key="error",

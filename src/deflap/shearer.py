@@ -290,10 +290,12 @@ def _level_probe(counts, s2, m, j, slope):
     """
     dlog = None
     for i, (b, db) in enumerate(islice(_backbone(counts, s2, m, slope), j)):
+        if b.is_zero:
+            if i < j - 1:
+                raise PrecisionError("probe hit an intermediate zero; raise the precision")
+            return 0, None
         if slope:
             dlog = db / b if dlog is None else dlog + db / b
-        if b.is_zero and i < j - 1:
-            raise PrecisionError("probe hit an intermediate zero; raise the precision")
     side = b.sign()
     if side < 0 and slope:
         leaves = sum(counts[:j])
@@ -382,6 +384,15 @@ class ReportRow:
         self.rho = rho
         self.error = error
 
+    def cells(self, digits, key=None):
+        """CSV cells (key, counts, rho, error); key defaults to k."""
+        return (
+            str(self.k) if key is None else key,
+            counts_cell(self.counts),
+            self.rho.to_decimal_string(digits),
+            self.error.to_decimal_string(digits),
+        )
+
 
 class ConvergenceReport:
     """Radius and gap lam - rho(T_k) for a family of generated runs."""
@@ -392,20 +403,6 @@ class ConvergenceReport:
         self.lam = lam
         self.s = s
         self.rows = rows
-
-    def to_csv(self, rho_digits=25, error_digits=9):
-        lines = ["k,counts,rho,error"]
-        for row in self.rows:
-            lines.append(
-                "%d,%s,%s,%s"
-                % (
-                    row.k,
-                    format_counts(row.counts),
-                    row.rho.to_decimal_string(rho_digits),
-                    row.error.to_decimal_string(error_digits),
-                )
-            )
-        return "\n".join(lines) + "\n"
 
 
 def format_counts(counts, head=None, tail=None):

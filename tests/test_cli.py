@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from deflap.cli import main
+
 
 def run_cli(*args, env=None):
     cmd = [sys.executable, "-m", "deflap", *args]
@@ -136,6 +138,15 @@ def test_verify_small_sweep(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "property,tree,s,result"
     assert len(lines) == 1 + 5 * 2 * 2  # five trees of n <= 4, two s, two props
+
+
+def test_verify_beyond_dense_cap(capsys):
+    # the random tree has 81 vertices; the adjacency ceiling needs no dense matrix
+    code = main(["verify", "--max-n", "1", "--random", "1", "--random-n", "100",
+                 "--seed", "5", "--s-grid", "0.3,-1.5"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert out == "checked=48 passed=19 failed=0 not-applicable=29\n"
 
 
 def test_verify_rejects_unknown_property():

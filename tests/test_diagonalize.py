@@ -1,9 +1,12 @@
 """Inertia counting against a dense eigensolver, plus the fast paths."""
 
+import random
+
 import pytest
 
 from deflap.diagonalize import (
     ZeroPivot,
+    adjacency_radius,
     approximate_radius,
     caterpillar_outputs,
     count_eigenvalues,
@@ -12,7 +15,14 @@ from deflap.diagonalize import (
 )
 from deflap.limits import s_star
 from deflap.scalar import BracketingError, DomainError, PrecisionContext
-from deflap.trees import Caterpillar, Tree, caterpillar_to_tree, dense_deformed_laplacian, free_trees
+from deflap.trees import (
+    Caterpillar,
+    Tree,
+    caterpillar_to_tree,
+    dense_adjacency,
+    dense_deformed_laplacian,
+    free_trees,
+)
 
 CTX = PrecisionContext(50)
 
@@ -161,3 +171,17 @@ def test_radius_rejects_bad_bracket():
         approximate_radius(p2, CTX.scalar("0.5"), CTX.scalar(2), CTX.scalar(4))
     with pytest.raises(BracketingError):
         approximate_radius(p2, CTX.scalar("0.5"), CTX.scalar(0), CTX.scalar(1))
+
+
+def test_adjacency_radius_brackets_dense_oracle():
+    # the kernel bracket for rho(A) holds the dense eigensolver's value on
+    # every free tree n = 2..9 and on random trees up to the dense cap
+    ctx = PrecisionContext(20)
+    rng = random.Random(64)
+    trees = [tree for n in range(2, 10) for tree in free_trees(n)]
+    trees += [Tree.from_edges([(v, rng.randrange(v)) for v in range(1, n)]) for n in (20, 40, 64)]
+    for tree in trees:
+        est = adjacency_radius(tree, ctx, 10)
+        rho = dense_adjacency(tree, ctx).eigenvalues(ctx)[-1]
+        assert est.low <= rho <= est.high, tree.to_text()
+        assert est.width() < ctx.power_of_ten(-10)

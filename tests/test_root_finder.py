@@ -299,7 +299,12 @@ def _assert_backbone_loops_match(cat, s, c):
         assert live == _outcome(_frozen_caterpillar_all_negative, cat, s, c, slope)
         for j in range(1, cat.k + 1):
             args = (cat.counts, s2, c, j, slope)
-            assert _outcome(_level_probe, *args) == _outcome(_frozen_level_probe, *args)
+            want = _outcome(_frozen_level_probe, *args)
+            if slope and want[0] is ZeroDivisionError:
+                # the frozen copy divided by an exact zero b_i before it
+                # checked it; the live probe decides as without a slope
+                want = _outcome(_frozen_level_probe, cat.counts, s2, c, j, False)
+            assert _outcome(_level_probe, *args) == want
 
 
 def test_backbone_loops_match_frozen_copies():
@@ -312,13 +317,18 @@ def test_backbone_loops_match_frozen_copies():
             s = ctx.scalar(rng.choice(("-1.3", "-0.4", "0.25", "0.5", "0.9", "1.1")))
             for c_text in points:
                 _assert_backbone_loops_match(cat, s, ctx.scalar(c_text))
-    # b_1 = -1 + 2 * 0.5 is exactly zero: ZeroPivot(0) from the outputs,
-    # PrecisionError from the level-2 probe without a slope
+    # b_1 = -1 + 2 * 0.5 is exactly zero: ZeroPivot(0) from the outputs;
+    # with or without a slope, side 0 from the level-1 probe and
+    # PrecisionError from the deeper ones (the frozen copy's slope mode
+    # raised ZeroDivisionError there)
     ctx = PrecisionContext(30)
     cat, s, c = Caterpillar([2, 1, 3]), ctx.scalar("0.5"), ctx.scalar(2)
+    intermediate = (PrecisionError, ("probe hit an intermediate zero; raise the precision",))
     _assert_backbone_loops_match(cat, s, c)
     assert _outcome(caterpillar_outputs, cat, s, c) == (ZeroPivot, ("zero pivot at backbone position 0",))
-    assert _outcome(_level_probe, cat.counts, s * s, c, 2, False)[0] is PrecisionError
+    for slope in (False, True):
+        assert _outcome(_level_probe, cat.counts, s * s, c, 1, slope) == (0, None)
+        assert _outcome(_level_probe, cat.counts, s * s, c, 2, slope) == intermediate
 
 
 @pytest.mark.parametrize("lam_text", ["5.4", "30"])
