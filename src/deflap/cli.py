@@ -77,6 +77,12 @@ def _token_list(text):
 
 
 def cmd_rho(args, ctx):
+    if args.target_digits > ctx.digits:
+        # digits past the working precision are rounding noise
+        raise ScalarError(
+            "--target-digits %d exceeds the %d working digits; raise --digits to at least %d"
+            % (args.target_digits, ctx.digits, args.target_digits)
+        )
     subject = _load_subject(args)
     s = ctx.scalar(args.s)
     lo = ctx.scalar(args.lo)

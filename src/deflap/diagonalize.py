@@ -11,17 +11,19 @@ matrix.
 
 The tree sweep is one kernel, :func:`_sweep`, working on raw libmp
 tuples at the context's precision from a per-degree start table, so it
-sweeps M(s) + x*I and A - c*I alike; Scalars appear only at the API
-edge, in :attr:`DiagOutcome.outputs` and in the Newton step of the
-radius probes, which share one bracket search. The caterpillar form is
-one Scalar recurrence along the backbone, :func:`_backbone`, read by
+sweeps M(s) + x*I and A - c*I alike. The caterpillar form is one
+raw-tuple recurrence along the backbone, :func:`_backbone`, read by
 :func:`caterpillar_outputs`, the caterpillar radius probe and the eps_k
 level probe in :mod:`deflap.shearer`, each stopping where it needs to.
+Both round every operation as Scalar arithmetic would; Scalars appear
+only at the API edge, in returned values and in the Newton step of the
+probes, which share one bracket search.
 """
 
 import math
 
 from mpmath.libmp import (
+    fone,
     from_int,
     fzero,
     mpf_add,
@@ -223,32 +225,47 @@ def count_eigenvalues(tree, s, c):
     return out.inertia
 
 
-def _backbone(counts, s2, c, slope):
-    """Yield (b_j, b_j') for j = 1..k: the leaf-folded sweep at point c.
+def _backbone(counts, s2, c, prec, slope):
+    """Yield raw (b_j, b_j') for j = 1..k: the leaf-folded sweep at point c.
 
     Every pendant leaf pivot is 1 - c, so each leaf adds delta =
     s2*c/(c - 1) to its backbone node: b_1 = 1 - c + r_1 delta and
     b_j = 1 + s2 - c - s2/b_{j-1} + r_j delta, less s2 at node k only
     (never at a point where a caller stops early). With ``slope``,
     b_j' = -1 + s2 b_{j-1}'/b_{j-1}^2 + r_j delta' is the derivative in c,
-    delta' = -s2/(c - 1)^2; otherwise b_j' is None. The next value divides
-    by b_j, so a caller must stop before resuming past a zero.
+    delta' = -s2/(c - 1)^2; otherwise b_j' is None.
+
+    ``s2`` and ``c`` are raw libmp tuples. Every operation rounds to
+    ``prec`` to nearest, in the order the formulas read left to right, as
+    Scalar arithmetic would; 1 + s2 - c is formed once per point. At
+    c = 1 the delta division raises Scalar's ZeroDivisionError. The next
+    value divides by b_j, so a caller must stop before resuming past a
+    zero.
     """
-    k = len(counts)
-    delta = s2 * c / (c - 1)
-    b = 1 - c + counts[0] * delta
+    cm1 = mpf_sub(c, fone, prec, _RND)
+    if cm1 == fzero:
+        raise ZeroDivisionError("scalar division by zero")
+    delta = mpf_div(mpf_mul(s2, c, prec, _RND), cm1, prec, _RND)
+    base = mpf_sub(mpf_add(fone, s2, prec, _RND), c, prec, _RND)
+    r = from_int(counts[0], prec, _RND)
+    b = mpf_add(mpf_sub(fone, c, prec, _RND), mpf_mul(delta, r, prec, _RND), prec, _RND)
     db = None
     if slope:
-        ddelta = -s2 / ((c - 1) * (c - 1))
-        db = counts[0] * ddelta - 1
+        ddelta = mpf_div(mpf_neg(s2), mpf_mul(cm1, cm1, prec, _RND), prec, _RND)
+        db = mpf_sub(mpf_mul(ddelta, r, prec, _RND), fone, prec, _RND)
     yield b, db
-    for j in range(1, k):
-        q = s2 / b
-        nb = 1 + s2 - c - q + counts[j] * delta
-        if j == k - 1:
-            nb = nb - s2
+    last = len(counts) - 1
+    for j in range(1, last + 1):
+        r = from_int(counts[j], prec, _RND)
+        q = mpf_div(s2, b, prec, _RND)
+        nb = mpf_sub(base, q, prec, _RND)
+        nb = mpf_add(nb, mpf_mul(delta, r, prec, _RND), prec, _RND)
+        if j == last:
+            nb = mpf_sub(nb, s2, prec, _RND)
         if slope:
-            db = q * db / b + counts[j] * ddelta - 1
+            db = mpf_div(mpf_mul(q, db, prec, _RND), b, prec, _RND)
+            db = mpf_add(db, mpf_mul(ddelta, r, prec, _RND), prec, _RND)
+            db = mpf_sub(db, fone, prec, _RND)
         b = nb
         yield b, db
 
@@ -267,13 +284,18 @@ def caterpillar_outputs(cat, s, lam):
         raise DomainError("caterpillar_outputs needs a Caterpillar")
     if not isinstance(s, Scalar):
         raise DomainError("s must be a Scalar")
-    lam = s.ctx.scalar(lam)
+    ctx = s.ctx
+    lam = ctx.scalar(lam)
     if lam == 1:
         raise DomainError("probe point 1 is a pole of the leaf-folded sweep")
+    prec = ctx.prec
+    s_raw = s.raw()
+    s2 = mpf_mul(s_raw, s_raw, prec, _RND)
+    last = cat.k - 1
     outputs = []
-    for j, (b, _) in enumerate(_backbone(cat.counts, s * s, lam, False)):
-        outputs.append(b)
-        if b.is_zero and j < cat.k - 1:
+    for j, (b, _) in enumerate(_backbone(cat.counts, s2, lam.raw(), prec, False)):
+        outputs.append(Scalar(b, ctx))
+        if b == fzero and j < last:
             raise ZeroPivot(j)
     return outputs
 
@@ -289,25 +311,33 @@ def _caterpillar_all_negative(cat, s, c, slope):
     L = d/dc log|det(M - cI)| sums b_j'/b_j over the backbone and
     1/(c - 1) per leaf; otherwise step is None.
     """
-    leaf_pivot = 1 - c
+    ctx = s.ctx
+    prec = ctx.prec
+    c = c.raw()
     counts = cat.counts
     leaves = sum(counts)
-    if leaves > 0 and leaf_pivot.sign() >= 0:
+    leaf_pivot = mpf_sub(fone, c, prec, _RND)
+    if leaves > 0 and _sign(leaf_pivot) >= 0:
         return False, True, None
-    if leaf_pivot.is_zero:
+    if leaf_pivot == fzero:
         # no leaves anywhere, backbone pivots start at zero
         return False, True, None
+    s_raw = s.raw()
+    s2 = mpf_mul(s_raw, s_raw, prec, _RND)
+    last = cat.k - 1
     total = None
-    for j, (b, db) in enumerate(_backbone(counts, s * s, c, slope)):
-        if b.sign() >= 0:
-            return False, j < cat.k - 1, None
+    for j, (b, db) in enumerate(_backbone(counts, s2, c, prec, slope)):
+        if _sign(b) >= 0:
+            return False, j < last, None
         if slope:
-            total = db / b if total is None else total + db / b
+            t = mpf_div(db, b, prec, _RND)
+            total = t if total is None else mpf_add(total, t, prec, _RND)
     if not slope:
         return True, False, None
     if leaves:
-        total = total + leaves / (c - 1)
-    return True, False, _newton_step(total)
+        t = mpf_div(from_int(leaves, prec, _RND), mpf_sub(c, fone, prec, _RND), prec, _RND)
+        total = mpf_add(total, t, prec, _RND)
+    return True, False, _newton_step(Scalar(total, ctx))
 
 
 def _tree_all_negative(tree, s, c, slope):

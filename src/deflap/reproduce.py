@@ -8,9 +8,10 @@ Each table id names one published table or run: the small-s limit values
 Expected values are frozen here verbatim from the source tables. Every
 row records whether the recomputed value meets its tolerance; a table is
 ``ok`` only if all rows are. The convergence tables and the flagship run
-at the closed-form s*(lam) (halved for the half-coupling ones), and rows that do not reproduce at
-it are NOT special-cased: they fail honestly. Those are the deep-k error
-rows of the two half-coupling tables and the flagship total.
+are computed at the closed-form s*(lam), halved for the half-coupling
+ones. Rows that do not reproduce at it are NOT special-cased: they fail
+honestly. Those are the deep-k error rows of the two half-coupling
+tables and the flagship total.
 
 The lam = 1.5 half-coupling table and the flagship vertex total were
 computed at round(s*(lam), 30 decimals) / 2 instead; the acceptance gate

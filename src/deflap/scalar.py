@@ -1,11 +1,11 @@
 """Configurable-precision real arithmetic and the package's one root finder.
 
-Every numerical quantity in this package is a ``Scalar``: a wrapper around
-mpmath's raw bigfloat tuples with an explicit :class:`PrecisionContext`.
-Unlike ``mpmath.mpf``, nothing here reads or mutates the global ``mp``
-context, so computations at different precisions can coexist (the Shearer
-generator raises its working precision internally while callers keep
-50-digit values).
+Every numerical quantity this package takes or returns is a ``Scalar``:
+a wrapper around mpmath's raw bigfloat tuples with an explicit
+:class:`PrecisionContext`. Unlike ``mpmath.mpf``, nothing here reads or
+mutates the global ``mp`` context, so computations at different
+precisions can coexist (the Shearer generator raises its working
+precision internally while callers keep 50-digit values).
 
 Values are exact dyadic rationals; only operations round. Comparisons are
 exact and total. Mixing Scalars from contexts with different digit counts
@@ -16,6 +16,13 @@ comes from :func:`find_root`: Newton steps from one end of a bracket,
 then a certified replay of the bisection of that bracket, so each result
 is the bracket a fixed number of halvings would give, reached in a few
 probes instead of one per halving.
+
+The hot loops (this replay, the tree pivot sweep, the caterpillar
+backbone recurrence, the Shearer generator) run on the raw tuples
+themselves. Each rounds every operation to the context's precision, to
+nearest, in the order the Scalar formula would run it, so its values
+are bit for bit those of Scalar arithmetic; Scalars are made only where
+values are returned or handed to a caller.
 """
 
 import math
@@ -420,7 +427,10 @@ def find_root(probe, lo, hi, iters, start, step):
        as expected or reaches lo or hi.
     3. Replay the bisection: walk its midpoints over the original
        [lo, hi], probing only those strictly inside (a, b) and deciding
-       the others by position.
+       the others by position. The walk runs on raw tuples,
+       mid = (lo + hi)/2 with the sum rounded to the context's
+       precision, as ``(lo + hi).halved()`` rounds it; a midpoint
+       becomes a Scalar only when it is probed or returned.
 
     The returned bracket and zero are therefore the bisection's own
     whenever the probe's sides are monotone outside (a, b), that is,
@@ -474,24 +484,26 @@ def find_root(probe, lo, hi, iters, start, step):
                     ends[i] = t
                     break
                 g = g * 16
-    a, b = ends
-
+    ctx = lo.ctx
+    prec = ctx.prec
+    a, b = ends[0]._v, ends[1]._v
+    lo, hi = lo._v, hi._v
     for _ in range(iters):
-        mid = (lo + hi).halved()
-        if not mid > a:
+        mid = mpf_shift(mpf_add(lo, hi, prec, _RND), -1)
+        if mpf_cmp(mid, a) <= 0:
             side = -1
-        elif not mid < b:
+        elif mpf_cmp(mid, b) >= 0:
             side = 1
         else:
-            side = probe(mid, False)[0]
+            side = probe(Scalar(mid, ctx), False)[0]
             probes += 1
             if side == 0:
-                return RootBracket(lo, hi, mid, probes)
+                return RootBracket(Scalar(lo, ctx), Scalar(hi, ctx), Scalar(mid, ctx), probes)
         if side < 0:
             lo = mid
         else:
             hi = mid
-    return RootBracket(lo, hi, None, probes)
+    return RootBracket(Scalar(lo, ctx), Scalar(hi, ctx), None, probes)
 
 
 def bisect_monotone_root(f, a, b, iters):

@@ -19,6 +19,21 @@ specs (ints, decimal strings, or closures) at every rung.
 import math
 from itertools import islice
 
+from mpmath.libmp import (
+    fone,
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_cmp,
+    mpf_div,
+    mpf_mul,
+    mpf_neg,
+    mpf_sub,
+    round_floor,
+    round_nearest,
+    to_int,
+)
+
 from .scalar import (
     DomainError,
     PrecisionContext,
@@ -27,10 +42,14 @@ from .scalar import (
     find_root,
     infer_context,
     materialize,
+    scalar_from_raw,
 )
 from .trees import Caterpillar
-from .diagonalize import _backbone, approximate_radius
+from .diagonalize import _backbone, _sign, approximate_radius
 from .recurrence import recurrence_params
+
+
+_RND = round_nearest
 
 
 class InvalidRunError(DomainError):
@@ -117,72 +136,84 @@ class EpsilonBound:
         )
 
 
-def _guarded_floor(t, guard):
+def _guarded_floor(t, guard, top, prec):
     # a floor taken within guard of an integer is one rounding error away
-    # from being wrong; force a retry at higher precision instead
-    f = t.floor()
-    frac = t - f
-    if frac < guard or frac > 1 - guard:
+    # from being wrong; force a retry at higher precision instead. t,
+    # guard and top = 1 - guard are raw tuples
+    f = int(to_int(t, round_floor))
+    frac = mpf_sub(t, from_int(f, prec, _RND), prec, _RND)
+    if mpf_cmp(frac, guard) < 0 or mpf_cmp(frac, top) > 0:
         raise _NeedMorePrecision()
+    if f < 0:
+        raise InvalidRunError("negative leaf count; parameters are inconsistent")
     return f
 
 
 def _generate_at(p, k, wctx):
     """One full generation pass at a fixed working precision.
 
-    Returns (counts, b values) or raises _NeedMorePrecision when a floor
-    argument is too close to an integer or a value leaves its window.
+    Returns (counts, b values as raw tuples) or raises _NeedMorePrecision
+    when a floor argument is too close to an integer or a value leaves
+    its window. The pass runs on raw libmp tuples, each operation
+    rounded to the working precision as Scalar arithmetic would round it.
     """
-    lam, s = p.lam, p.s
-    s2 = s * s
-    delta, thp = p.delta, p.theta_prime
-    lo_window = thp - delta
-    guard = wctx.power_of_ten(-wctx.digits + 10)
+    prec = wctx.prec
+    lam, s = p.lam.raw(), p.s.raw()
+    s2 = mpf_mul(s, s, prec, _RND)
+    delta, thp = p.delta.raw(), p.theta_prime.raw()
+    lo_window = mpf_sub(thp, delta, prec, _RND)
+    guard = wctx.power_of_ten(-wctx.digits + 10).raw()
+    top = mpf_sub(fone, guard, prec, _RND)
 
     def windowed(b):
-        if not (lo_window < b and b < thp):
+        if not (mpf_cmp(lo_window, b) < 0 and mpf_cmp(b, thp) < 0):
             raise _NeedMorePrecision()
         return b
 
-    r1 = _guarded_floor((thp + lam - 1) / delta, guard)
-    if r1 < 0:
-        raise InvalidRunError("negative leaf count; parameters are inconsistent")
-    b = windowed(1 - lam + r1 * delta)
+    def leaf_count(numerator):
+        return _guarded_floor(mpf_div(numerator, delta, prec, _RND), guard, top, prec)
+
+    r1 = leaf_count(mpf_sub(mpf_add(thp, lam, prec, _RND), fone, prec, _RND))
+    b = mpf_mul(delta, from_int(r1, prec, _RND), prec, _RND)
+    b = windowed(mpf_add(mpf_sub(fone, lam, prec, _RND), b, prec, _RND))
     counts = [r1]
     bs = [b]
+    # 1 + s2 - lam, shared by every step
+    alpha = mpf_sub(mpf_add(fone, s2, prec, _RND), lam, prec, _RND)
     for j in range(1, k):
-        step = 1 + s2 - lam - s2 / b
+        step = mpf_sub(alpha, mpf_div(s2, b, prec, _RND), prec, _RND)
         if j == k - 1:
-            step = step - s2
-        r = _guarded_floor((thp - step) / delta, guard)
-        if r < 0:
-            raise InvalidRunError("negative leaf count; parameters are inconsistent")
-        b = windowed(step + r * delta)
+            step = mpf_sub(step, s2, prec, _RND)
+        r = leaf_count(mpf_sub(thp, step, prec, _RND))
+        b = mpf_mul(delta, from_int(r, prec, _RND), prec, _RND)
+        b = windowed(mpf_add(step, b, prec, _RND))
         counts.append(r)
         bs.append(b)
     return counts, bs
 
 
-def _betas_at(counts, bs, lam, s):
+def _betas_at(counts, bs, lam, s, prec):
     """Noise amplification factors beta_1..beta_k for one run.
 
     beta_j is b_j'(0)/(-b_j(0)) for the probe family lam - eps: the
     relative growth a perturbation of the probe point suffers by the
     time it reaches position j. Computed by the first-order recurrence
-    beta_j = c_j + g_j*beta_{j-1}.
+    beta_j = c_j + g_j*beta_{j-1}, on raw tuples at ``prec``.
     """
-    s2 = s * s
-    lm1 = lam - 1
-    lm1_sq = lm1 * lm1
+    s2 = mpf_mul(s, s, prec, _RND)
+    lm1 = mpf_sub(lam, fone, prec, _RND)
+    lm1_sq = mpf_mul(lm1, lm1, prec, _RND)
     out = []
     prev = None
     for j, (r, b) in enumerate(zip(counts, bs)):
-        c = (1 + r * s2 / lm1_sq) / (-b)
+        # c_j = (1 + r s2 / (lam - 1)^2) / (-b_j)
+        c = mpf_div(mpf_mul(s2, from_int(r, prec, _RND), prec, _RND), lm1_sq, prec, _RND)
+        c = mpf_div(mpf_add(c, fone, prec, _RND), mpf_neg(b), prec, _RND)
         if j == 0:
             beta = c
         else:
-            g = s2 / (bs[j - 1] * b)
-            beta = c + g * prev
+            g = mpf_div(s2, mpf_mul(bs[j - 1], b, prec, _RND), prec, _RND)
+            beta = mpf_add(c, mpf_mul(g, prev, prec, _RND), prec, _RND)
         out.append(beta)
         prev = beta
     return out
@@ -226,15 +257,15 @@ def generate(lam, s, k, ctx=None):
         except _NeedMorePrecision:
             digits *= 2
             continue
-        betas = _betas_at(counts, bs, lam_w, s_w)
-        need = betas[-1].decimal_magnitude() + BETA_MARGIN_DIGITS
+        betas = _betas_at(counts, bs, lam_w.raw(), s_w.raw(), wctx.prec)
+        need = Scalar(betas[-1], wctx).decimal_magnitude() + BETA_MARGIN_DIGITS
         if need <= digits:
             return ShearerRun(
                 lam_user,
                 s_user,
                 tuple(counts),
-                [ctx.scalar(b) for b in bs],
-                [ctx.scalar(b) for b in betas],
+                [scalar_from_raw(b, ctx) for b in bs],
+                [scalar_from_raw(b, ctx) for b in betas],
                 params_user,
                 ctx,
                 digits,
@@ -259,7 +290,9 @@ def beta_sequence(run, method="recurrence"):
         raise InvalidRunError("run has a nonnegative b value; not a valid run")
     lam, s = run.lam, run.s
     if method == "recurrence":
-        return _betas_at(run.counts, run.b_trace, lam, s)
+        bs = [b.raw() for b in run.b_trace]
+        betas = _betas_at(run.counts, bs, lam.raw(), s.raw(), lam.ctx.prec)
+        return [Scalar(beta, lam.ctx) for beta in betas]
     if method != "sum":
         raise DomainError("method must be 'recurrence' or 'sum'")
     s2 = s * s
@@ -286,24 +319,30 @@ def _level_probe(counts, s2, m, j, slope):
     ``slope`` and b_j negative, L = d/dm log|det| of backbone nodes 1..j
     and their leaves sums b_i'/b_i and 1/(m - 1) per leaf, and step is
     the Newton step 1/L in eps when L is positive; otherwise None. An
-    exact zero before node j raises PrecisionError.
+    exact zero before node j raises PrecisionError. The sums run on raw
+    tuples; only the step is a Scalar.
     """
+    ctx = m.ctx
+    prec = ctx.prec
+    m = m.raw()
     dlog = None
-    for i, (b, db) in enumerate(islice(_backbone(counts, s2, m, slope), j)):
-        if b.is_zero:
+    for i, (b, db) in enumerate(islice(_backbone(counts, s2.raw(), m, prec, slope), j)):
+        if b == fzero:
             if i < j - 1:
                 raise PrecisionError("probe hit an intermediate zero; raise the precision")
             return 0, None
         if slope:
-            dlog = db / b if dlog is None else dlog + db / b
-    side = b.sign()
+            t = mpf_div(db, b, prec, _RND)
+            dlog = t if dlog is None else mpf_add(dlog, t, prec, _RND)
+    side = _sign(b)
     if side < 0 and slope:
         leaves = sum(counts[:j])
         if leaves:
-            dlog = dlog + leaves / (m - 1)
-        if dlog.sign() > 0:
+            t = mpf_div(from_int(leaves, prec, _RND), mpf_sub(m, fone, prec, _RND), prec, _RND)
+            dlog = mpf_add(dlog, t, prec, _RND)
+        if _sign(dlog) > 0:
             # Newton in m steps down by 1/dlog, so eps steps up
-            return side, 1 / dlog
+            return side, Scalar(mpf_div(fone, dlog, prec, _RND), ctx)
     return side, None
 
 

@@ -1,11 +1,17 @@
 import json
+import os
 import subprocess
 import sys
 
 from deflap.cli import main
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def run_cli(*args, env=None):
+    # the child imports deflap from this checkout, as the test process does
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     cmd = [sys.executable, "-m", "deflap", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
@@ -34,6 +40,19 @@ def test_rho_default_bracket_and_json():
     assert abs(float(payload["rho"]) - float(payload["low"])) < 1e-9
     assert float(payload["high"]) - float(payload["low"]) < 1e-9
     assert payload["iterations"] > 0
+
+
+def test_rho_rejects_target_digits_above_working_digits():
+    # at 20 working digits the 21st printed digit on is noise: the command
+    # refuses rather than print it
+    args = ("rho", "--caterpillar", "[3,1]", "--s", "0.5", "--digits", "20", "--json")
+    cp = run_cli(*args, "--target-digits", "40")
+    assert cp.returncode == 2
+    assert "--target-digits 40" in cp.stderr and "20 working digits" in cp.stderr
+    assert cp.stdout == ""
+    cp = run_cli(*args, "--target-digits", "20")
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["rho"] == "2.4877973677697324444"
 
 
 def test_rho_rejects_bad_literal():
@@ -107,8 +126,6 @@ def test_sstar():
 
 
 def test_digits_env_var_equivalence(tmp_path):
-    import os
-
     env = dict(os.environ, DEFLAP_DIGITS="64")
     a = run_cli("tau0", "--s", "0.9", env=env)
     b = run_cli("tau0", "--s", "0.9", "--digits", "64")

@@ -8,7 +8,9 @@ test runs both and asserts identical values, not merely close ones.
 The caterpillar probes those bisections call are frozen copies of the
 three backbone loops that preceded the shared ``_backbone`` recurrence,
 so the references do not run the code under test; a grid test checks
-the live loops against the copies directly.
+the live loops against the copies directly. The Shearer generation pass
+and its beta recurrence have frozen Scalar copies too, checked value for
+value against the raw-tuple versions.
 """
 
 import math
@@ -24,6 +26,7 @@ from deflap.diagonalize import (
     caterpillar_outputs,
 )
 from deflap.limits import s_star, tau0
+from deflap.recurrence import RecurrenceParams, recurrence_params
 from deflap.scalar import (
     BracketingError,
     DomainError,
@@ -34,7 +37,16 @@ from deflap.scalar import (
     find_root,
     materialize,
 )
-from deflap.shearer import EpsilonBound, InvalidRunError, _level_probe, epsilon_k, generate
+from deflap.shearer import (
+    EpsilonBound,
+    InvalidRunError,
+    _betas_at,
+    _generate_at,
+    _level_probe,
+    _NeedMorePrecision,
+    epsilon_k,
+    generate,
+)
 from deflap.trees import Caterpillar, free_trees
 
 from test_limits import TABLE as TAU0_TABLE
@@ -139,6 +151,67 @@ def _frozen_level_probe(counts, s2, m, j, slope):
     if side < 0 and dlog is not None and dlog.sign() > 0:
         return side, 1 / dlog
     return side, None
+
+
+# -- frozen generator -------------------------------------------------------
+
+
+def _frozen_guarded_floor(t, guard):
+    f = t.floor()
+    frac = t - f
+    if frac < guard or frac > 1 - guard:
+        raise _NeedMorePrecision()
+    return f
+
+
+def _frozen_generate_at(p, k, wctx):
+    # shearer's generation pass as it ran on Scalars
+    lam, s = p.lam, p.s
+    s2 = s * s
+    delta, thp = p.delta, p.theta_prime
+    lo_window = thp - delta
+    guard = wctx.power_of_ten(-wctx.digits + 10)
+
+    def windowed(b):
+        if not (lo_window < b and b < thp):
+            raise _NeedMorePrecision()
+        return b
+
+    r1 = _frozen_guarded_floor((thp + lam - 1) / delta, guard)
+    if r1 < 0:
+        raise InvalidRunError("negative leaf count; parameters are inconsistent")
+    b = windowed(1 - lam + r1 * delta)
+    counts = [r1]
+    bs = [b]
+    for j in range(1, k):
+        step = 1 + s2 - lam - s2 / b
+        if j == k - 1:
+            step = step - s2
+        r = _frozen_guarded_floor((thp - step) / delta, guard)
+        if r < 0:
+            raise InvalidRunError("negative leaf count; parameters are inconsistent")
+        b = windowed(step + r * delta)
+        counts.append(r)
+        bs.append(b)
+    return counts, bs
+
+
+def _frozen_betas_at(counts, bs, lam, s):
+    s2 = s * s
+    lm1 = lam - 1
+    lm1_sq = lm1 * lm1
+    out = []
+    prev = None
+    for j, (r, b) in enumerate(zip(counts, bs)):
+        c = (1 + r * s2 / lm1_sq) / (-b)
+        if j == 0:
+            beta = c
+        else:
+            g = s2 / (bs[j - 1] * b)
+            beta = c + g * prev
+        out.append(beta)
+        prev = beta
+    return out
 
 
 # -- reference bisections ---------------------------------------------------
@@ -329,6 +402,60 @@ def test_backbone_loops_match_frozen_copies():
     for slope in (False, True):
         assert _outcome(_level_probe, cat.counts, s * s, c, 1, slope) == (0, None)
         assert _outcome(_level_probe, cat.counts, s * s, c, 2, slope) == intermediate
+
+
+def _generation_outcome(generate_at, p, k, wctx):
+    """(counts, raw b values), or the exception raised as (type, args)."""
+    try:
+        counts, bs = generate_at(p, k, wctx)
+    except (_NeedMorePrecision, InvalidRunError) as exc:
+        return type(exc), exc.args
+    return counts, [b.raw() if isinstance(b, Scalar) else b for b in bs]
+
+
+def _assert_generation_matches(p, k, wctx):
+    want = _generation_outcome(_frozen_generate_at, p, k, wctx)
+    assert _generation_outcome(_generate_at, p, k, wctx) == want
+    if isinstance(want[0], type):
+        return want[0]
+    counts, bs = want
+    frozen = _frozen_betas_at(counts, [Scalar(b, wctx) for b in bs], p.lam, p.s)
+    live = _betas_at(counts, bs, p.lam.raw(), p.s.raw(), wctx.prec)
+    assert live == [beta.raw() for beta in frozen]
+    return None
+
+
+def _params_variant(p, **changes):
+    fields = {name: getattr(p, name) for name in RecurrenceParams.__slots__}
+    fields.update(changes)
+    return RecurrenceParams(**fields)
+
+
+def test_generator_matches_frozen_copies():
+    # criterion 10's runs: lam = 5.4 at half coupling, 120 digits
+    wctx = PrecisionContext(120)
+    lam = wctx.scalar("5.4")
+    p = recurrence_params(s_star(lam).halved(), lam)
+    for k in range(2, 21):
+        assert _assert_generation_matches(p, k, wctx) is None
+    # a log-uniform lam grid at half and full coupling
+    rng = random.Random(11)
+    for digits in (60, 120):
+        wctx = PrecisionContext(digits)
+        for _ in range(6):
+            lam = wctx.scalar("%.6g" % math.exp(rng.uniform(math.log(1.6), math.log(50.0))))
+            s = s_star(lam)
+            for coupling in (s.halved(), s):
+                assert _assert_generation_matches(recurrence_params(coupling, lam), 30, wctx) is None
+    # a rung the floor guard rejects: delta made to divide the first
+    # floor argument, which then rounds to within the guard of 5; and a
+    # negative delta, whose first leaf count is negative
+    wctx = PrecisionContext(60)
+    lam = wctx.scalar("5.4")
+    p = recurrence_params(s_star(lam).halved(), lam)
+    on_integer = _params_variant(p, delta=(p.theta_prime + p.lam - 1) / 5)
+    assert _assert_generation_matches(on_integer, 8, wctx) is _NeedMorePrecision
+    assert _assert_generation_matches(_params_variant(p, delta=-p.delta), 8, wctx) is InvalidRunError
 
 
 @pytest.mark.parametrize("lam_text", ["5.4", "30"])
