@@ -61,13 +61,31 @@ class DiagOutcome:
     outputs[v] is the value attached to vertex v; inertia is the triple
     (positive, negative, zero). By congruence with M(s) + x*I these count
     eigenvalues of M(s) greater than, smaller than, and equal to -x.
+    An outcome built from the sweep's raw pivots wraps them as Scalars
+    on the first read of ``outputs``, so a caller after the inertia alone
+    never pays for them.
     """
 
-    __slots__ = ("outputs", "inertia")
+    __slots__ = ("_outputs", "_raw", "inertia")
 
     def __init__(self, outputs, inertia):
-        self.outputs = outputs
+        self._outputs = outputs
+        self._raw = None
         self.inertia = inertia
+
+    @classmethod
+    def _from_raw(cls, d, ctx, inertia):
+        out = cls(None, inertia)
+        out._raw = (d, ctx)
+        return out
+
+    @property
+    def outputs(self):
+        if self._raw is not None:
+            d, ctx = self._raw
+            self._outputs = [Scalar(v, ctx) for v in d]
+            self._raw = None
+        return self._outputs
 
     def __repr__(self):
         return "DiagOutcome(inertia=%r)" % (self.inertia,)
@@ -187,7 +205,8 @@ def diagonalize_tree(tree, s, x):
     carry nonzero values absorbs -s^2/d_c from each child c; a zero child
     instead forces the pair (d_v, d_c) := (-s^2/2, 2) and detaches v from
     its parent for the rest of the sweep. The sweep itself runs on raw
-    libmp tuples (:func:`_sweep`); only the returned outputs are Scalars.
+    libmp tuples (:func:`_sweep`); the outputs become Scalars when first
+    read.
     """
     if not isinstance(tree, Tree):
         raise DomainError("diagonalize_tree needs a Tree")
@@ -208,7 +227,7 @@ def diagonalize_tree(tree, s, x):
             neg += 1
         else:
             zero += 1
-    return DiagOutcome([Scalar(v, ctx) for v in d], (pos, neg, zero))
+    return DiagOutcome._from_raw(d, ctx, (pos, neg, zero))
 
 
 def count_eigenvalues(tree, s, c):

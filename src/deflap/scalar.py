@@ -17,12 +17,15 @@ then a certified replay of the bisection of that bracket, so each result
 is the bracket a fixed number of halvings would give, reached in a few
 probes instead of one per halving.
 
-The hot loops (this replay, the tree pivot sweep, the caterpillar
-backbone recurrence, the Shearer generator) run on the raw tuples
-themselves. Each rounds every operation to the context's precision, to
-nearest, in the order the Scalar formula would run it, so its values
-are bit for bit those of Scalar arithmetic; Scalars are made only where
-values are returned or handed to a caller.
+The hot loops below the API run without Scalars. The tree pivot sweep,
+the caterpillar backbone recurrence and the Shearer generator work on
+the raw tuples themselves, rounding every operation to the context's
+precision, to nearest, in the order the Scalar formula would run it.
+The replay walks its midpoints as Python integers at one fixed binary
+exponent and rounds each sum to the context's precision by hand, half
+to even, as ``mpf_add`` rounds it. Either way the values are bit for bit
+those of Scalar arithmetic; Scalars are made only where values are
+returned or handed to a caller.
 """
 
 import math
@@ -33,6 +36,7 @@ from mpmath.libmp import (
     dps_to_prec,
     from_float,
     from_int,
+    from_man_exp,
     from_str,
     fzero,
     mpf_abs,
@@ -427,10 +431,15 @@ def find_root(probe, lo, hi, iters, start, step):
        as expected or reaches lo or hi.
     3. Replay the bisection: walk its midpoints over the original
        [lo, hi], probing only those strictly inside (a, b) and deciding
-       the others by position. The walk runs on raw tuples,
-       mid = (lo + hi)/2 with the sum rounded to the context's
-       precision, as ``(lo + hi).halved()`` rounds it; a midpoint
-       becomes a Scalar only when it is probed or returned.
+       the others by position. The walk runs on Python integers counting
+       2^e, e = (least exponent of lo, hi, a, b that are not zero) -
+       iters - 1, fine enough to hold every midpoint exactly: each step
+       forms lo + hi, rounds it by hand to the context's precision, half
+       to even, as ``(lo + hi).halved()`` rounds it, halves it and
+       compares it with a and b as plain integers. A midpoint becomes a
+       tuple and a Scalar only when it is probed or returned. The hand
+       rounding is ``mpf_add``'s as long as lo and hi carry at most the
+       context's precision in bits, as every value rounded in it does.
 
     The returned bracket and zero are therefore the bisection's own
     whenever the probe's sides are monotone outside (a, b), that is,
@@ -486,24 +495,66 @@ def find_root(probe, lo, hi, iters, start, step):
                 g = g * 16
     ctx = lo.ctx
     prec = ctx.prec
-    a, b = ends[0]._v, ends[1]._v
-    lo, hi = lo._v, hi._v
+    raw = (lo._v, hi._v, ends[0]._v, ends[1]._v)
+    e = min(v[2] for v in raw if v[1]) - iters - 1
+    lo, hi, a, b = [_lift(v, e) for v in raw]
     for _ in range(iters):
-        mid = mpf_shift(mpf_add(lo, hi, prec, _RND), -1)
-        if mpf_cmp(mid, a) <= 0:
-            side = -1
-        elif mpf_cmp(mid, b) >= 0:
-            side = 1
-        else:
-            side = probe(Scalar(mid, ctx), False)[0]
-            probes += 1
-            if side == 0:
-                return RootBracket(Scalar(lo, ctx), Scalar(hi, ctx), Scalar(mid, ctx), probes)
+        mid = _midpoint(lo, hi, prec)
+        if mid <= a:
+            lo = mid
+            continue
+        if mid >= b:
+            hi = mid
+            continue
+        x = _drop(mid, e, ctx)
+        side = probe(x, False)[0]
+        probes += 1
+        if side == 0:
+            return RootBracket(_drop(lo, e, ctx), _drop(hi, e, ctx), x, probes)
         if side < 0:
             lo = mid
         else:
             hi = mid
-    return RootBracket(Scalar(lo, ctx), Scalar(hi, ctx), None, probes)
+    return RootBracket(_drop(lo, e, ctx), _drop(hi, e, ctx), None, probes)
+
+
+def _lift(v, e):
+    # a finite raw tuple as its integer count of 2^e; zero, whose tuple
+    # carries exponent 0, is 0 at every e
+    sign, man, exp, _ = v
+    if not man:
+        return 0
+    man <<= exp - e
+    return -man if sign else man
+
+
+def _drop(n, e, ctx):
+    # the Scalar n * 2^e, exact
+    return Scalar(from_man_exp(n, e), ctx)
+
+
+def _midpoint(x, y, prec):
+    """(x + y)/2 with the sum rounded to ``prec`` bits, for integers x, y
+    counting one power of two 2^e.
+
+    The sum is rounded by magnitude to nearest, ties to even. On the
+    tuples of x*2^e and y*2^e that is what ``mpf_add(., ., prec,
+    round_nearest)`` gives, bit for bit, whenever both carry at most
+    ``prec`` significant bits; its sticky-bit path for far-apart
+    exponents rounds the same way. A sum that needs no rounding must be
+    even, so the halving is exact.
+    """
+    s = x + y
+    u = abs(s)
+    n = u.bit_length() - prec
+    if n <= 0:
+        return s >> 1
+    t = u >> (n - 1)
+    q = t >> 1
+    if t & 1 and (t & 2 or t << (n - 1) != u):
+        q += 1
+    q <<= n - 1
+    return -q if s < 0 else q
 
 
 def bisect_monotone_root(f, a, b, iters):

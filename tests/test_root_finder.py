@@ -11,13 +11,23 @@ so the references do not run the code under test; a grid test checks
 the live loops against the copies directly. The Shearer generation pass
 and its beta recurrence have frozen Scalar copies too, checked value for
 value against the raw-tuple versions.
+
+``find_root`` itself has a frozen copy from when its replay walked raw
+tuples with ``mpf_add``; every root the package finds, on live probes,
+must come out of both as the same bracket. The replay's integer
+midpoint is fuzzed against ``mpf_add`` directly.
 """
 
 import math
 import random
 
 import pytest
+from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_cmp, mpf_shift, round_nearest
 
+import deflap.diagonalize
+import deflap.limits
+import deflap.scalar
+import deflap.shearer
 from deflap.diagonalize import (
     ZeroPivot,
     _caterpillar_all_negative,
@@ -32,7 +42,10 @@ from deflap.scalar import (
     DomainError,
     PrecisionContext,
     PrecisionError,
+    RootBracket,
     Scalar,
+    _lift,
+    _midpoint,
     bisect_monotone_root,
     find_root,
     materialize,
@@ -212,6 +225,77 @@ def _frozen_betas_at(counts, bs, lam, s):
         out.append(beta)
         prev = beta
     return out
+
+
+# -- frozen root finder ----------------------------------------------------
+
+
+def _frozen_find_root(probe, lo, hi, iters, start, step):
+    # find_root as it ran when its replay walked raw tuples
+    iters = int(iters)
+    width = Scalar(mpf_shift((hi - lo)._v, -iters), lo.ctx)
+    start_side = 1 if start == hi else -1
+    probes = 0
+
+    x = start
+    err = prev = None
+    for _ in range(iters):
+        if step is None:
+            break
+        size = abs(step)
+        if prev is not None and not size < prev:
+            err = size
+            break
+        nxt = x + step
+        if not (lo < nxt and nxt < hi):
+            break
+        x = nxt
+        if not size > width:
+            err = size
+            break
+        side, step = probe(x, True)
+        probes += 1
+        err = size if prev is None else min(size, size * size * size / (prev * prev))
+        prev = size
+        if side != start_side:
+            break
+
+    ends = [lo, hi]
+    if err is not None:
+        pad = err + err
+        if pad < width:
+            pad = width
+        for i, want in ((0, -1), (1, 1)):
+            g = pad
+            while True:
+                t = x + want * g
+                if not (lo < t and t < hi):
+                    break
+                probes += 1
+                if probe(t, False)[0] == want:
+                    ends[i] = t
+                    break
+                g = g * 16
+    ctx = lo.ctx
+    prec = ctx.prec
+    a, b = ends[0]._v, ends[1]._v
+    lo, hi = lo._v, hi._v
+    for _ in range(iters):
+        mid = mpf_shift(mpf_add(lo, hi, prec, round_nearest), -1)
+        if mpf_cmp(mid, a) <= 0:
+            side = -1
+        elif mpf_cmp(mid, b) >= 0:
+            side = 1
+        else:
+            side = probe(Scalar(mid, ctx), False)[0]
+            probes += 1
+            if side == 0:
+                return RootBracket(Scalar(lo, ctx), Scalar(hi, ctx), Scalar(mid, ctx), probes)
+        if side < 0:
+            lo = mid
+        else:
+            hi = mid
+    return RootBracket(Scalar(lo, ctx), Scalar(hi, ctx), None, probes)
 
 
 # -- reference bisections ---------------------------------------------------
@@ -546,3 +630,176 @@ def test_flagship_radius_probe_count():
     assert est.iterations == 742
     # bisection probes both ends and every midpoint: 744 sweeps
     assert est.probes <= 60
+
+
+# -- the integer replay against the tuple replay ------------------------------
+
+
+def _bracket_raw(found):
+    zero = None if found.zero is None else found.zero.raw()
+    return found.low.raw(), found.high.raw(), zero, found.probes
+
+
+def _assert_same_walk(probe, lo, hi, iters, start, step):
+    found = find_root(probe, lo, hi, iters, start, step)
+    assert _bracket_raw(found) == _bracket_raw(_frozen_find_root(probe, lo, hi, iters, start, step))
+    return found
+
+
+@pytest.fixture
+def checked_walks(monkeypatch):
+    """Route every find_root call through both replays; yields the list
+    of brackets the live finder returned."""
+    found = []
+
+    def both(probe, lo, hi, iters, start, step):
+        found.append(_assert_same_walk(probe, lo, hi, iters, start, step))
+        return found[-1]
+
+    for module in (deflap.diagonalize, deflap.limits, deflap.scalar, deflap.shearer):
+        monkeypatch.setattr(module, "find_root", both)
+    return found
+
+
+def test_tree_radii_match_tuple_replay(checked_walks):
+    ctx = PrecisionContext(30)
+    calls = 0
+    for s_text in S_GRID:
+        s = ctx.scalar(s_text)
+        for n in range(2, 8):
+            for tree in free_trees(n):
+                d = max(tree.degree)
+                approximate_radius(tree, s, ctx.zero(), 1 + s * s * (d - 1) + abs(s) * d + 1)
+                calls += 1
+    assert len(checked_walks) == calls == 8 * 24
+
+
+def test_caterpillar_radii_and_epsilon_k_match_tuple_replay(checked_walks):
+    ctx = PrecisionContext(120)
+    lam = ctx.scalar("5.4")
+    s = s_star(lam).halved()
+    for k in range(2, 21):
+        run = generate(lam, s, k, ctx=ctx)
+        approximate_radius(run.caterpillar(), s, ctx.scalar(1), lam)
+        before = len(checked_walks)
+        epsilon_k(run)
+        # one root per level, the first level's too unless r_1 = 0
+        assert len(checked_walks) - before == k - (run.counts[0] == 0)
+
+
+def test_tau0_matches_tuple_replay(checked_walks):
+    ctx = PrecisionContext(50)
+    for row in TAU0_TABLE:
+        tau0(ctx.scalar(row[0]))
+    assert len(checked_walks) == len(TAU0_TABLE)
+
+
+def _cubic_probe(root, calls=None):
+    # f(x) = (x - root)^3 + (x - root): increasing, with Newton steps
+    def probe(x, slope):
+        if calls is not None:
+            calls.append(x)
+        u = x - root
+        f = u * u * u + u
+        side = f.sign()
+        if not slope or side == 0:
+            return side, None
+        return side, -f / (3 * u * u + 1)
+
+    return probe
+
+
+def test_replay_edge_brackets_match_tuple_replay():
+    ctx = PrecisionContext(20)
+    cases = (
+        # lo = 0 and hi far above 2^(iters + 2): the fixed exponent is
+        # positive, and zero must not be shifted to it
+        ("0", 2 ** 40, "1234567.25", 3),
+        ("0", 2 ** 40, "1234567.25", 12),
+        ("0", 2 ** 80, "3.5", 30),
+        # both ends negative
+        ("-7", "-0.3", "-2.1", 60),
+        # straddling 0, the first midpoint an exact zero of the probe
+        ("-1", "1", "0", 40),
+        ("-3", "5", "0.7", 70),
+        ("-3", "5", "0", 70),
+        # a dyadic root, met exactly by a midpoint
+        ("1", "2", "1.5", 50),
+        ("1", "2", "1.375", 50),
+    )
+    zeros = 0
+    for lo_text, hi_text, root_text, iters in cases:
+        lo, hi, root = ctx.scalar(lo_text), ctx.scalar(hi_text), ctx.scalar(root_text)
+        probe = _cubic_probe(root)
+        assert probe(lo, False)[0] < 0 < probe(hi, False)[0]
+        for start in (lo, hi):
+            for step in (None, probe(start, True)[1]):
+                found = _assert_same_walk(probe, lo, hi, iters, start, step)
+                assert found.low <= root <= found.high
+                zeros += found.zero is not None
+    assert zeros > 0
+
+
+def test_exact_zero_midpoint_is_returned():
+    ctx = PrecisionContext(30)
+    root = ctx.scalar("0.625")
+    calls = []
+    found = _assert_same_walk(_cubic_probe(root, calls), ctx.zero(), ctx.scalar(1), 40, ctx.scalar(1), None)
+    # plain bisection: midpoints 0.5, 0.75, then 0.625, the zero
+    assert found.zero.raw() == root.raw() and found.probes == 3
+    assert (found.low.raw(), found.high.raw()) == (ctx.scalar("0.5").raw(), ctx.scalar("0.75").raw())
+    # the live walk's probes, then the frozen one's
+    want = [ctx.scalar(t).raw() for t in ("0.5", "0.75", "0.625")]
+    assert [x.raw() for x in calls] == want + want
+
+
+# -- the integer midpoint against mpf_add ---------------------------------------
+
+
+def _fuzz_operand(rng, prec, exp=None):
+    bits = rng.choice((1, 2, prec, rng.randrange(1, prec + 1)))
+    man = (1 << bits) - 1 if rng.random() < 0.2 else rng.getrandbits(bits) | 1 << (bits - 1)
+    if exp is None:
+        exp = rng.randrange(-2 * prec, 2 * prec)
+    return from_man_exp(-man if rng.random() < 0.5 else man, exp)
+
+
+def _fuzz_pair(rng, prec, kind):
+    x = _fuzz_operand(rng, prec)
+    sign = -1 if rng.random() < 0.5 else 1
+    if kind == "carry":
+        # two all-ones mantissas of prec bits: the sum carries to 2^(prec+1)
+        top = (1 << prec) - 1
+        x = from_man_exp(sign * (top - rng.randrange(0, 4)), x[2])
+        return x, from_man_exp(sign * (top - rng.randrange(0, 4)), x[2] + rng.randrange(-2, 3))
+    if kind == "tie":
+        # an odd prec-bit mantissa plus an odd one a bit below it: the sum
+        # has prec + 1 bits and ends in 1, halfway between neighbours
+        m = rng.getrandbits(prec - 1) | 1 << (prec - 1) | 1
+        x = from_man_exp(sign * m, x[2])
+        return x, from_man_exp(rng.choice((-1, 1)) * (2 * rng.randrange(0, 8) + 1), x[2] - 1)
+    if kind == "zero":
+        return (x, fzero) if rng.random() < 0.5 else (fzero, x)
+    if kind == "gap":
+        # exponents more than prec + 100 apart: mpf_add's sticky-bit path
+        far = _fuzz_operand(rng, prec, x[2] + x[3] + prec + 100 + rng.randrange(1, 3 * prec))
+        return (x, far) if rng.random() < 0.5 else (far, x)
+    return x, _fuzz_operand(rng, prec)
+
+
+def test_integer_midpoint_matches_mpf_add():
+    rng = random.Random(8)
+    kinds = ("any", "carry", "tie", "zero", "gap")
+    ties = 0
+    for i in range(20000):
+        prec = (53, 60, 170, 402, 834)[i % 5]
+        x, y = _fuzz_pair(rng, prec, kinds[i // 5 % 5])
+        e = min([v[2] for v in (x, y) if v[1]] or [0]) - 1
+        total = abs(_lift(x, e) + _lift(y, e))
+        odd = total >> (total & -total).bit_length() - 1 if total else 0
+        # an exact sum of prec + 1 significant bits is a tie: halfway between
+        # its two prec-bit neighbours
+        ties += odd.bit_length() == prec + 1
+        want = mpf_shift(mpf_add(x, y, prec, round_nearest), -1)
+        assert from_man_exp(_midpoint(_lift(x, e), _lift(y, e), prec), e) == want, (prec, x, y)
+    assert ties >= 3000
