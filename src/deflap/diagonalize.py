@@ -17,7 +17,9 @@ raw-tuple recurrence along the backbone, :func:`_backbone`, read by
 level probe in :mod:`deflap.shearer`, each stopping where it needs to.
 Both round every operation as Scalar arithmetic would; Scalars appear
 only at the API edge, in returned values and in the Newton step of the
-probes, which share one bracket search.
+probes, which share one bracket search. A tree's search starts from a
+float Laguerre estimate (:func:`_laguerre_start`); floats only place
+that start, and every sign a result rests on comes from the kernel.
 """
 
 import math
@@ -410,9 +412,10 @@ class RadiusEstimate:
     low, high and iterations are those of bisecting the starting bracket
     ``iterations`` times, so high - low equals its width divided by
     2^iterations (up to final-digit rounding). ``probes`` counts the
-    sweeps actually run (both ends, Newton steps, certification and the
-    replayed midpoints) and ``early_breaks`` those decided before their
-    sweep finished; both are diagnostic only.
+    sweeps actually run (both ends, the probe confirming a tree's float
+    start, Newton steps, certification and the replayed midpoints) and
+    ``early_breaks`` those decided before their sweep finished; both are
+    diagnostic only. The float sweeps behind that start are not counted.
     """
 
     __slots__ = ("low", "high", "iterations", "early_breaks", "probes")
@@ -456,26 +459,37 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     ``target_digits`` (default: the context's digits) as the count needed
     to shrink the bracket below 10^-target_digits. The result is that of
     ``iterations`` halvings, found by :func:`deflap.scalar.find_root`:
-    Newton steps down from hi, a certified bracket, and a replay of the
-    halvings that probes only the midpoints inside it.
+    Newton steps down to the root, a certified bracket, and a replay of
+    the halvings that probes only the midpoints inside it. On a Tree the
+    Newton steps start from a float Laguerre estimate just above rho
+    (:func:`_laguerre_start`) once a probe confirms it lies above; a
+    caterpillar's, or an unconfirmed estimate's, start from hi.
     """
     if not isinstance(obj, (Tree, Caterpillar)):
         raise DomainError("expected a Tree or a Caterpillar")
     if not isinstance(s, Scalar):
         raise DomainError("s must be a Scalar")
     ctx = s.ctx
+    estimate = None
+    if isinstance(obj, Tree):
+        s2 = s.to_float() ** 2
+
+        def estimate(top):
+            base = {deg: 1.0 + s2 * (deg - 1) for deg in set(obj.degree)}
+            return _laguerre_start(obj, base, s2, top)
+
     return _bracket(lambda c, slope: _probe(obj, s, c, slope),
-                    ctx.scalar(lo), ctx.scalar(hi), iterations, target_digits)
+                    ctx.scalar(lo), ctx.scalar(hi), iterations, target_digits, estimate)
 
 
 def adjacency_radius(tree, ctx, target_digits=None):
     """Bracket rho(A), the largest adjacency eigenvalue of a tree.
 
     The kernel sweeps A - c*I (each pivot starts at -c and absorbs -1/d_c
-    from each child) with :func:`approximate_radius`'s Newton steps over
-    [0, max degree + 1], which holds rho(A) since trace A = 0. The high
-    end bounds rho(A) from above within 10^-target_digits (default: the
-    context's digits).
+    from each child) over [0, max degree + 1], which holds rho(A) since
+    trace A = 0, with :func:`approximate_radius`'s Newton steps from its
+    confirmed float Laguerre start. The high end bounds rho(A) from above
+    within 10^-target_digits (default: the context's digits).
     """
     if not isinstance(tree, Tree):
         raise DomainError("adjacency_radius needs a Tree")
@@ -485,13 +499,146 @@ def adjacency_radius(tree, ctx, target_digits=None):
         start = dict.fromkeys(tree.degree, mpf_neg(c.raw()))
         return _kernel_probe(tree, start, one, ctx, slope)
 
+    def estimate(top):
+        return _laguerre_start(tree, dict.fromkeys(tree.degree, 0.0), 1.0, top)
+
     hi = ctx.scalar(tree.max_degree() + 1)
-    return _bracket(all_negative, ctx.zero(), hi, None, target_digits)
+    return _bracket(all_negative, ctx.zero(), hi, None, target_digits, estimate)
 
 
-def _bracket(all_negative, lo, hi, iterations, target_digits):
-    # the search behind both radius brackets; all_negative(c, slope) is a
-    # probe returning (all_negative, early, step)
+# Laguerre's float pre-solve runs at most this many sweeps, and a step
+# below _LAGUERRE_TOL times the iterate lands. Far above rho its steps
+# shrink only linearly, the more slowly the larger the tree: random trees
+# of 10^5 vertices took 60-138 sweeps. A float sweep costs about 1/20 of
+# a 50-digit one, so the cap stays near 10 sweeps' worth, against the
+# 140-350 a start from hi takes.
+_LAGUERRE_SWEEPS = 200
+_LAGUERRE_TOL = 1e-14
+
+
+def _laguerre_start(tree, base, s2, hi):
+    """A float at or just above the largest root of det(P - cI), or None.
+
+    P is the tree matrix whose pivot sweep at c starts each vertex at
+    ``base[deg] - c`` and subtracts ``s2``/d_c per child: M(s) with base
+    1 + s^2 (deg - 1), or A with base 0 and s2 = 1. Its determinant is a
+    real-rooted polynomial of degree n, so Laguerre's steps
+    c <- c - n/(G + sqrt((n - 1)(nH - G^2))), run from ``hi`` above the
+    roots, fall monotonically onto the largest (B. Parlett, Math. Comp.
+    18 (1964) 464-485). G = sum d'/d and H = sum (d'/d)^2 - d''/d come
+    from one float sweep per step, with d_v' = -1 + s2 sum_c d_c'/d_c^2
+    and d_v'' = s2 sum_c (d_c''/d_c^2 - 2 d_c'^2/d_c^3).
+
+    The sweep follows :func:`_sweep`'s order and stops at the first
+    nonnegative pivot, which marks an iterate on or below the root. The
+    steps stop there, when one stops shrinking or drops below
+    _LAGUERRE_TOL of the iterate, or after _LAGUERRE_SWEEPS sweeps. The
+    result is the last iterate the sweep found above the root, or the
+    landed one. Nothing here decides a sign the caller returns: the
+    caller raises the result, probes it before using it, and takes None
+    (no finite start) as hi.
+    """
+    if not math.isfinite(hi):
+        return None
+    children = tree.children
+    degree = tree.degree
+    postorder = tree.postorder
+    # childless vertices share one pivot (see _sweep) and are folded into
+    # their parents' sums; the rest are swept in postorder, each with its
+    # base, its childless children's count and its swept children's slots
+    leaf_base = base[degree[postorder[0]]]
+    leaves = 0
+    slot = [0] * tree.n
+    nodes = []
+    for v in postorder:
+        kids = children[v]
+        if not kids:
+            leaves += 1
+            continue
+        inner = [slot[c] for c in kids if children[c]]
+        slot[v] = len(nodes)
+        nodes.append((base[degree[v]], len(kids) - len(inner), inner))
+    d = [0.0] * len(nodes)
+    d1 = [0.0] * len(nodes)
+    d2 = [0.0] * len(nodes)
+
+    def sweep(c):
+        # (G, H) at c, or None at the first nonnegative pivot
+        leaf = leaf_base - c
+        if leaf >= 0:
+            return None
+        r = 1.0 / leaf
+        lr1 = -r * r
+        lr2 = 2.0 * lr1 * r
+        g_sum = -leaves * r
+        h_sum = -leaves * lr1
+        for i, (b, k, inner) in enumerate(nodes):
+            acc = k * r
+            acc1 = k * lr1
+            acc2 = k * lr2
+            for j in inner:
+                q = 1.0 / d[j]
+                p = d1[j] * q
+                acc += q
+                acc1 += p * q
+                acc2 += (d2[j] - 2.0 * p * d1[j]) * q * q
+            a = b - c - s2 * acc
+            if a >= 0:
+                return None
+            a1 = s2 * acc1 - 1.0
+            a2 = s2 * acc2
+            g = a1 / a
+            g_sum += g
+            h_sum += g * g - a2 / a
+            d[i] = a
+            d1[i] = a1
+            d2[i] = a2
+        return g_sum, h_sum
+
+    n = tree.n
+    c = hi
+    gh = sweep(c)
+    if gh is None:
+        return None
+    prev = math.inf
+    for _ in range(_LAGUERRE_SWEEPS - 1):
+        g, h = gh
+        disc = (n - 1) * (n * h - g * g)
+        den = g + math.sqrt(disc) if disc > 0 else g
+        if not (den > 0 and math.isfinite(den)):
+            break
+        step = n / den
+        if not step < prev:
+            break
+        nxt = c - step
+        if step <= _LAGUERRE_TOL * abs(c):
+            c = nxt
+            break
+        gh = sweep(nxt)
+        c = nxt
+        if gh is None:
+            break
+        prev = step
+    return c
+
+
+def _bracket(all_negative, lo, hi, iterations, target_digits, estimate=None):
+    """The search behind both radius brackets.
+
+    ``all_negative(c, slope)`` is a probe returning (all_negative, early,
+    step). After both ends, ``estimate(hi)``, when given, names a float
+    at or just above the root (or None). Raised by a relative lift, one
+    probe with the slope confirms it, and :func:`deflap.scalar.find_root`
+    takes its Newton steps from there when it lies strictly inside
+    (lo, hi), on hi's side and with a step, else from hi. Either way the
+    replay walks the midpoints of [lo, hi], so the bracket is the one
+    bisecting [lo, hi] gives.
+
+    The lift is 2^-40, or 2^-(prec/3) below 120 bits: the first Newton
+    step from the start then leaves the iterate about 2^-(2 prec/3)
+    above the root, clear of the rounding noise, so the finder's error
+    model sees a converging step before the noise decides a side.
+    """
     ctx = lo.ctx
     if not lo < hi:
         raise BracketingError("bracket is empty: lo must be strictly below hi")
@@ -514,5 +661,16 @@ def _bracket(all_negative, lo, hi, iterations, target_digits):
             target_digits = ctx.digits
         span = (hi - lo).to_float()
         iterations = max(1, int(math.ceil(math.log2(span) + target_digits * math.log2(10))))
-    found = find_root(probe, lo, hi, iterations, hi, step)
-    return RadiusEstimate(found.low, found.high, int(iterations), early_breaks, found.probes + 2)
+    probes = 2
+    start = hi
+    if estimate is not None:
+        guess = estimate(hi.to_float())
+        if guess is not None:
+            guess = ctx.scalar(guess + abs(guess) * 2.0 ** -min(40, ctx.prec // 3))
+            if lo < guess < hi:
+                probes += 1
+                above, guess_step = probe(guess, True)
+                if above > 0 and guess_step is not None:
+                    start, step = guess, guess_step
+    found = find_root(probe, lo, hi, iterations, start, step, 1)
+    return RadiusEstimate(found.low, found.high, int(iterations), early_breaks, found.probes + probes)

@@ -13,7 +13,8 @@ is a programming error and raises :class:`PrecisionMixingError`.
 
 Every root the package computes (spectral radii, the eps_k chain, tau0)
 comes from :func:`find_root`: Newton steps from one end of a bracket,
-then a certified replay of the bisection of that bracket, so each result
+or from a point inside it whose side a probe has shown, then a
+certified replay of the bisection of that bracket, so each result
 is the bracket a fixed number of halvings would give, reached in a few
 probes instead of one per halving.
 
@@ -406,7 +407,7 @@ class RootBracket:
         self.probes = probes
 
 
-def find_root(probe, lo, hi, iters, start, step):
+def find_root(probe, lo, hi, iters, start, step, side):
     """The bracket ``iters`` halvings of [lo, hi] end on, mostly without them.
 
     ``probe(x, slope)`` returns ``(side, step)``: side is -1 when x lies
@@ -414,14 +415,16 @@ def find_root(probe, lo, hi, iters, start, step):
     side, and 0 at an exact zero, where bisection stops; step is the
     Newton displacement from x toward the root when ``slope`` is true and
     the probe can form it, else None. The caller has already probed the
-    ends: lo lies on side -1 and hi on side +1. ``start`` is the end to
-    take Newton steps from and ``step`` its displacement (None for none).
+    ends: lo lies on side -1 and hi on side +1. ``start`` is the point to
+    take Newton steps from, ``step`` its displacement (None for none) and
+    ``side`` the side the caller's probe put it on: an end of the
+    bracket, or a point inside it the caller has probed.
 
     Three phases:
 
     1. Newton steps from ``start`` while they stay inside (lo, hi), stay
-       on the start's side and keep shrinking; a step below the final
-       bisection width is taken unprobed and ends them.
+       on ``side`` and keep shrinking; a step below the final bisection
+       width is taken unprobed and ends them.
     2. Certify a bracket (a, b) around the last iterate c: probe c - g
        expecting side -1 and c + g expecting +1, with g = max(2 err,
        final width). err is the size of the last step formed, or, when c
@@ -449,7 +452,6 @@ def find_root(probe, lo, hi, iters, start, step):
     """
     iters = int(iters)
     width = Scalar(mpf_shift((hi - lo)._v, -iters), lo.ctx)
-    start_side = 1 if start == hi else -1
     probes = 0
 
     x = start
@@ -470,11 +472,11 @@ def find_root(probe, lo, hi, iters, start, step):
         if not size > width:
             err = size
             break
-        side, step = probe(x, True)
+        now, step = probe(x, True)
         probes += 1
         err = size if prev is None else min(size, size * size * size / (prev * prev))
         prev = size
-        if side != start_side:
+        if now != side:
             break
 
     ends = [lo, hi]
@@ -507,11 +509,11 @@ def find_root(probe, lo, hi, iters, start, step):
             hi = mid
             continue
         x = _drop(mid, e, ctx)
-        side = probe(x, False)[0]
+        now = probe(x, False)[0]
         probes += 1
-        if side == 0:
+        if now == 0:
             return RootBracket(_drop(lo, e, ctx), _drop(hi, e, ctx), x, probes)
-        if side < 0:
+        if now < 0:
             lo = mid
         else:
             hi = mid
@@ -583,7 +585,7 @@ def bisect_monotone_root(f, a, b, iters):
         sg = f(x).sign()
         return (0 if sg == 0 else -1 if sg == fa else 1), None
 
-    found = find_root(probe, a, b, iters, b, None)
+    found = find_root(probe, a, b, iters, b, None, 1)
     if found.zero is not None:
         return found.zero
     return (found.low + found.high).halved()

@@ -34,6 +34,7 @@ from deflap.diagonalize import (
     _probe,
     approximate_radius,
     caterpillar_outputs,
+    gershgorin_cap,
 )
 from deflap.limits import s_star, tau0
 from deflap.recurrence import RecurrenceParams, recurrence_params
@@ -230,11 +231,11 @@ def _frozen_betas_at(counts, bs, lam, s):
 # -- frozen root finder ----------------------------------------------------
 
 
-def _frozen_find_root(probe, lo, hi, iters, start, step):
-    # find_root as it ran when its replay walked raw tuples
+def _frozen_find_root(probe, lo, hi, iters, start, step, start_side):
+    # find_root as it ran when its replay walked raw tuples, told the
+    # start's side as find_root is
     iters = int(iters)
     width = Scalar(mpf_shift((hi - lo)._v, -iters), lo.ctx)
-    start_side = 1 if start == hi else -1
     probes = 0
 
     x = start
@@ -615,7 +616,7 @@ def test_find_root_without_a_step_is_plain_bisection():
         seen.append(x)
         return (-1 if x < ctx.scalar("0.3") else 1), None
 
-    found = find_root(probe, ctx.zero(), ctx.scalar(1), 40, ctx.scalar(1), None)
+    found = find_root(probe, ctx.zero(), ctx.scalar(1), 40, ctx.scalar(1), None, 1)
     assert found.probes == 40 == len(seen)
     assert found.zero is None
     assert found.low < ctx.scalar("0.3") <= found.high
@@ -640,9 +641,9 @@ def _bracket_raw(found):
     return found.low.raw(), found.high.raw(), zero, found.probes
 
 
-def _assert_same_walk(probe, lo, hi, iters, start, step):
-    found = find_root(probe, lo, hi, iters, start, step)
-    assert _bracket_raw(found) == _bracket_raw(_frozen_find_root(probe, lo, hi, iters, start, step))
+def _assert_same_walk(probe, lo, hi, iters, start, step, side):
+    found = find_root(probe, lo, hi, iters, start, step, side)
+    assert _bracket_raw(found) == _bracket_raw(_frozen_find_root(probe, lo, hi, iters, start, step, side))
     return found
 
 
@@ -652,8 +653,8 @@ def checked_walks(monkeypatch):
     of brackets the live finder returned."""
     found = []
 
-    def both(probe, lo, hi, iters, start, step):
-        found.append(_assert_same_walk(probe, lo, hi, iters, start, step))
+    def both(probe, lo, hi, iters, start, step, side):
+        found.append(_assert_same_walk(probe, lo, hi, iters, start, step, side))
         return found[-1]
 
     for module in (deflap.diagonalize, deflap.limits, deflap.scalar, deflap.shearer):
@@ -732,9 +733,9 @@ def test_replay_edge_brackets_match_tuple_replay():
         lo, hi, root = ctx.scalar(lo_text), ctx.scalar(hi_text), ctx.scalar(root_text)
         probe = _cubic_probe(root)
         assert probe(lo, False)[0] < 0 < probe(hi, False)[0]
-        for start in (lo, hi):
+        for start, side in ((lo, -1), (hi, 1)):
             for step in (None, probe(start, True)[1]):
-                found = _assert_same_walk(probe, lo, hi, iters, start, step)
+                found = _assert_same_walk(probe, lo, hi, iters, start, step, side)
                 assert found.low <= root <= found.high
                 zeros += found.zero is not None
     assert zeros > 0
@@ -744,13 +745,52 @@ def test_exact_zero_midpoint_is_returned():
     ctx = PrecisionContext(30)
     root = ctx.scalar("0.625")
     calls = []
-    found = _assert_same_walk(_cubic_probe(root, calls), ctx.zero(), ctx.scalar(1), 40, ctx.scalar(1), None)
+    found = _assert_same_walk(_cubic_probe(root, calls), ctx.zero(), ctx.scalar(1), 40, ctx.scalar(1), None, 1)
     # plain bisection: midpoints 0.5, 0.75, then 0.625, the zero
     assert found.zero.raw() == root.raw() and found.probes == 3
     assert (found.low.raw(), found.high.raw()) == (ctx.scalar("0.5").raw(), ctx.scalar("0.75").raw())
     # the live walk's probes, then the frozen one's
     want = [ctx.scalar(t).raw() for t in ("0.5", "0.75", "0.625")]
     assert [x.raw() for x in calls] == want + want
+
+
+def _tree_side_probe(tree, s):
+    # the radius probe as the bracket search sees it: +1 above rho
+    def probe(c, slope):
+        below, _, step = _probe(tree, s, c, slope)
+        return (1 if below else -1), step
+
+    return probe
+
+
+def test_interior_start_on_hi_side_matches_start_at_hi():
+    # Newton steps from a probed point between the root and hi, as the
+    # tree radii take them from their float start, end on the bracket
+    # and zero that starting at hi gives
+    ctx = PrecisionContext(30)
+    root = ctx.scalar("0.31415926535897932384626")
+    cases = [(_cubic_probe(root), ctx.zero(), ctx.scalar(1), 100)]
+    for n in (2, 4, 6):
+        for tree in free_trees(n):
+            for s_text in S_GRID[::3]:
+                s = ctx.scalar(s_text)
+                cases.append((_tree_side_probe(tree, s), ctx.zero(), gershgorin_cap(s, max(tree.degree)), 100))
+    starts = 0
+    for probe, lo, hi, iters in cases:
+        want = find_root(probe, lo, hi, iters, hi, probe(hi, True)[1], 1)
+        for frac in ("0.5", "1e-6", "1e-15"):
+            start = want.high + (hi - want.high) * ctx.scalar(frac)
+            side, step = probe(start, True)
+            assert side == 1 and step is not None
+            got = find_root(probe, lo, hi, iters, start, step, 1)
+            assert _bracket_raw(got)[:3] == _bracket_raw(want)[:3]
+            if frac != "1e-15":
+                # Newton from a start clear of the rounding noise walks no
+                # longer than from hi; a finder that took the start for
+                # lo's side would stop after one step and replay dozens more
+                assert got.probes <= want.probes
+            starts += 1
+    assert starts == 3 * (1 + 3 * (1 + 2 + 6))
 
 
 # -- the integer midpoint against mpf_add ---------------------------------------

@@ -5,6 +5,8 @@ bit for bit: ``_reference_diagonalize_tree`` and
 ``_reference_tree_all_negative`` are the sweeps that ``diagonalize_tree``
 and the radius probe ran before the kernel. Each test runs both on the
 same inputs and asserts identical raw values, not merely close ones.
+The float Laguerre start of the tree radii is checked the same way,
+against the radii it skips, which start their Newton steps from hi.
 
 The grid is every free tree with n <= 9; s over the `deflap verify` grid
 and 0; c over the points below; 20 and 50 digits. c = 1 zeroes every
@@ -15,6 +17,7 @@ whose probes fall next to eigenvalues, use the free trees with n >= 2 at
 """
 
 import heapq
+import math
 import random
 
 import pytest
@@ -24,9 +27,11 @@ from deflap.diagonalize import (
     DiagOutcome,
     _newton_step,
     _tree_all_negative,
+    adjacency_radius,
     approximate_radius,
     count_eigenvalues,
     diagonalize_tree,
+    gershgorin_cap,
 )
 from deflap.scalar import PrecisionContext
 from deflap.trees import Tree, free_trees
@@ -210,3 +215,103 @@ def test_radius_matches_reference_probe(digits, monkeypatch):
     got = brackets()
     monkeypatch.setattr(diagonalize, "_tree_all_negative", _reference_tree_all_negative)
     assert got == brackets()
+
+
+# -- the float Laguerre start ---------------------------------------------------
+
+
+def _radius(kind, tree, s, ctx):
+    if kind == "A":
+        return adjacency_radius(tree, ctx)
+    return approximate_radius(tree, s, ctx.zero(), gershgorin_cap(s, tree.max_degree()))
+
+
+def _bracket_raw(est):
+    return est.low.raw(), est.high.raw(), est.iterations
+
+
+def _from_hi(monkeypatch):
+    monkeypatch.setattr(diagonalize, "_laguerre_start", lambda *args: None)
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_float_start_keeps_brackets(digits, monkeypatch):
+    # every free tree with n >= 2 on the verify grid plus rho(A), and the
+    # random trees on part of it: the start from hi takes 140-350 sweeps
+    # per radius on the 300- and 2000-vertex ones
+    ctx = PrecisionContext(digits)
+    grid = [ctx.scalar(t) for t in S_VALUES[:-1]]
+    cases = []
+    for tree in TREES[1:] + RANDOM_TREES[:1]:
+        cases += [("M", tree, s) for s in grid] + [("A", tree, None)]
+    big = RANDOM_TREES[1] if digits == 50 else RANDOM_TREES[2]
+    cases += [("M", big, grid[2 if digits == 50 else 6]), ("A", big, None)]
+
+    def brackets():
+        runs = [_radius(kind, tree, s, ctx) for kind, tree, s in cases]
+        return [_bracket_raw(est) for est in runs], sum(est.probes for est in runs)
+
+    got, probes = brackets()
+    _from_hi(monkeypatch)
+    want, probes_from_hi = brackets()
+    assert got == want
+    assert 2 * probes < probes_from_hi
+
+
+def test_float_start_sweep_budget():
+    ctx = PrecisionContext(50)
+    for tree in RANDOM_TREES[1:]:
+        grid = S_VALUES[:-1] if tree.n < 1000 else ("-0.9", "0.3", "1")
+        for s_text in grid:
+            assert _radius("M", tree, ctx.scalar(s_text), ctx).probes <= 15
+        assert _radius("A", tree, None, ctx).probes <= 15
+
+
+def test_float_start_below_rho_falls_back_to_hi(monkeypatch):
+    ctx = PrecisionContext(50)
+    tree = RANDOM_TREES[0]
+    s = ctx.scalar("0.9")
+    for kind in ("M", "A"):
+        _from_hi(monkeypatch)
+        want = _radius(kind, tree, s, ctx)
+        below = want.low.to_float() * (1 - 1e-9)
+        monkeypatch.setattr(diagonalize, "_laguerre_start", lambda *args: below)
+        got = _radius(kind, tree, s, ctx)
+        assert _bracket_raw(got) == _bracket_raw(want)
+        # the probe that rejected the start, then hi's own walk
+        assert got.probes == want.probes + 1
+
+
+def test_float_start_capped_keeps_brackets(monkeypatch):
+    # two float sweeps leave the start far above rho, as the cap does on
+    # trees too big for it; the Newton steps at full precision walk on
+    ctx = PrecisionContext(50)
+    tree = RANDOM_TREES[0]
+    s = ctx.scalar("-0.9")
+    monkeypatch.setattr(diagonalize, "_LAGUERRE_SWEEPS", 2)
+    got = [_radius(kind, tree, s, ctx) for kind in ("M", "A")]
+    hi = 1 + 0.81 * (tree.max_degree() - 1) + 0.9 * tree.max_degree() + 1
+    base = {deg: 1 + 0.81 * (deg - 1) for deg in set(tree.degree)}
+    start = diagonalize._laguerre_start(tree, base, 0.81, hi)
+    assert got[0].high.to_float() + 1e-3 < start < hi
+    _from_hi(monkeypatch)
+    assert [_bracket_raw(est) for est in got] == [_bracket_raw(_radius(kind, tree, s, ctx)) for kind in ("M", "A")]
+
+
+def test_float_start_landing_on_the_root(monkeypatch):
+    # the start lands exactly: on 1 for one vertex at s = 0, and on
+    # 1 + |s| in one step for the path P2, whose determinant is quadratic
+    ctx = PrecisionContext(50)
+    single = Tree.single_vertex()
+    assert diagonalize._laguerre_start(single, {0: 1.0}, 0.0, 2.0) == 1.0
+    p2 = Tree.from_edges([(0, 1)])
+    for s_text in S_VALUES:
+        s = float(s_text)
+        rho = 1 + abs(s)
+        guess = diagonalize._laguerre_start(p2, {1: 1.0}, s * s, rho + 1)
+        assert abs(guess - rho) <= 4 * math.ulp(rho)
+    cases = [("M", single, ctx.zero())]
+    cases += [("M", p2, ctx.scalar(t)) for t in S_VALUES] + [("A", single, None), ("A", p2, None)]
+    got = [_bracket_raw(_radius(kind, tree, s, ctx)) for kind, tree, s in cases]
+    _from_hi(monkeypatch)
+    assert got == [_bracket_raw(_radius(kind, tree, s, ctx)) for kind, tree, s in cases]
