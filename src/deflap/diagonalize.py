@@ -472,7 +472,8 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     ctx = s.ctx
     estimate = None
     if isinstance(obj, Tree):
-        s2 = s.to_float() ** 2
+        f = s.to_float()
+        s2 = f * f  # inf past float range, where the float start gives up
 
         def estimate(top):
             base = {deg: 1.0 + s2 * (deg - 1) for deg in set(obj.degree)}
@@ -672,5 +673,5 @@ def _bracket(all_negative, lo, hi, iterations, target_digits, estimate=None):
                 above, guess_step = probe(guess, True)
                 if above > 0 and guess_step is not None:
                     start, step = guess, guess_step
-    found = find_root(probe, lo, hi, iterations, start, step, 1)
+    found = find_root(probe, lo, hi, iterations, start, step)
     return RadiusEstimate(found.low, found.high, int(iterations), early_breaks, found.probes + probes)

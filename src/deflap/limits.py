@@ -77,7 +77,7 @@ def tau0(s, ctx=None):
     side, step = probe(hi, True)
     if side <= 0:
         raise BracketingError("h is not positive at the upper end")
-    found = find_root(probe, lo, hi, ctx.default_bisection_iters, hi, step, 1)
+    found = find_root(probe, lo, hi, ctx.default_bisection_iters, hi, step)
     root = found.zero if found.zero is not None else (found.low + found.high).halved()
     residual = tau0_quartic_residual(root, s)
     scale = (abs(root) + 1) ** 3

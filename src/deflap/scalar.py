@@ -407,7 +407,7 @@ class RootBracket:
         self.probes = probes
 
 
-def find_root(probe, lo, hi, iters, start, step, side):
+def find_root(probe, lo, hi, iters, start, step):
     """The bracket ``iters`` halvings of [lo, hi] end on, mostly without them.
 
     ``probe(x, slope)`` returns ``(side, step)``: side is -1 when x lies
@@ -416,15 +416,16 @@ def find_root(probe, lo, hi, iters, start, step, side):
     Newton displacement from x toward the root when ``slope`` is true and
     the probe can form it, else None. The caller has already probed the
     ends: lo lies on side -1 and hi on side +1. ``start`` is the point to
-    take Newton steps from, ``step`` its displacement (None for none) and
-    ``side`` the side the caller's probe put it on: an end of the
-    bracket, or a point inside it the caller has probed.
+    take Newton steps from and ``step`` its displacement (None for none):
+    lo, hi, or a point inside (lo, hi) the caller's probe has put on
+    hi's side, as a start above a radius is.
 
     Three phases:
 
     1. Newton steps from ``start`` while they stay inside (lo, hi), stay
-       on ``side`` and keep shrinking; a step below the final bisection
-       width is taken unprobed and ends them.
+       on the start's side (-1 for lo, else +1) and keep shrinking; a
+       step below the final bisection width is taken unprobed and ends
+       them.
     2. Certify a bracket (a, b) around the last iterate c: probe c - g
        expecting side -1 and c + g expecting +1, with g = max(2 err,
        final width). err is the size of the last step formed, or, when c
@@ -452,6 +453,7 @@ def find_root(probe, lo, hi, iters, start, step, side):
     """
     iters = int(iters)
     width = Scalar(mpf_shift((hi - lo)._v, -iters), lo.ctx)
+    start_side = -1 if start == lo else 1
     probes = 0
 
     x = start
@@ -472,11 +474,11 @@ def find_root(probe, lo, hi, iters, start, step, side):
         if not size > width:
             err = size
             break
-        now, step = probe(x, True)
+        side, step = probe(x, True)
         probes += 1
         err = size if prev is None else min(size, size * size * size / (prev * prev))
         prev = size
-        if now != side:
+        if side != start_side:
             break
 
     ends = [lo, hi]
@@ -509,11 +511,11 @@ def find_root(probe, lo, hi, iters, start, step, side):
             hi = mid
             continue
         x = _drop(mid, e, ctx)
-        now = probe(x, False)[0]
+        side = probe(x, False)[0]
         probes += 1
-        if now == 0:
+        if side == 0:
             return RootBracket(_drop(lo, e, ctx), _drop(hi, e, ctx), x, probes)
-        if now < 0:
+        if side < 0:
             lo = mid
         else:
             hi = mid
@@ -585,7 +587,7 @@ def bisect_monotone_root(f, a, b, iters):
         sg = f(x).sign()
         return (0 if sg == 0 else -1 if sg == fa else 1), None
 
-    found = find_root(probe, a, b, iters, b, None, 1)
+    found = find_root(probe, a, b, iters, b, None)
     if found.zero is not None:
         return found.zero
     return (found.low + found.high).halved()

@@ -404,7 +404,7 @@ def epsilon_k(run, target_digits=None):
             raise PrecisionError(
                 "chain level %d not separated at %d digits; raise the precision" % (j, wd)
             )
-        found = find_root(probe, zero, upper, iters, zero, step, -1)
+        found = find_root(probe, zero, upper, iters, zero, step)
         lo, hi = found.low, found.high
         upper = lo
     width = hi - lo

@@ -231,11 +231,12 @@ def _frozen_betas_at(counts, bs, lam, s):
 # -- frozen root finder ----------------------------------------------------
 
 
-def _frozen_find_root(probe, lo, hi, iters, start, step, start_side):
-    # find_root as it ran when its replay walked raw tuples, told the
-    # start's side as find_root is
+def _frozen_find_root(probe, lo, hi, iters, start, step):
+    # find_root as it ran when its replay walked raw tuples; a start
+    # inside (lo, hi) lies on hi's side, as find_root takes it
     iters = int(iters)
     width = Scalar(mpf_shift((hi - lo)._v, -iters), lo.ctx)
+    start_side = -1 if start == lo else 1
     probes = 0
 
     x = start
@@ -616,7 +617,7 @@ def test_find_root_without_a_step_is_plain_bisection():
         seen.append(x)
         return (-1 if x < ctx.scalar("0.3") else 1), None
 
-    found = find_root(probe, ctx.zero(), ctx.scalar(1), 40, ctx.scalar(1), None, 1)
+    found = find_root(probe, ctx.zero(), ctx.scalar(1), 40, ctx.scalar(1), None)
     assert found.probes == 40 == len(seen)
     assert found.zero is None
     assert found.low < ctx.scalar("0.3") <= found.high
@@ -641,9 +642,9 @@ def _bracket_raw(found):
     return found.low.raw(), found.high.raw(), zero, found.probes
 
 
-def _assert_same_walk(probe, lo, hi, iters, start, step, side):
-    found = find_root(probe, lo, hi, iters, start, step, side)
-    assert _bracket_raw(found) == _bracket_raw(_frozen_find_root(probe, lo, hi, iters, start, step, side))
+def _assert_same_walk(probe, lo, hi, iters, start, step):
+    found = find_root(probe, lo, hi, iters, start, step)
+    assert _bracket_raw(found) == _bracket_raw(_frozen_find_root(probe, lo, hi, iters, start, step))
     return found
 
 
@@ -653,8 +654,8 @@ def checked_walks(monkeypatch):
     of brackets the live finder returned."""
     found = []
 
-    def both(probe, lo, hi, iters, start, step, side):
-        found.append(_assert_same_walk(probe, lo, hi, iters, start, step, side))
+    def both(probe, lo, hi, iters, start, step):
+        found.append(_assert_same_walk(probe, lo, hi, iters, start, step))
         return found[-1]
 
     for module in (deflap.diagonalize, deflap.limits, deflap.scalar, deflap.shearer):
@@ -733,9 +734,9 @@ def test_replay_edge_brackets_match_tuple_replay():
         lo, hi, root = ctx.scalar(lo_text), ctx.scalar(hi_text), ctx.scalar(root_text)
         probe = _cubic_probe(root)
         assert probe(lo, False)[0] < 0 < probe(hi, False)[0]
-        for start, side in ((lo, -1), (hi, 1)):
+        for start in (lo, hi):
             for step in (None, probe(start, True)[1]):
-                found = _assert_same_walk(probe, lo, hi, iters, start, step, side)
+                found = _assert_same_walk(probe, lo, hi, iters, start, step)
                 assert found.low <= root <= found.high
                 zeros += found.zero is not None
     assert zeros > 0
@@ -745,7 +746,7 @@ def test_exact_zero_midpoint_is_returned():
     ctx = PrecisionContext(30)
     root = ctx.scalar("0.625")
     calls = []
-    found = _assert_same_walk(_cubic_probe(root, calls), ctx.zero(), ctx.scalar(1), 40, ctx.scalar(1), None, 1)
+    found = _assert_same_walk(_cubic_probe(root, calls), ctx.zero(), ctx.scalar(1), 40, ctx.scalar(1), None)
     # plain bisection: midpoints 0.5, 0.75, then 0.625, the zero
     assert found.zero.raw() == root.raw() and found.probes == 3
     assert (found.low.raw(), found.high.raw()) == (ctx.scalar("0.5").raw(), ctx.scalar("0.75").raw())
@@ -777,12 +778,12 @@ def test_interior_start_on_hi_side_matches_start_at_hi():
                 cases.append((_tree_side_probe(tree, s), ctx.zero(), gershgorin_cap(s, max(tree.degree)), 100))
     starts = 0
     for probe, lo, hi, iters in cases:
-        want = find_root(probe, lo, hi, iters, hi, probe(hi, True)[1], 1)
+        want = find_root(probe, lo, hi, iters, hi, probe(hi, True)[1])
         for frac in ("0.5", "1e-6", "1e-15"):
             start = want.high + (hi - want.high) * ctx.scalar(frac)
             side, step = probe(start, True)
             assert side == 1 and step is not None
-            got = find_root(probe, lo, hi, iters, start, step, 1)
+            got = find_root(probe, lo, hi, iters, start, step)
             assert _bracket_raw(got)[:3] == _bracket_raw(want)[:3]
             if frac != "1e-15":
                 # Newton from a start clear of the rounding noise walks no

@@ -236,20 +236,28 @@ def _from_hi(monkeypatch):
 
 @pytest.mark.parametrize("digits", DIGITS)
 def test_float_start_keeps_brackets(digits, monkeypatch):
-    # every free tree with n >= 2 on the verify grid plus rho(A), and the
-    # random trees on part of it: the start from hi takes 140-350 sweeps
-    # per radius on the 300- and 2000-vertex ones
+    # every free tree on the verify grid plus rho(A), one vertex and P2
+    # (where the start lands on rho) at s = 0 too, and the random trees
+    # on part of it: the start from hi takes 140-350 sweeps per radius on
+    # the 300- and 2000-vertex ones. One vertex's rho, 1 - s^2, lies
+    # above lo = 0 only for |s| < 1.
     ctx = PrecisionContext(digits)
-    grid = [ctx.scalar(t) for t in S_VALUES[:-1]]
+    grid = [ctx.scalar(t) for t in S_VALUES]
     cases = []
-    for tree in TREES[1:] + RANDOM_TREES[:1]:
-        cases += [("M", tree, s) for s in grid] + [("A", tree, None)]
+    for tree in TREES + RANDOM_TREES[:1]:
+        cases.append(("A", tree, None))
+        for s in grid:
+            if (s.sign() or tree.n <= 2) and (tree.n > 1 or abs(s) < 1):
+                cases.append(("M", tree, s))
     big = RANDOM_TREES[1] if digits == 50 else RANDOM_TREES[2]
     cases += [("M", big, grid[2 if digits == 50 else 6]), ("A", big, None)]
 
     def brackets():
+        # the sweeps are summed off s = 0, where M = I and rho = 1 is an
+        # n-fold root that Newton nears linearly from either start
         runs = [_radius(kind, tree, s, ctx) for kind, tree, s in cases]
-        return [_bracket_raw(est) for est in runs], sum(est.probes for est in runs)
+        probes = sum(est.probes for est, (_, _, s) in zip(runs, cases) if s is None or s.sign())
+        return [_bracket_raw(est) for est in runs], probes
 
     got, probes = brackets()
     _from_hi(monkeypatch)
@@ -298,10 +306,9 @@ def test_float_start_capped_keeps_brackets(monkeypatch):
     assert [_bracket_raw(est) for est in got] == [_bracket_raw(_radius(kind, tree, s, ctx)) for kind in ("M", "A")]
 
 
-def test_float_start_landing_on_the_root(monkeypatch):
+def test_float_start_landing_on_the_root():
     # the start lands exactly: on 1 for one vertex at s = 0, and on
     # 1 + |s| in one step for the path P2, whose determinant is quadratic
-    ctx = PrecisionContext(50)
     single = Tree.single_vertex()
     assert diagonalize._laguerre_start(single, {0: 1.0}, 0.0, 2.0) == 1.0
     p2 = Tree.from_edges([(0, 1)])
@@ -310,8 +317,20 @@ def test_float_start_landing_on_the_root(monkeypatch):
         rho = 1 + abs(s)
         guess = diagonalize._laguerre_start(p2, {1: 1.0}, s * s, rho + 1)
         assert abs(guess - rho) <= 4 * math.ulp(rho)
-    cases = [("M", single, ctx.zero())]
-    cases += [("M", p2, ctx.scalar(t)) for t in S_VALUES] + [("A", single, None), ("A", p2, None)]
-    got = [_bracket_raw(_radius(kind, tree, s, ctx)) for kind, tree, s in cases]
+
+
+def test_float_start_past_float_range(monkeypatch):
+    # s^2 overflows a float; the float start gives up and the search runs
+    # from hi, on P2, whose rho is 1 + |s|
+    ctx = PrecisionContext(20)
+    p2 = Tree.from_edges([(0, 1)])
+    cases = [ctx.scalar(t) for t in ("1e200", "-1e200", "1e160", "1e400")]
+
+    def brackets():
+        return [approximate_radius(p2, s, ctx.zero(), 3 * abs(s), iterations=80) for s in cases]
+
+    got = brackets()
+    for s, est in zip(cases, got):
+        assert est.low <= 1 + abs(s) <= est.high
     _from_hi(monkeypatch)
-    assert got == [_bracket_raw(_radius(kind, tree, s, ctx)) for kind, tree, s in cases]
+    assert [_bracket_raw(est) for est in got] == [_bracket_raw(est) for est in brackets()]
