@@ -23,6 +23,7 @@ that start, and every sign a result rests on comes from the kernel.
 """
 
 import math
+from functools import partial
 
 from mpmath.libmp import (
     fone,
@@ -100,27 +101,24 @@ def _sign(v):
     return mpf_cmp(v, fzero)
 
 
-def _starts(tree, s2, x, prec):
-    """The start table of M(s) + x*I: degree -> (1 + s2*(deg - 1)) + x."""
+def _base(tree, s2, prec):
+    """The start table of M(s): degree -> 1 + s2*(deg - 1), before any shift."""
     one = from_int(1, prec, _RND)
-    start = {}
-    for deg in set(tree.degree):
-        t = mpf_mul(s2, from_int(deg - 1, prec, _RND), prec, _RND)
-        start[deg] = mpf_add(mpf_add(one, t, prec, _RND), x, prec, _RND)
-    return start
+    return {deg: mpf_add(one, mpf_mul(s2, from_int(deg - 1, prec, _RND), prec, _RND), prec, _RND)
+            for deg in set(tree.degree)}
 
 
 def _sweep(tree, start, s2, prec, full, slope):
     """The pivot sweep on raw libmp tuples: returns (d, stop, dlog).
 
-    d[v] starts at the caller's pivot ``start[deg v]`` (:func:`_starts` for
-    M(s) + x*I; -c with s2 = 1 for A - c*I) and, in postorder, each vertex
-    absorbs -s2/d_c from every child c. Every operation rounds to ``prec``
-    to nearest, children are summed in ``tree.children`` order, and values
-    are shared only where the operands are identical: the starting pivot
-    per distinct degree, and the childless vertices' terms, since they
-    all start at the same pivot and none is rewritten before its parent
-    reads it.
+    d[v] starts at the caller's pivot ``start[deg v]`` (:func:`_base` plus x
+    for M(s) + x*I; -c with s2 = 1 for A - c*I) and, in postorder, each
+    vertex absorbs -s2/d_c from every child c. Every operation rounds to
+    ``prec`` to nearest, children are summed in ``tree.children`` order,
+    and values are shared only where the operands are identical: the
+    starting pivot per distinct degree, and the childless vertices'
+    terms, since they all start at the same pivot and none is rewritten
+    before its parent reads it.
 
     ``full``: sweep every vertex; a zero child instead forces the pair
     (d_v, d_c) := (-s2/2, 2) and detaches v from its parent. stop and
@@ -218,7 +216,8 @@ def diagonalize_tree(tree, s, x):
     prec = ctx.prec
     s_raw = s.raw()
     s2 = mpf_mul(s_raw, s_raw, prec, _RND)
-    start = _starts(tree, s2, ctx.scalar(x).raw(), prec)
+    x = ctx.scalar(x).raw()
+    start = {deg: mpf_add(b, x, prec, _RND) for deg, b in _base(tree, s2, prec).items()}
     d, _, _ = _sweep(tree, start, s2, prec, full=True, slope=False)
     pos = neg = zero = 0
     for v in d:
@@ -321,72 +320,78 @@ def caterpillar_outputs(cat, s, lam):
     return outputs
 
 
-def _caterpillar_all_negative(cat, s, c, slope):
-    """(all_negative, early, step) for the fast probe at point c.
+def _caterpillar_probe(cat, s2, ctx):
+    """The radius probe of a caterpillar at s^2 = ``s2`` (raw): returns
+    probe(c, slope) -> (all_negative, early, step) on the folded backbone.
 
-    The leaf pivot sign is checked before delta is formed, so the c = 1
-    pole is never evaluated: a nonnegative leaf pivot already decides the
-    probe. ``early`` reports a verdict reached before the last backbone
-    node. With ``slope`` and every pivot negative, step is the Newton
-    step -1/L toward the largest eigenvalue, where
-    L = d/dc log|det(M - cI)| sums b_j'/b_j over the backbone and
-    1/(c - 1) per leaf; otherwise step is None.
+    The probe stops at its first nonnegative pivot, so it never divides by
+    a zero one the way :func:`caterpillar_outputs` could. The leaf pivot
+    sign is checked before delta is formed, so the c = 1 pole is never
+    evaluated: a nonnegative leaf pivot already decides the probe.
+    ``early`` reports a verdict reached before the last backbone node.
+    With ``slope`` and every pivot negative, step is the Newton step -1/L
+    toward the largest eigenvalue, where L = d/dc log|det(M - cI)| sums
+    b_j'/b_j over the backbone and 1/(c - 1) per leaf; otherwise step is
+    None.
     """
-    ctx = s.ctx
     prec = ctx.prec
-    c = c.raw()
     counts = cat.counts
-    leaves = sum(counts)
-    leaf_pivot = mpf_sub(fone, c, prec, _RND)
-    if leaves > 0 and _sign(leaf_pivot) >= 0:
-        return False, True, None
-    if leaf_pivot == fzero:
-        # no leaves anywhere, backbone pivots start at zero
-        return False, True, None
-    s_raw = s.raw()
-    s2 = mpf_mul(s_raw, s_raw, prec, _RND)
     last = cat.k - 1
-    total = None
-    for j, (b, db) in enumerate(_backbone(counts, s2, c, prec, slope)):
-        if _sign(b) >= 0:
-            return False, j < last, None
-        if slope:
-            t = mpf_div(db, b, prec, _RND)
-            total = t if total is None else mpf_add(total, t, prec, _RND)
-    if not slope:
-        return True, False, None
-    if leaves:
-        t = mpf_div(from_int(leaves, prec, _RND), mpf_sub(c, fone, prec, _RND), prec, _RND)
-        total = mpf_add(total, t, prec, _RND)
-    return True, False, _newton_step(Scalar(total, ctx))
+    leaves = sum(counts)
+    leaf_sum = from_int(leaves, prec, _RND)
+
+    def probe(c, slope):
+        c = c.raw()
+        leaf_pivot = mpf_sub(fone, c, prec, _RND)
+        if (leaves and _sign(leaf_pivot) >= 0) or leaf_pivot == fzero:
+            # with no leaves anywhere the backbone pivots start at zero
+            return False, True, None
+        total = None
+        for j, (b, db) in enumerate(_backbone(counts, s2, c, prec, slope)):
+            if _sign(b) >= 0:
+                return False, j < last, None
+            if slope:
+                t = mpf_div(db, b, prec, _RND)
+                total = t if total is None else mpf_add(total, t, prec, _RND)
+        if not slope:
+            return True, False, None
+        if leaves:
+            t = mpf_div(leaf_sum, mpf_sub(c, fone, prec, _RND), prec, _RND)
+            total = mpf_add(total, t, prec, _RND)
+        return True, False, _newton_step(Scalar(total, ctx))
+
+    return probe
 
 
-def _tree_all_negative(tree, s, c, slope):
-    """(all_negative, early, step) via the kernel sweep, stopping at the
-    first nonnegative value.
+def _tree_probe(tree, base, s2, ctx):
+    """The radius probe of a tree matrix: returns probe(c, slope) ->
+    (all_negative, early, step), one kernel sweep from ``base[deg] - c``
+    that stops at the first nonnegative pivot.
 
-    With ``slope`` and every pivot negative, step is the Newton step
-    -1/L, L = sum of d_v'/d_v with d_v' = -1 + s^2 sum_c d_c'/d_c^2;
-    otherwise None.
+    ``base`` is :func:`_base` and ``s2`` is s^2 (raw) for M(s); base 0
+    and s2 = 1 give A. ``early`` reports a stop before the root. With
+    ``slope`` and every pivot negative, step is the Newton step -1/L,
+    L = sum of d_v'/d_v with d_v' = -1 + s2 sum_c d_c'/d_c^2; otherwise
+    None.
     """
-    ctx = s.ctx
     prec = ctx.prec
-    s_raw = s.raw()
-    s2 = mpf_mul(s_raw, s_raw, prec, _RND)
-    x = mpf_neg(ctx.scalar(c).raw())
+    root = tree.postorder[-1]
     if s2 == fzero:
-        return _sign(mpf_add(from_int(1, prec, _RND), x, prec, _RND)) < 0, False, None
-    return _kernel_probe(tree, _starts(tree, s2, x, prec), s2, ctx, slope)
+        # M(0) = I: every pivot is 1 - c
+        one = from_int(1, prec, _RND)
+        return lambda c, slope: (_sign(mpf_sub(one, c.raw(), prec, _RND)) < 0, False, None)
 
+    def probe(c, slope):
+        c = c.raw()
+        start = {deg: mpf_sub(b, c, prec, _RND) for deg, b in base.items()}
+        _, stop, dlog = _sweep(tree, start, s2, prec, full=False, slope=slope)
+        if stop is not None:
+            return False, stop != root, None
+        if not slope:
+            return True, False, None
+        return True, False, _newton_step(Scalar(dlog, ctx))
 
-def _kernel_probe(tree, start, s2, ctx, slope):
-    # (all_negative, early, step) of one stop-at-first-nonnegative sweep
-    _, stop, dlog = _sweep(tree, start, s2, ctx.prec, full=False, slope=slope)
-    if stop is not None:
-        return False, stop != tree.postorder[-1], None
-    if not slope:
-        return True, False, None
-    return True, False, _newton_step(Scalar(dlog, ctx))
+    return probe
 
 
 def _newton_step(dlog):
@@ -441,14 +446,6 @@ class RadiusEstimate:
         )
 
 
-def _probe(obj, s, c, slope):
-    # the caterpillar probe stops at its first nonnegative pivot, so it
-    # never divides by a zero one the way caterpillar_outputs could
-    if isinstance(obj, Caterpillar):
-        return _caterpillar_all_negative(obj, s, c, slope)
-    return _tree_all_negative(obj, s, c, slope)
-
-
 def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     """Bracket the largest eigenvalue of M(s) as bisecting [lo, hi] would.
 
@@ -470,17 +467,18 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     if not isinstance(s, Scalar):
         raise DomainError("s must be a Scalar")
     ctx = s.ctx
-    estimate = None
-    if isinstance(obj, Tree):
+    prec = ctx.prec
+    s_raw = s.raw()
+    s2 = mpf_mul(s_raw, s_raw, prec, _RND)
+    if isinstance(obj, Caterpillar):
+        probe, estimate = _caterpillar_probe(obj, s2, ctx), None
+    else:
+        probe = _tree_probe(obj, _base(obj, s2, prec), s2, ctx)
         f = s.to_float()
-        s2 = f * f  # inf past float range, where the float start gives up
-
-        def estimate(top):
-            base = {deg: 1.0 + s2 * (deg - 1) for deg in set(obj.degree)}
-            return _laguerre_start(obj, base, s2, top)
-
-    return _bracket(lambda c, slope: _probe(obj, s, c, slope),
-                    ctx.scalar(lo), ctx.scalar(hi), iterations, target_digits, estimate)
+        fs2 = f * f  # inf past float range, where the float start gives up
+        fbase = {deg: 1.0 + fs2 * (deg - 1) for deg in set(obj.degree)}
+        estimate = partial(_laguerre_start, obj, fbase, fs2)
+    return _bracket(probe, ctx.scalar(lo), ctx.scalar(hi), iterations, target_digits, estimate)
 
 
 def adjacency_radius(tree, ctx, target_digits=None):
@@ -494,17 +492,10 @@ def adjacency_radius(tree, ctx, target_digits=None):
     """
     if not isinstance(tree, Tree):
         raise DomainError("adjacency_radius needs a Tree")
-    one = from_int(1, ctx.prec, _RND)
-
-    def all_negative(c, slope):
-        start = dict.fromkeys(tree.degree, mpf_neg(c.raw()))
-        return _kernel_probe(tree, start, one, ctx, slope)
-
-    def estimate(top):
-        return _laguerre_start(tree, dict.fromkeys(tree.degree, 0.0), 1.0, top)
-
+    probe = _tree_probe(tree, dict.fromkeys(tree.degree, fzero), fone, ctx)
+    estimate = partial(_laguerre_start, tree, dict.fromkeys(tree.degree, 0.0), 1.0)
     hi = ctx.scalar(tree.max_degree() + 1)
-    return _bracket(all_negative, ctx.zero(), hi, None, target_digits, estimate)
+    return _bracket(probe, ctx.zero(), hi, None, target_digits, estimate)
 
 
 # Laguerre's float pre-solve runs at most this many sweeps, and a step
@@ -661,6 +652,8 @@ def _bracket(all_negative, lo, hi, iterations, target_digits, estimate=None):
         if target_digits is None:
             target_digits = ctx.digits
         span = (hi - lo).to_float()
+        if not 0 < span < math.inf:
+            raise DomainError("hi - lo lies outside float range; no iteration count can be derived")
         iterations = max(1, int(math.ceil(math.log2(span) + target_digits * math.log2(10))))
     probes = 2
     start = hi

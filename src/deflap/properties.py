@@ -25,21 +25,6 @@ from .diagonalize import adjacency_radius, approximate_radius, count_eigenvalues
 from .scalar import DomainError, Scalar, infer_context
 from .trees import Tree
 
-PROPERTY_IDS = (
-    "zero-eig-iff-unit-s",
-    "posdef-iff-subunit-s",
-    "radius-above-one",
-    "pendant-pair-floor",
-    "leaf-deletion-decreases",
-    "branching-floor",
-    "starlike-ceiling",
-    "star-floor",
-    "adjacency-ceiling",
-    "adapted-super",
-    "adapted-sub-deg4",
-    "adapted-sub-deg3-deep",
-)
-
 # bisection resolution (decimal digits) used when the caller gives no
 # tolerance; the reported tolerance is then ten times the final width
 DEFAULT_WIDTH_DIGITS = 30
@@ -107,10 +92,22 @@ class _Shared:
         return self._bracket
 
 
-def _exceeds(tree, s, c):
-    # exact certificate that the largest eigenvalue is strictly above c
-    pos, _, _ = count_eigenvalues(tree, s, c)
-    return pos >= 1
+def _floor(pid, tree, s, bound):
+    """The verdict on rho > bound, from the count of eigenvalues above it."""
+    pos, _, _ = count_eigenvalues(tree, s, bound)
+    if pos >= 1:
+        return PropertyReport(pid, True)
+    return PropertyReport(pid, False, _witness(tree, s, bound=bound))
+
+
+def _ceiling(pid, tree, s, tol, shared, bound):
+    """The verdict on rho <= bound + slack, from the shared bracket's high
+    end; the slack is tol, or ten bracket widths."""
+    est = shared.bracket()
+    margin = tol if tol is not None else 10 * est.width()
+    if est.high <= bound + margin:
+        return PropertyReport(pid, True)
+    return PropertyReport(pid, False, _witness(tree, s, bound=bound, radius_high=est.high))
 
 
 def _stays_below(tree, s, c):
@@ -198,19 +195,14 @@ def _check_radius_above_one(tree, s, tol, shared):
     pid = "radius-above-one"
     if tree.n == 1 or s.is_zero:
         return PropertyReport(pid, None)
-    if _exceeds(tree, s, s.ctx.scalar(1)):
-        return PropertyReport(pid, True)
-    return PropertyReport(pid, False, _witness(tree, s, bound=s.ctx.scalar(1)))
+    return _floor(pid, tree, s, s.ctx.scalar(1))
 
 
 def _check_pendant_pair_floor(tree, s, tol, shared):
     pid = "pendant-pair-floor"
     if tree.n == 1 or s.is_zero or not _has_pendant_pair(tree):
         return PropertyReport(pid, None)
-    bound = 1 + s * s
-    if _exceeds(tree, s, bound):
-        return PropertyReport(pid, True)
-    return PropertyReport(pid, False, _witness(tree, s, bound=bound))
+    return _floor(pid, tree, s, 1 + s * s)
 
 
 def _check_leaf_deletion(tree, s, tol, shared):
@@ -237,16 +229,11 @@ def _check_branching_floor(tree, s, tol, shared):
     pid = "branching-floor"
     if s.is_zero or tree.max_degree() < 3:
         return PropertyReport(pid, None)
-    ctx = s.ctx
     a = abs(s)
-    loose = 1 + ctx.scalar(3).sqrt() * a + s * s
-    if not _exceeds(tree, s, loose):
-        return PropertyReport(pid, False, _witness(tree, s, bound=loose))
-    if tree.max_degree() >= 4:
-        tight = (1 + a) ** 2
-        if not _exceeds(tree, s, tight):
-            return PropertyReport(pid, False, _witness(tree, s, bound=tight))
-    return PropertyReport(pid, True)
+    report = _floor(pid, tree, s, 1 + s.ctx.scalar(3).sqrt() * a + s * s)
+    if report.holds and tree.max_degree() >= 4:
+        report = _floor(pid, tree, s, (1 + a) ** 2)
+    return report
 
 
 def _check_starlike_ceiling(tree, s, tol, shared):
@@ -255,15 +242,8 @@ def _check_starlike_ceiling(tree, s, tol, shared):
     if center is None:
         return PropertyReport(pid, None)
     k = tree.degree[center]
-    ctx = s.ctx
-    bound = 1 + s * s * (k - 1) + abs(s) * k / ctx.scalar(k - 1).sqrt()
-    est = shared.bracket()
-    margin = tol if tol is not None else 10 * est.width()
-    if est.high <= bound + margin:
-        return PropertyReport(pid, True)
-    return PropertyReport(
-        pid, False, _witness(tree, s, bound=bound, radius_high=est.high)
-    )
+    bound = 1 + s * s * (k - 1) + abs(s) * k / s.ctx.scalar(k - 1).sqrt()
+    return _ceiling(pid, tree, s, tol, shared, bound)
 
 
 def _check_star_floor(tree, s, tol, shared):
@@ -272,7 +252,6 @@ def _check_star_floor(tree, s, tol, shared):
         return PropertyReport(pid, None)
     if not (s.sign() <= 0 or s >= 1):
         return PropertyReport(pid, None)
-    ctx = s.ctx
     delta = tree.max_degree()
     s2 = s * s
     inner = s2 * (delta - 1) ** 2 + 4 * delta
@@ -290,9 +269,7 @@ def _check_star_floor(tree, s, tol, shared):
             pid, False,
             _witness(tree, s, bound=bound, radius_low=est.low, radius_high=est.high),
         )
-    if _exceeds(tree, s, bound):
-        return PropertyReport(pid, True)
-    return PropertyReport(pid, False, _witness(tree, s, bound=bound))
+    return _floor(pid, tree, s, bound)
 
 
 def _check_adjacency_ceiling(tree, s, tol, shared):
@@ -307,36 +284,23 @@ def _check_adjacency_ceiling(tree, s, tol, shared):
             return PropertyReport(pid, True)
         return PropertyReport(pid, False, _witness(tree, s, bound=bound, radius=lhs))
     rho_a = adjacency_radius(tree, ctx, shared.width_digits).high
-    bound = 1 + s * s * (delta - 1) + abs(s) * rho_a
-    est = shared.bracket()
-    margin = tol if tol is not None else 10 * est.width()
-    if est.high <= bound + margin:
-        return PropertyReport(pid, True)
-    return PropertyReport(
-        pid, False, _witness(tree, s, bound=bound, radius_high=est.high)
-    )
+    return _ceiling(pid, tree, s, tol, shared, 1 + s * s * (delta - 1) + abs(s) * rho_a)
 
 
-def _adaptedness_probe(pid, tree, s):
-    # rho > (1+|s|)^2 makes every lam >= rho satisfy lam > (1+|s|)^2
-    bound = (1 + abs(s)) ** 2
-    if _exceeds(tree, s, bound):
-        return PropertyReport(pid, True)
-    return PropertyReport(pid, False, _witness(tree, s, bound=bound))
-
-
+# the adaptedness checks are floors at (1+|s|)^2: rho above it makes every
+# lam >= rho satisfy lam > (1+|s|)^2
 def _check_adapted_super(tree, s, tol, shared):
     pid = "adapted-super"
     if tree.max_degree() < 3 or not abs(s) > 1:
         return PropertyReport(pid, None)
-    return _adaptedness_probe(pid, tree, s)
+    return _floor(pid, tree, s, (1 + abs(s)) ** 2)
 
 
 def _check_adapted_sub_deg4(tree, s, tol, shared):
     pid = "adapted-sub-deg4"
     if tree.max_degree() < 4 or s.is_zero or not abs(s) < 1:
         return PropertyReport(pid, None)
-    return _adaptedness_probe(pid, tree, s)
+    return _floor(pid, tree, s, (1 + abs(s)) ** 2)
 
 
 def _check_adapted_sub_deg3_deep(tree, s, tol, shared):
@@ -345,7 +309,7 @@ def _check_adapted_sub_deg3_deep(tree, s, tol, shared):
         return PropertyReport(pid, None)
     if not _contains_deep_three_star(tree):
         return PropertyReport(pid, None)
-    return _adaptedness_probe(pid, tree, s)
+    return _floor(pid, tree, s, (1 + abs(s)) ** 2)
 
 
 PROPERTY_CHECKS = {
@@ -362,6 +326,7 @@ PROPERTY_CHECKS = {
     "adapted-sub-deg4": _check_adapted_sub_deg4,
     "adapted-sub-deg3-deep": _check_adapted_sub_deg3_deep,
 }
+PROPERTY_IDS = tuple(PROPERTY_CHECKS)
 
 
 def _width_digits_for(tol, ctx):
@@ -382,17 +347,9 @@ def check_property(property_id, tree, s, tol=None, ctx=None):
     it. When omitted, the slack is ten times the bisection width at
     DEFAULT_WIDTH_DIGITS.
     """
-    if property_id not in PROPERTY_CHECKS:
-        raise DomainError("unknown property id %r" % (property_id,))
     if not isinstance(tree, Tree):
         raise DomainError("check_property needs a Tree")
-    if ctx is None:
-        ctx = infer_context(s)
-    s = ctx.scalar(s)
-    if tol is not None:
-        tol = ctx.scalar(tol)
-    shared = _Shared(tree, s, _width_digits_for(tol, ctx))
-    return PROPERTY_CHECKS[property_id](tree, s, tol, shared)
+    return sweep([property_id], [tree], [s], tol, ctx).reports[0]
 
 
 class SweepResult:

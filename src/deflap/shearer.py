@@ -62,6 +62,7 @@ class _NeedMorePrecision(Exception):
 
 MAX_LADDER_ROUNDS = 8
 BETA_MARGIN_DIGITS = 25
+COUNTS_FULL_LIMIT = 12  # counts_cell prints longer vectors as 6 .. 3
 
 
 class ShearerRun:
@@ -311,39 +312,48 @@ def beta_sequence(run, method="recurrence"):
     return out
 
 
-def _level_probe(counts, s2, m, j, slope):
-    """(side, step) of the eps_k chain's level-j probe at point m = lam - eps.
+def _level_probe(counts, s2, lam, j):
+    """The eps_k chain's level-j probe: (eps, slope) -> (side, step) at the
+    point m = lam - eps.
 
     side is the sign of b_j, the full T_k run's sweep value at node j (the
     last node's degree correction applies only when j = k). With
     ``slope`` and b_j negative, L = d/dm log|det| of backbone nodes 1..j
     and their leaves sums b_i'/b_i and 1/(m - 1) per leaf, and step is
     the Newton step 1/L in eps when L is positive; otherwise None. An
-    exact zero before node j raises PrecisionError. The sums run on raw
-    tuples; only the step is a Scalar.
+    exact zero before node j raises PrecisionError; one at b_j reads as
+    side 0, which stops the halvings and keeps the confirmed bracket, since
+    a zero this deep is cancellation noise, not a root hit. The sums run
+    on raw tuples; only m and the step are Scalars.
     """
-    ctx = m.ctx
+    ctx = lam.ctx
     prec = ctx.prec
-    m = m.raw()
-    dlog = None
-    for i, (b, db) in enumerate(islice(_backbone(counts, s2.raw(), m, prec, slope), j)):
-        if b == fzero:
-            if i < j - 1:
-                raise PrecisionError("probe hit an intermediate zero; raise the precision")
-            return 0, None
-        if slope:
-            t = mpf_div(db, b, prec, _RND)
-            dlog = t if dlog is None else mpf_add(dlog, t, prec, _RND)
-    side = _sign(b)
-    if side < 0 and slope:
-        leaves = sum(counts[:j])
-        if leaves:
-            t = mpf_div(from_int(leaves, prec, _RND), mpf_sub(m, fone, prec, _RND), prec, _RND)
-            dlog = mpf_add(dlog, t, prec, _RND)
-        if _sign(dlog) > 0:
-            # Newton in m steps down by 1/dlog, so eps steps up
-            return side, Scalar(mpf_div(fone, dlog, prec, _RND), ctx)
-    return side, None
+    s2 = s2.raw()
+    leaves = sum(counts[:j])
+    leaf_sum = from_int(leaves, prec, _RND)
+
+    def probe(eps, slope):
+        m = (lam - eps).raw()
+        dlog = None
+        for i, (b, db) in enumerate(islice(_backbone(counts, s2, m, prec, slope), j)):
+            if b == fzero:
+                if i < j - 1:
+                    raise PrecisionError("probe hit an intermediate zero; raise the precision")
+                return 0, None
+            if slope:
+                t = mpf_div(db, b, prec, _RND)
+                dlog = t if dlog is None else mpf_add(dlog, t, prec, _RND)
+        side = _sign(b)
+        if side < 0 and slope:
+            if leaves:
+                t = mpf_div(leaf_sum, mpf_sub(m, fone, prec, _RND), prec, _RND)
+                dlog = mpf_add(dlog, t, prec, _RND)
+            if _sign(dlog) > 0:
+                # Newton in m steps down by 1/dlog, so eps steps up
+                return side, Scalar(mpf_div(fone, dlog, prec, _RND), ctx)
+        return side, None
+
+    return probe
 
 
 def epsilon_k(run, target_digits=None):
@@ -374,19 +384,13 @@ def epsilon_k(run, target_digits=None):
     level_digits = 25
     iters = int(math.ceil(level_digits * math.log2(10))) + 6
 
-    def make_probe(j):
-        # the side of eps is the sign of b_j; an exact zero stops the
-        # halvings and keeps the confirmed bracket, since a zero this
-        # deep is cancellation noise, not a root hit
-        return lambda eps, slope: _level_probe(counts, s2, lam - eps, j, slope)
-
     zero = wctx.zero()
     inset = wctx.power_of_ten(-wd + 8)
     # the level-1 pole sits at eps = lam - 1 itself; start just inside
     upper = (lam - 1) * (1 - inset)
     lo = hi = None
     for j in range(1, k + 1):
-        probe = make_probe(j)
+        probe = _level_probe(counts, s2, lam, j)
         side, step = probe(zero, True)
         if side >= 0:
             raise InvalidRunError("b_%d(0) is not negative; not a valid run" % j)
@@ -490,8 +494,8 @@ def convergence_report(lam, s, ks, target_digits=None, ctx=None):
     return ConvergenceReport(lam_user, s_user, rows)
 
 
-def counts_cell(counts, full_limit=12):
+def counts_cell(counts):
     """Table cell for a counts vector: full when short, else 6 .. 3."""
-    if len(counts) <= full_limit:
+    if len(counts) <= COUNTS_FULL_LIMIT:
         return format_counts(counts)
     return format_counts(counts, head=6, tail=3)

@@ -11,6 +11,7 @@ they are compacted internally and remembered for display.
 from .scalar import DomainError, Scalar, scalar_from_raw
 
 DENSE_CAP = 64
+EIG_GUARD_DIGITS = 15  # DenseMatrix.eigenvalues' QR runs this far past ctx
 
 
 class Tree:
@@ -328,18 +329,18 @@ class DenseMatrix:
             for j in range(i + 1, self.n)
         )
 
-    def eigenvalues(self, ctx, extra_digits=15):
+    def eigenvalues(self, ctx):
         """All eigenvalues of a symmetric matrix, ascending, as Scalars.
 
-        Runs mpmath's symmetric QR at ctx.digits + extra_digits guard
-        digits; raw values convert exactly in and round once on the way
-        out, so no decimal round-trip noise enters.
+        Runs mpmath's symmetric QR at ctx.digits + EIG_GUARD_DIGITS; raw
+        values convert exactly in and round once on the way out, so no
+        decimal round-trip noise enters.
         """
         import mpmath
 
         if not self.is_symmetric():
             raise DomainError("eigenvalues() requires a symmetric matrix")
-        with mpmath.workdps(ctx.digits + extra_digits):
+        with mpmath.workdps(ctx.digits + EIG_GUARD_DIGITS):
             m = mpmath.matrix(self.n, self.n)
             for i in range(self.n):
                 for j in range(self.n):

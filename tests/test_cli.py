@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -59,6 +60,17 @@ def test_rho_rejects_bad_literal():
     cp = run_cli("rho", "--caterpillar", "[31,23,9,17,23", "--s", "0.3")
     assert cp.returncode == 2
     assert "caterpillar" in cp.stderr
+
+
+def test_rho_bracket_beyond_float_range(tmp_path):
+    # hi - lo overflows a double, so no iteration count can be derived
+    tree = tmp_path / "p5.txt"
+    tree.write_text("edge 0 1\nedge 1 2\nedge 2 3\nedge 3 4\n")
+    cp = run_cli("rho", "--tree", str(tree), "--s", "0.5", "--hi", "1e400")
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_locate_tree_file(tmp_path):
@@ -164,6 +176,18 @@ def test_verify_beyond_dense_cap(capsys):
     out, err = capsys.readouterr()
     assert code == 0, err
     assert out == "checked=48 passed=19 failed=0 not-applicable=29\n"
+
+
+def test_verify_csv_golden(tmp_path, capsys):
+    # all 12 properties on the default s grid over every tree with n <= 6
+    # and three random ones: the CSV bytes are pinned by their digest
+    out = tmp_path / "verify.csv"
+    code = main(["verify", "--max-n", "6", "--random", "3", "--seed", "1", "--csv", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 0, err
+    assert stdout == "checked=1632 passed=990 failed=0 not-applicable=642\n"
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "3d58684e1b7aa9c0e0ad717f3d3dfd9a4db1f3cb853f98f879cc3d5c548e0d8a"
 
 
 def test_verify_rejects_unknown_property():

@@ -173,6 +173,15 @@ def test_radius_rejects_bad_bracket():
         approximate_radius(p2, CTX.scalar("0.5"), CTX.scalar(0), CTX.scalar(1))
 
 
+def test_radius_rejects_span_below_float_range():
+    # rho(P2) = 1.5 at s = 0.5; the iteration count derives from the float
+    # of hi - lo, which underflows to 0 here, so none can be derived
+    ctx = PrecisionContext(420)
+    lo = ctx.scalar("1.5")
+    with pytest.raises(DomainError):
+        approximate_radius(Tree.from_edges([(0, 1)]), ctx.scalar("0.5"), lo, lo + ctx.power_of_ten(-400))
+
+
 def test_adjacency_radius_brackets_dense_oracle():
     # the kernel bracket for rho(A) holds the dense eigensolver's value on
     # every free tree n = 2..9 and on random trees up to the dense cap

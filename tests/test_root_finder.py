@@ -22,7 +22,7 @@ import math
 import random
 
 import pytest
-from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_cmp, mpf_shift, round_nearest
+from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_cmp, mpf_mul, mpf_shift, round_nearest
 
 import deflap.diagonalize
 import deflap.limits
@@ -30,8 +30,9 @@ import deflap.scalar
 import deflap.shearer
 from deflap.diagonalize import (
     ZeroPivot,
-    _caterpillar_all_negative,
-    _probe,
+    _base,
+    _caterpillar_probe,
+    _tree_probe,
     approximate_radius,
     caterpillar_outputs,
     gershgorin_cap,
@@ -66,6 +67,31 @@ from deflap.trees import Caterpillar, free_trees
 from test_limits import TABLE as TAU0_TABLE
 
 S_GRID = ("-1.5", "-1", "-0.9", "-0.3", "0.3", "0.9", "1", "1.5")
+
+
+# -- one probe of each live factory -----------------------------------------
+
+
+def _raw_s2(s):
+    return mpf_mul(s.raw(), s.raw(), s.ctx.prec, round_nearest)
+
+
+def _caterpillar_all_negative(cat, s, c, slope):
+    # one probe of the factory approximate_radius builds for a caterpillar
+    return _caterpillar_probe(cat, _raw_s2(s), s.ctx)(c, slope)
+
+
+def _probe(obj, s, c, slope):
+    # one probe of the factory approximate_radius builds for obj
+    if isinstance(obj, Caterpillar):
+        return _caterpillar_all_negative(obj, s, c, slope)
+    s2 = _raw_s2(s)
+    return _tree_probe(obj, _base(obj, s2, s.ctx.prec), s2, s.ctx)(c, slope)
+
+
+def _level_probe_at(counts, s2, m, j, slope):
+    # epsilon_k's level-j probe at the point m itself: lam = m, eps = 0
+    return _level_probe(counts, s2, m, j)(m.ctx.zero(), slope)
 
 
 # -- frozen backbone loops --------------------------------------------------
@@ -463,7 +489,7 @@ def _assert_backbone_loops_match(cat, s, c):
                 # the frozen copy divided by an exact zero b_i before it
                 # checked it; the live probe decides as without a slope
                 want = _outcome(_frozen_level_probe, cat.counts, s2, c, j, False)
-            assert _outcome(_level_probe, *args) == want
+            assert _outcome(_level_probe_at, *args) == want
 
 
 def test_backbone_loops_match_frozen_copies():
@@ -486,8 +512,8 @@ def test_backbone_loops_match_frozen_copies():
     _assert_backbone_loops_match(cat, s, c)
     assert _outcome(caterpillar_outputs, cat, s, c) == (ZeroPivot, ("zero pivot at backbone position 0",))
     for slope in (False, True):
-        assert _outcome(_level_probe, cat.counts, s * s, c, 1, slope) == (0, None)
-        assert _outcome(_level_probe, cat.counts, s * s, c, 2, slope) == intermediate
+        assert _outcome(_level_probe_at, cat.counts, s * s, c, 1, slope) == (0, None)
+        assert _outcome(_level_probe_at, cat.counts, s * s, c, 2, slope) == intermediate
 
 
 def _generation_outcome(generate_at, p, k, wctx):

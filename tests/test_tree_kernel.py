@@ -21,19 +21,21 @@ import math
 import random
 
 import pytest
+from mpmath.libmp import mpf_mul, round_nearest
 
 from deflap import diagonalize
 from deflap.diagonalize import (
     DiagOutcome,
+    _base,
     _newton_step,
-    _tree_all_negative,
+    _tree_probe,
     adjacency_radius,
     approximate_radius,
     count_eigenvalues,
     diagonalize_tree,
     gershgorin_cap,
 )
-from deflap.scalar import PrecisionContext
+from deflap.scalar import PrecisionContext, Scalar
 from deflap.trees import Tree, free_trees
 
 S_VALUES = ("-1.5", "-1", "-0.9", "-0.3", "0.3", "0.9", "1", "1.5", "0")
@@ -119,9 +121,19 @@ def _reference_diagonalize_tree(tree, s, x):
 
 
 def _reference_tree_all_negative(tree, s, c, slope):
-    ctx = s.ctx
+    return _reference_probe_at(tree, s * s, c, slope)
+
+
+def _reference_tree_probe(tree, base, s2, ctx):
+    # the reference behind _tree_probe's signature for M(s): it builds its
+    # own start table from s^2 and never reads the kernel's ``base``
+    s2 = Scalar(s2, ctx)
+    return lambda c, slope: _reference_probe_at(tree, s2, c, slope)
+
+
+def _reference_probe_at(tree, s2, c, slope):
+    ctx = s2.ctx
     x = -c
-    s2 = s * s
     if s2.is_zero:
         sg = (ctx.scalar(1) + x).sign()
         return sg < 0, False, None
@@ -147,6 +159,13 @@ def _reference_tree_all_negative(tree, s, c, slope):
     if not slope:
         return True, False, None
     return True, False, _newton_step(total)
+
+
+def _tree_all_negative(tree, s, c, slope):
+    # one probe of the factory approximate_radius builds for M(s)
+    ctx = s.ctx
+    s2 = mpf_mul(s.raw(), s.raw(), ctx.prec, round_nearest)
+    return _tree_probe(tree, _base(tree, s2, ctx.prec), s2, ctx)(c, slope)
 
 
 def _raw_probe(result):
@@ -213,7 +232,7 @@ def test_radius_matches_reference_probe(digits, monkeypatch):
         return out
 
     got = brackets()
-    monkeypatch.setattr(diagonalize, "_tree_all_negative", _reference_tree_all_negative)
+    monkeypatch.setattr(diagonalize, "_tree_probe", _reference_tree_probe)
     assert got == brackets()
 
 
