@@ -13,8 +13,9 @@ The tree sweep is one kernel, :func:`_sweep`, working on raw libmp
 tuples at the context's precision from a per-degree start table, so it
 sweeps M(s) + x*I and A - c*I alike. The caterpillar form is one
 raw-tuple recurrence along the backbone, :func:`_backbone`, read by
-:func:`caterpillar_outputs`, the caterpillar radius probe and the eps_k
-level probe in :mod:`deflap.shearer`, each stopping where it needs to.
+:func:`caterpillar_outputs` and the caterpillar radius probe (behind
+the radii and the eps_k certificate of :mod:`deflap.shearer`), each
+stopping where it needs to.
 Both round every operation as Scalar arithmetic would; Scalars appear
 only at the API edge, in returned values and in the Newton step of the
 probes, which share one bracket search. A tree's search starts from a
@@ -460,7 +461,9 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     the halvings that probes only the midpoints inside it. On a Tree the
     Newton steps start from a float Laguerre estimate just above rho
     (:func:`_laguerre_start`) once a probe confirms it lies above; a
-    caterpillar's, or an unconfirmed estimate's, start from hi.
+    caterpillar's, or an unconfirmed estimate's, start from hi. At s = 0,
+    M(0) = I: rho = 1 exactly and every pivot is 1 - c, so the search
+    skips the float start and probes only around 1.
     """
     if not isinstance(obj, (Tree, Caterpillar)):
         raise DomainError("expected a Tree or a Caterpillar")
@@ -470,15 +473,18 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     prec = ctx.prec
     s_raw = s.raw()
     s2 = mpf_mul(s_raw, s_raw, prec, _RND)
+    root = ctx.scalar(1) if s2 == fzero else None
+    estimate = None
     if isinstance(obj, Caterpillar):
-        probe, estimate = _caterpillar_probe(obj, s2, ctx), None
+        probe = _caterpillar_probe(obj, s2, ctx)
     else:
         probe = _tree_probe(obj, _base(obj, s2, prec), s2, ctx)
-        f = s.to_float()
-        fs2 = f * f  # inf past float range, where the float start gives up
-        fbase = {deg: 1.0 + fs2 * (deg - 1) for deg in set(obj.degree)}
-        estimate = partial(_laguerre_start, obj, fbase, fs2)
-    return _bracket(probe, ctx.scalar(lo), ctx.scalar(hi), iterations, target_digits, estimate)
+        if root is None:
+            f = s.to_float()
+            fs2 = f * f  # inf past float range, where the float start gives up
+            fbase = {deg: 1.0 + fs2 * (deg - 1) for deg in set(obj.degree)}
+            estimate = partial(_laguerre_start, obj, fbase, fs2)
+    return _bracket(probe, ctx.scalar(lo), ctx.scalar(hi), iterations, target_digits, estimate, root)
 
 
 def adjacency_radius(tree, ctx, target_digits=None):
@@ -614,12 +620,15 @@ def _laguerre_start(tree, base, s2, hi):
     return c
 
 
-def _bracket(all_negative, lo, hi, iterations, target_digits, estimate=None):
+def _bracket(all_negative, lo, hi, iterations, target_digits, estimate=None, root=None):
     """The search behind both radius brackets.
 
     ``all_negative(c, slope)`` is a probe returning (all_negative, early,
-    step). After both ends, ``estimate(hi)``, when given, names a float
-    at or just above the root (or None). Raised by a relative lift, one
+    step). After both ends, a ``root`` known exactly and strictly inside
+    (lo, hi) is handed to :func:`deflap.scalar.find_root` as its start
+    with a zero step, so only the probes within a final width of it run.
+    Otherwise ``estimate(hi)``, when given, names a float at or just
+    above the root (or None). Raised by a relative lift, one
     probe with the slope confirms it, and :func:`deflap.scalar.find_root`
     takes its Newton steps from there when it lies strictly inside
     (lo, hi), on hi's side and with a step, else from hi. Either way the
@@ -657,7 +666,9 @@ def _bracket(all_negative, lo, hi, iterations, target_digits, estimate=None):
         iterations = max(1, int(math.ceil(math.log2(span) + target_digits * math.log2(10))))
     probes = 2
     start = hi
-    if estimate is not None:
+    if root is not None and lo < root < hi:
+        start, step = root, ctx.zero()
+    elif estimate is not None:
         guess = estimate(hi.to_float())
         if guess is not None:
             guess = ctx.scalar(guess + abs(guess) * 2.0 ** -min(40, ctx.prec // 3))

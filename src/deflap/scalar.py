@@ -11,7 +11,7 @@ Values are exact dyadic rationals; only operations round. Comparisons are
 exact and total. Mixing Scalars from contexts with different digit counts
 is a programming error and raises :class:`PrecisionMixingError`.
 
-Every root the package computes (spectral radii, the eps_k chain, tau0)
+Every root the package computes (spectral radii, eps_k, tau0)
 comes from :func:`find_root`: Newton steps from one end of a bracket,
 or from a point inside it whose side a probe has shown, then a
 certified replay of the bisection of that bracket, so each result

@@ -14,20 +14,26 @@ generator therefore runs on an internal precision ladder and only
 accepts a run once its working precision exceeds the magnitude of
 beta_k by a safe margin; inputs are re-materialized from their exact
 specs (ints, decimal strings, or closures) at every rung.
+
+The certificate lam - rho(T_k) < eps_k <= 1/beta_k (J. Shearer, "On the
+distribution of the maximum eigenvalue of graphs", LAA 114/115 (1989)
+17-20) takes eps_k from one radius search on the folded backbone of the
+whole T_k, each probe one O(k) pass; the convergence report brackets
+the same radius with the same search at its own width.
 """
 
 import math
-from itertools import islice
 
 from mpmath.libmp import (
     fone,
     from_int,
-    fzero,
+    from_man_exp,
     mpf_add,
     mpf_cmp,
     mpf_div,
     mpf_mul,
     mpf_neg,
+    mpf_shift,
     mpf_sub,
     round_floor,
     round_nearest,
@@ -35,17 +41,17 @@ from mpmath.libmp import (
 )
 
 from .scalar import (
+    BracketingError,
     DomainError,
     PrecisionContext,
     PrecisionError,
     Scalar,
-    find_root,
     infer_context,
     materialize,
     scalar_from_raw,
 )
 from .trees import Caterpillar
-from .diagonalize import _backbone, _sign, approximate_radius
+from .diagonalize import approximate_radius
 from .recurrence import recurrence_params
 
 
@@ -62,6 +68,12 @@ class _NeedMorePrecision(Exception):
 
 MAX_LADDER_ROUNDS = 8
 BETA_MARGIN_DIGITS = 25
+# eps_k's search resolves alpha_k = 1/beta_k to EPS_DIGITS relative
+# digits, comfortably inside the ladder's noise floor (beta_k 10^-wd is at
+# worst 1e-35 relative), and refuses a final width below 2^EPS_GUARD_BITS
+# ulp of lam
+EPS_DIGITS = 25
+EPS_GUARD_BITS = 8
 COUNTS_FULL_LIMIT = 12  # counts_cell prints longer vectors as 6 .. 3
 
 
@@ -118,7 +130,9 @@ class ShearerRun:
 class EpsilonBound:
     """A certified upper bound eps on lam - rho(T_k).
 
-    certified means both bracket endpoints had verified signs at the
+    value is (lam - low) + width for the one radius search of
+    :func:`epsilon_k`. certified means both ends of that bracket had
+    their signs verified by :func:`deflap.scalar.find_root` at the
     working precision, so rho(T_k) > lam - eps rigorously.
     """
 
@@ -312,110 +326,61 @@ def beta_sequence(run, method="recurrence"):
     return out
 
 
-def _level_probe(counts, s2, lam, j):
-    """The eps_k chain's level-j probe: (eps, slope) -> (side, step) at the
-    point m = lam - eps.
+def _radius_bracket(run, lam, width, guard_bits=None):
+    """Bracket rho(T_k) as the halvings of [1, lam] that shrink it to
+    about ``width`` would, at lam's precision.
 
-    side is the sign of b_j, the full T_k run's sweep value at node j (the
-    last node's degree correction applies only when j = k). With
-    ``slope`` and b_j negative, L = d/dm log|det| of backbone nodes 1..j
-    and their leaves sums b_i'/b_i and 1/(m - 1) per leaf, and step is
-    the Newton step 1/L in eps when L is positive; otherwise None. An
-    exact zero before node j raises PrecisionError; one at b_j reads as
-    side 0, which stops the halvings and keeps the confirmed bracket, since
-    a zero this deep is cancellation noise, not a root hit. The sums run
-    on raw tuples; only m and the step are Scalars.
+    One :func:`deflap.diagonalize.approximate_radius` search on the folded
+    backbone, with s re-materialized at that precision. With
+    ``guard_bits``, a final width below 2^guard_bits ulp of lam raises
+    PrecisionError before the search: rounding, not the root, would
+    decide the last halvings. Raises InvalidRunError when the probe at
+    lam is not all-negative.
     """
-    ctx = lam.ctx
-    prec = ctx.prec
-    s2 = s2.raw()
-    leaves = sum(counts[:j])
-    leaf_sum = from_int(leaves, prec, _RND)
-
-    def probe(eps, slope):
-        m = (lam - eps).raw()
-        dlog = None
-        for i, (b, db) in enumerate(islice(_backbone(counts, s2, m, prec, slope), j)):
-            if b == fzero:
-                if i < j - 1:
-                    raise PrecisionError("probe hit an intermediate zero; raise the precision")
-                return 0, None
-            if slope:
-                t = mpf_div(db, b, prec, _RND)
-                dlog = t if dlog is None else mpf_add(dlog, t, prec, _RND)
-        side = _sign(b)
-        if side < 0 and slope:
-            if leaves:
-                t = mpf_div(leaf_sum, mpf_sub(m, fone, prec, _RND), prec, _RND)
-                dlog = mpf_add(dlog, t, prec, _RND)
-            if _sign(dlog) > 0:
-                # Newton in m steps down by 1/dlog, so eps steps up
-                return side, Scalar(mpf_div(fone, dlog, prec, _RND), ctx)
-        return side, None
-
-    return probe
+    pctx = lam.ctx
+    s = materialize(run.s_spec, pctx)
+    span = lam - 1
+    iters = max(1, int(math.ceil(math.log2(span.to_float()) - width.decimal_magnitude() * math.log2(10))))
+    if guard_bits is not None:
+        _, _, exp, bc = lam.raw()
+        floor = from_man_exp(1, exp + bc - pctx.prec + guard_bits)
+        if mpf_cmp(mpf_shift(span.raw(), -iters), floor) < 0:
+            raise PrecisionError(
+                "%d halvings fall below 2^%d ulp of lam at %d digits; raise the precision"
+                % (iters, guard_bits, pctx.digits)
+            )
+    try:
+        return approximate_radius(run.caterpillar(), s, 1, lam, iterations=iters)
+    except BracketingError:
+        raise InvalidRunError("T_%d has an eigenvalue at or above lam; not a valid run" % run.k)
 
 
 def epsilon_k(run, target_digits=None):
-    """Certified upper bound on lam - rho(T_k) via the nested root chain.
+    """Certified upper bound on lam - rho(T_k) from one radius search.
 
-    Level j locates the zero eps_j of b_j(eps) (the full-run sweep value
-    at probe lam - eps) inside (0, eps_{j-1}); each level's bracket low
-    end seeds the next level's upper end, keeping every search on the
-    near side of the pole that b_{j+1} has at eps_j. Each level's bracket
-    is that of a fixed number of halvings of [0, upper], found by
-    :func:`deflap.scalar.find_root` with Newton steps from eps = 0, where
-    m = lam lies above every eigenvalue of the j-block. The last level's
-    zero is exactly lam - rho(T_k), so the returned upper bracket end
-    (padded by one width plus a rounding allowance) is a rigorous bound.
+    The all-negative probe of the whole T_k is monotone in the point by
+    Sylvester's law, so it has no poles, and Newton steps from lam, which
+    lies above every eigenvalue, fall straight onto rho(T_k). So one
+    bracket search on [1, lam] finds it, each probe one O(k) pass along
+    the folded backbone. It runs at the generation's precision plus 10
+    digits (or target_digits + 10, when larger) with the halvings that
+    resolve alpha_k = 1/beta_k to EPS_DIGITS relative digits, and both
+    bracket ends carry probed signs. The bound is (lam - low) + width,
+    rounded up into the caller's context. Raises InvalidRunError when
+    T_k's probe at lam is not all-negative, and PrecisionError when the
+    final width would fall below 2^EPS_GUARD_BITS ulp of lam.
     """
     wd = run.generation_digits + 10
     if target_digits is not None:
         wd = max(wd, int(target_digits) + 10)
     wctx = PrecisionContext(wd)
     lam = materialize(run.lam_spec, wctx)
-    s = materialize(run.s_spec, wctx)
-    s2 = s * s
-    counts = run.counts
-    k = len(counts)
-    # resolve each level to a relative 1e-25: comfortably inside the
-    # ladder's noise floor (beta_k * 10^-wd is at worst 1e-35 relative)
-    # and comfortably finer than the gap between consecutive levels
-    level_digits = 25
-    iters = int(math.ceil(level_digits * math.log2(10))) + 6
-
-    zero = wctx.zero()
-    inset = wctx.power_of_ten(-wd + 8)
-    # the level-1 pole sits at eps = lam - 1 itself; start just inside
-    upper = (lam - 1) * (1 - inset)
-    lo = hi = None
-    for j in range(1, k + 1):
-        probe = _level_probe(counts, s2, lam, j)
-        side, step = probe(zero, True)
-        if side >= 0:
-            raise InvalidRunError("b_%d(0) is not negative; not a valid run" % j)
-        if j == 1 and counts[0] == 0:
-            # bare backbone end: b_1(eps) = eps - (lam - 1), its zero IS
-            # the base bound lam - 1 exactly; seed level 2 from just
-            # inside the pole, where b_1 is still (barely) negative
-            lo, hi = upper, lam - 1
-            continue
-        fh = probe(upper, False)[0]
-        if fh == 0:
-            upper = upper * (1 - inset)
-            fh = probe(upper, False)[0]
-        if fh <= 0:
-            raise PrecisionError(
-                "chain level %d not separated at %d digits; raise the precision" % (j, wd)
-            )
-        found = find_root(probe, zero, upper, iters, zero, step)
-        lo, hi = found.low, found.high
-        upper = lo
-    width = hi - lo
-    padded = hi + width
+    width = (1 / wctx.scalar(run.beta_trace[-1])) * wctx.power_of_ten(-EPS_DIGITS)
+    est = _radius_bracket(run, lam, width, EPS_GUARD_BITS)
+    padded = (lam - est.low) + est.width()
     # round into the caller's context keeping the bound valid from above
     value = run.ctx.scalar(padded * (1 + wctx.power_of_ten(-run.ctx.digits + 2)))
-    return EpsilonBound(k, value, True)
+    return EpsilonBound(run.k, value, True)
 
 
 class ReportRow:
@@ -480,15 +445,11 @@ def convergence_report(lam, s, ks, target_digits=None, ctx=None):
         probe_digits = max(ctx.digits, beta_k.decimal_magnitude() + BETA_MARGIN_DIGITS)
         pctx = PrecisionContext(probe_digits)
         lam_p = materialize(run.lam_spec, pctx)
-        s_p = materialize(run.s_spec, pctx)
-        alpha_k = 1 / pctx.scalar(beta_k)
         width_cap = lam_p * pctx.power_of_ten(-int(target_digits))
-        width = alpha_k * pctx.power_of_ten(-5)
+        width = (1 / pctx.scalar(beta_k)) * pctx.power_of_ten(-5)
         if width_cap < width:
             width = width_cap
-        span = (lam_p - 1).to_float()
-        iters = max(1, int(math.ceil(math.log2(span) - width.decimal_magnitude() * math.log2(10))))
-        est = approximate_radius(run.caterpillar(), s_p, 1, lam_p, iterations=iters)
+        est = _radius_bracket(run, lam_p, width)
         rho = est.value()
         rows.append(ReportRow(k, run.counts, ctx.scalar(rho), ctx.scalar(lam_p - rho)))
     return ConvergenceReport(lam_user, s_user, rows)

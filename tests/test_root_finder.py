@@ -1,14 +1,16 @@
 """The Newton-then-replay root finder against the plain bisections it replaces.
 
 ``find_root`` promises the bisection's own bracket. The loops below are
-the bisections that ``approximate_radius``, ``epsilon_k`` and
-``bisect_monotone_root`` (hence ``tau0``) ran before the finder: each
-test runs both and asserts identical values, not merely close ones.
+the bisections that ``approximate_radius`` and ``bisect_monotone_root``
+(hence ``tau0``) ran before the finder: each test runs both and asserts
+identical values, not merely close ones. ``epsilon_k`` is now one radius
+search; the nested chain of bisections it replaced is kept frozen as its
+reference, which its bound must match to 1e-20 relative.
 
 The caterpillar probes those bisections call are frozen copies of the
-three backbone loops that preceded the shared ``_backbone`` recurrence,
-so the references do not run the code under test; a grid test checks
-the live loops against the copies directly. The Shearer generation pass
+backbone loops that preceded the shared ``_backbone`` recurrence, so the
+references do not run the code under test; a grid test checks the live
+loops against the copies directly. The Shearer generation pass
 and its beta recurrence have frozen Scalar copies too, checked value for
 value against the raw-tuple versions.
 
@@ -22,12 +24,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_cmp, mpf_mul, mpf_shift, round_nearest
 
 import deflap.diagonalize
 import deflap.limits
 import deflap.scalar
-import deflap.shearer
 from deflap.diagonalize import (
     ZeroPivot,
     _base,
@@ -35,6 +37,7 @@ from deflap.diagonalize import (
     _tree_probe,
     approximate_radius,
     caterpillar_outputs,
+    diagonalize_tree,
     gershgorin_cap,
 )
 from deflap.limits import s_star, tau0
@@ -55,14 +58,15 @@ from deflap.scalar import (
 from deflap.shearer import (
     EpsilonBound,
     InvalidRunError,
+    ShearerRun,
     _betas_at,
     _generate_at,
-    _level_probe,
     _NeedMorePrecision,
+    beta_sequence,
     epsilon_k,
     generate,
 )
-from deflap.trees import Caterpillar, free_trees
+from deflap.trees import Caterpillar, caterpillar_to_tree, free_trees
 
 from test_limits import TABLE as TAU0_TABLE
 
@@ -87,11 +91,6 @@ def _probe(obj, s, c, slope):
         return _caterpillar_all_negative(obj, s, c, slope)
     s2 = _raw_s2(s)
     return _tree_probe(obj, _base(obj, s2, s.ctx.prec), s2, s.ctx)(c, slope)
-
-
-def _level_probe_at(counts, s2, m, j, slope):
-    # epsilon_k's level-j probe at the point m itself: lam = m, eps = 0
-    return _level_probe(counts, s2, m, j)(m.ctx.zero(), slope)
 
 
 # -- frozen backbone loops --------------------------------------------------
@@ -158,39 +157,16 @@ def _frozen_caterpillar_all_negative(cat, s, c, slope):
     return True, False, (-1 / total if total.sign() > 0 else None)
 
 
-def _frozen_prefix_value(counts, s2, m, delta, j, k, slope):
+def _frozen_prefix_value(counts, s2, m, delta, j, k):
+    # b_j of the full T_k run at the point m: the eps_k chain's level probe
     b = 1 - m + counts[0] * delta
-    if slope:
-        ddelta = -s2 / ((m - 1) * (m - 1))
-        db = counts[0] * ddelta - 1
-        total = db / b
     for i in range(1, j):
         if b.is_zero:
             raise PrecisionError("probe hit an intermediate zero; raise the precision")
-        q = s2 / b
-        nb = 1 + s2 - m - q + counts[i] * delta
+        b = 1 + s2 - m - s2 / b + counts[i] * delta
         if i == k - 1:
-            nb = nb - s2
-        if slope:
-            db = q * db / b + counts[i] * ddelta - 1
-            total = total + db / nb
-        b = nb
-    if not slope:
-        return b, None
-    leaves = sum(counts[:j])
-    if leaves:
-        total = total + leaves / (m - 1)
-    return b, total
-
-
-def _frozen_level_probe(counts, s2, m, j, slope):
-    # epsilon_k's level probe as it read _prefix_value
-    delta = s2 * m / (m - 1)
-    b, dlog = _frozen_prefix_value(counts, s2, m, delta, j, len(counts), slope)
-    side = b.sign()
-    if side < 0 and dlog is not None and dlog.sign() > 0:
-        return side, 1 / dlog
-    return side, None
+            b = b - s2
+    return b
 
 
 # -- frozen generator -------------------------------------------------------
@@ -372,7 +348,7 @@ def _reference_epsilon_k(run):
         def f(eps):
             m = lam - eps
             delta = s2 * m / (m - 1)
-            return _frozen_prefix_value(counts, s2, m, delta, j, k, False)[0]
+            return _frozen_prefix_value(counts, s2, m, delta, j, k)
 
         return f
 
@@ -478,18 +454,9 @@ def _outcome(fn, *args):
 
 def _assert_backbone_loops_match(cat, s, c):
     assert _outcome(caterpillar_outputs, cat, s, c) == _outcome(_frozen_caterpillar_outputs, cat, s, c)
-    s2 = s * s
     for slope in (False, True):
         live = _outcome(_caterpillar_all_negative, cat, s, c, slope)
         assert live == _outcome(_frozen_caterpillar_all_negative, cat, s, c, slope)
-        for j in range(1, cat.k + 1):
-            args = (cat.counts, s2, c, j, slope)
-            want = _outcome(_frozen_level_probe, *args)
-            if slope and want[0] is ZeroDivisionError:
-                # the frozen copy divided by an exact zero b_i before it
-                # checked it; the live probe decides as without a slope
-                want = _outcome(_frozen_level_probe, cat.counts, s2, c, j, False)
-            assert _outcome(_level_probe_at, *args) == want
 
 
 def test_backbone_loops_match_frozen_copies():
@@ -503,17 +470,14 @@ def test_backbone_loops_match_frozen_copies():
             for c_text in points:
                 _assert_backbone_loops_match(cat, s, ctx.scalar(c_text))
     # b_1 = -1 + 2 * 0.5 is exactly zero: ZeroPivot(0) from the outputs;
-    # with or without a slope, side 0 from the level-1 probe and
-    # PrecisionError from the deeper ones (the frozen copy's slope mode
-    # raised ZeroDivisionError there)
+    # with or without a slope, the radius probe stops there, before it
+    # could divide by the zero: not all-negative, decided early
     ctx = PrecisionContext(30)
     cat, s, c = Caterpillar([2, 1, 3]), ctx.scalar("0.5"), ctx.scalar(2)
-    intermediate = (PrecisionError, ("probe hit an intermediate zero; raise the precision",))
     _assert_backbone_loops_match(cat, s, c)
     assert _outcome(caterpillar_outputs, cat, s, c) == (ZeroPivot, ("zero pivot at backbone position 0",))
     for slope in (False, True):
-        assert _outcome(_level_probe_at, cat.counts, s * s, c, 1, slope) == (0, None)
-        assert _outcome(_level_probe_at, cat.counts, s * s, c, 2, slope) == intermediate
+        assert _outcome(_caterpillar_all_negative, cat, s, c, slope) == (False, True, None)
 
 
 def _generation_outcome(generate_at, p, k, wctx):
@@ -595,12 +559,107 @@ def test_tree_radii_match_bisection():
 
 
 def test_epsilon_k_matches_bisection():
+    # the one search against the frozen chain of k nested bisections, and
+    # against lam - rho with rho bracketed at twice the working precision
+    # and to 40 relative digits of 1/beta_k, far finer than eps_k's width
     ctx = PrecisionContext(120)
     lam = ctx.scalar("5.4")
     s = s_star(lam).halved()
     for k in range(2, 21):
         run = generate(lam, s, k, ctx=ctx)
-        assert epsilon_k(run).value.raw() == _reference_epsilon_k(run).value.raw()
+        eps = epsilon_k(run).value
+        chain = _reference_epsilon_k(run).value
+        assert abs(eps - chain) <= chain * ctx.power_of_ten(-20)
+        gap, fine = _fine_gap_above(run)
+        assert gap < fine.scalar(eps)
+
+
+def _fine_gap_above(run):
+    """(lam - low, ctx): low is rho(T_k)'s bracket end at twice eps_k's
+    working precision, to 40 relative digits of 1/beta_k, so lam - low
+    bounds lam - rho from above far inside eps_k's width."""
+    fine = PrecisionContext(2 * (run.generation_digits + 10))
+    lam = materialize(run.lam_spec, fine)
+    s = materialize(run.s_spec, fine)
+    width = fine.power_of_ten(-40) / fine.scalar(run.beta_trace[-1])
+    iters = math.ceil(math.log2((lam - 1).to_float()) - width.decimal_magnitude() * math.log2(10))
+    est = approximate_radius(run.caterpillar(), s, 1, lam, iterations=iters)
+    return lam - est.low, fine
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(u=st.floats(0, 1), k=st.integers(2, 30))
+def test_epsilon_k_certifies_random_runs(u, k):
+    # lam log-uniform in [1.6, 50], s = s*(lam)/2 at 120 digits
+    ctx = PrecisionContext(120)
+    lam = ctx.scalar("%.6g" % math.exp(math.log(1.6) + u * (math.log(50) - math.log(1.6))))
+    s = s_star(lam).halved()
+    run = generate(lam, s, k, ctx=ctx)
+    eps = epsilon_k(run)
+    assert eps.certified and eps.k == k
+    gap, fine = _fine_gap_above(run)
+    assert gap < fine.scalar(eps.value)
+    assert eps.value <= 1 / beta_sequence(run)[-1]
+
+
+def _with(run, **changes):
+    fields = {name: getattr(run, name) for name in ShearerRun.__slots__}
+    fields.update(changes)
+    return ShearerRun(**fields)
+
+
+def test_epsilon_k_refuses_sub_ulp_width():
+    # at 30 working digits, 1/beta_12 to 25 relative digits is finer than
+    # 2^8 ulp of lam; a target of the generation's digits restores them
+    ctx = PrecisionContext(120)
+    lam = ctx.scalar("5.4")
+    run = generate(lam, s_star(lam).halved(), 12, ctx=ctx)
+    short = _with(run, generation_digits=20)
+    with pytest.raises(PrecisionError):
+        epsilon_k(short)
+    restored = epsilon_k(short, target_digits=run.generation_digits)
+    assert restored.value.raw() == epsilon_k(run).value.raw()
+
+
+def test_epsilon_k_rejects_a_run_above_lam():
+    # a hundred more leaves on node 1 push rho(T_k) past lam
+    ctx = PrecisionContext(60)
+    lam = ctx.scalar("5.4")
+    run = generate(lam, s_star(lam).halved(), 6, ctx=ctx)
+    heavy = _with(run, counts=(run.counts[0] + 100,) + run.counts[1:])
+    with pytest.raises(InvalidRunError):
+        epsilon_k(heavy)
+
+
+def test_radii_at_s_zero_match_sweep_bisection():
+    # M(0) = I: the search starts at rho = 1 itself, and its bracket is
+    # the one bisecting with full kernel sweeps gives
+    ctx = PrecisionContext(30)
+    s = ctx.zero()
+    cases = [(tree, tree) for n in range(2, 8) for tree in free_trees(n)]
+    for counts in ([0, 0], [2, 0, 1], [3, 1, 4, 1, 5]):
+        cat = Caterpillar(counts)
+        cases.append((cat, caterpillar_to_tree(cat)))
+    for obj, tree in cases:
+        def below(c):
+            pos, _, zero = diagonalize_tree(tree, s, -c).inertia
+            return pos == 0 and zero == 0
+
+        # at target 45 the final width is below the ulp of 1, so the
+        # certification widens and a few more midpoints are probed
+        for lo, hi, target, cap in (("0", "3", None, 8), ("0.5", "1.75", 12, 8), ("-2", "40", 45, 16)):
+            lo, hi = ctx.scalar(lo), ctx.scalar(hi)
+            est = approximate_radius(obj, s, lo, hi, target_digits=target)
+            assert not below(lo) and below(hi)
+            for _ in range(est.iterations):
+                mid = (lo + hi).halved()
+                if below(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            assert (est.low.raw(), est.high.raw()) == (lo.raw(), hi.raw())
+            # both ends, two certification probes, a few midpoints
+            assert est.probes <= cap < est.iterations
 
 
 @pytest.mark.parametrize("s_text", [row[0] for row in TAU0_TABLE])
@@ -684,7 +743,7 @@ def checked_walks(monkeypatch):
         found.append(_assert_same_walk(probe, lo, hi, iters, start, step))
         return found[-1]
 
-    for module in (deflap.diagonalize, deflap.limits, deflap.scalar, deflap.shearer):
+    for module in (deflap.diagonalize, deflap.limits, deflap.scalar):
         monkeypatch.setattr(module, "find_root", both)
     return found
 
@@ -711,8 +770,8 @@ def test_caterpillar_radii_and_epsilon_k_match_tuple_replay(checked_walks):
         approximate_radius(run.caterpillar(), s, ctx.scalar(1), lam)
         before = len(checked_walks)
         epsilon_k(run)
-        # one root per level, the first level's too unless r_1 = 0
-        assert len(checked_walks) - before == k - (run.counts[0] == 0)
+        # one radius search per bound, whatever k and r_1
+        assert len(checked_walks) - before == 1
 
 
 def test_tau0_matches_tuple_replay(checked_walks):
