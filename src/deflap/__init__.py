@@ -19,18 +19,14 @@ from .scalar import (
     PrecisionError,
     PrecisionMixingError,
     Scalar,
-    bisect_monotone_root,
     context_from_env,
     find_root,
     infer_context,
 )
 from .trees import (
     Caterpillar,
-    DenseMatrix,
     Tree,
     caterpillar_to_tree,
-    dense_adjacency,
-    dense_deformed_laplacian,
     free_trees,
     starlike_t1nn,
 )
@@ -39,7 +35,6 @@ from .diagonalize import (
     RadiusEstimate,
     adjacency_radius,
     approximate_radius,
-    caterpillar_outputs,
     count_eigenvalues,
     diagonalize_tree,
 )
@@ -85,7 +80,6 @@ __all__ = [
     "Caterpillar",
     "ConsistencyError",
     "ConvergenceReport",
-    "DenseMatrix",
     "DiagOutcome",
     "DomainError",
     "EpsilonBound",
@@ -109,8 +103,6 @@ __all__ = [
     "adjacency_radius",
     "approximate_radius",
     "beta_sequence",
-    "bisect_monotone_root",
-    "caterpillar_outputs",
     "caterpillar_to_tree",
     "check_property",
     "classify_orbit",
@@ -119,8 +111,6 @@ __all__ = [
     "convergence_report",
     "count_eigenvalues",
     "counts_cell",
-    "dense_adjacency",
-    "dense_deformed_laplacian",
     "diagonalize_tree",
     "epsilon_k",
     "find_root",

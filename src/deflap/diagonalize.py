@@ -12,10 +12,9 @@ matrix.
 The tree sweep is one kernel, :func:`_sweep`, working on raw libmp
 tuples at the context's precision from a per-degree start table, so it
 sweeps M(s) + x*I and A - c*I alike. The caterpillar form is one
-raw-tuple recurrence along the backbone, :func:`_backbone`, read by
-:func:`caterpillar_outputs` and the caterpillar radius probe (behind
-the radii and the eps_k certificate of :mod:`deflap.shearer`), each
-stopping where it needs to.
+raw-tuple recurrence along the backbone, :func:`_backbone`, read only by
+the caterpillar radius probe (behind the radii and the eps_k certificate
+of :mod:`deflap.shearer`), which stops at its first nonnegative value.
 Both round every operation as Scalar arithmetic would; Scalars appear
 only at the API edge, in returned values and in the Newton step of the
 probes, which share one bracket search. A tree's search starts from a
@@ -44,19 +43,6 @@ from .scalar import BracketingError, DomainError, Scalar, find_root
 from .trees import Caterpillar, Tree
 
 _RND = round_nearest
-
-
-class ZeroPivot(Exception):
-    """A backbone value hit exactly zero on the caterpillar fast path.
-
-    The tree sweep handles zero pivots by edge surgery; the folded
-    backbone recurrence cannot, since its next value divides by the zero,
-    so :func:`caterpillar_outputs` raises this to its caller.
-    """
-
-    def __init__(self, index):
-        self.index = index
-        Exception.__init__(self, "zero pivot at backbone position %d" % index)
 
 
 class DiagOutcome:
@@ -239,7 +225,7 @@ def count_eigenvalues(tree, s, c):
     probe point within rounding noise of an eigenvalue can be miscounted,
     and no error is raised when it is: probing every free tree with
     n = 3..8 near its eigenvalues (s in {0.3, -0.9, 1.5, 0.7}, 20 digits)
-    gave 223 wrong triples out of 6,460 (ROADMAP item 4).
+    gave 223 wrong triples out of 6,460 (ROADMAP item 1).
     """
     c = s.ctx.scalar(c)
     out = diagonalize_tree(tree, s, -c)
@@ -258,14 +244,12 @@ def _backbone(counts, s2, c, prec, slope):
 
     ``s2`` and ``c`` are raw libmp tuples. Every operation rounds to
     ``prec`` to nearest, in the order the formulas read left to right, as
-    Scalar arithmetic would; 1 + s2 - c is formed once per point. At
-    c = 1 the delta division raises Scalar's ZeroDivisionError. The next
-    value divides by b_j, so a caller must stop before resuming past a
-    zero.
+    Scalar arithmetic would; 1 + s2 - c is formed once per point. c = 1
+    is a pole of delta, and the next value divides by b_j, so the caller
+    (:func:`_caterpillar_probe`) never passes c = 1 and stops at the
+    first nonnegative b_j.
     """
     cm1 = mpf_sub(c, fone, prec, _RND)
-    if cm1 == fzero:
-        raise ZeroDivisionError("scalar division by zero")
     delta = mpf_div(mpf_mul(s2, c, prec, _RND), cm1, prec, _RND)
     base = mpf_sub(mpf_add(fone, s2, prec, _RND), c, prec, _RND)
     r = from_int(counts[0], prec, _RND)
@@ -291,44 +275,14 @@ def _backbone(counts, s2, c, prec, slope):
         yield b, db
 
 
-def caterpillar_outputs(cat, s, lam):
-    """Backbone outputs b_1..b_k of the sweep at probe point lam.
-
-    Leaf pivots all equal 1 - lam, so their effect folds into a single
-    per-node term and the whole sweep collapses to a scalar recurrence
-    along the backbone. Raises DomainError at lam = 1 (leaf pivot
-    vanishes, and the folded term has a pole there) and ZeroPivot when an
-    intermediate b_j is exactly zero; :func:`diagonalize_tree` on
-    ``caterpillar_to_tree(cat)`` handles that input by edge surgery.
-    """
-    if not isinstance(cat, Caterpillar):
-        raise DomainError("caterpillar_outputs needs a Caterpillar")
-    if not isinstance(s, Scalar):
-        raise DomainError("s must be a Scalar")
-    ctx = s.ctx
-    lam = ctx.scalar(lam)
-    if lam == 1:
-        raise DomainError("probe point 1 is a pole of the leaf-folded sweep")
-    prec = ctx.prec
-    s_raw = s.raw()
-    s2 = mpf_mul(s_raw, s_raw, prec, _RND)
-    last = cat.k - 1
-    outputs = []
-    for j, (b, _) in enumerate(_backbone(cat.counts, s2, lam.raw(), prec, False)):
-        outputs.append(Scalar(b, ctx))
-        if b == fzero and j < last:
-            raise ZeroPivot(j)
-    return outputs
-
-
 def _caterpillar_probe(cat, s2, ctx):
     """The radius probe of a caterpillar at s^2 = ``s2`` (raw): returns
     probe(c, slope) -> (all_negative, early, step) on the folded backbone.
 
     The probe stops at its first nonnegative pivot, so it never divides by
-    a zero one the way :func:`caterpillar_outputs` could. The leaf pivot
-    sign is checked before delta is formed, so the c = 1 pole is never
-    evaluated: a nonnegative leaf pivot already decides the probe.
+    a zero one. The leaf pivot sign is checked before :func:`_backbone`
+    forms delta, so the c = 1 pole is never evaluated: a nonnegative or
+    zero leaf pivot already decides the probe.
     ``early`` reports a verdict reached before the last backbone node.
     With ``slope`` and every pivot negative, step is the Newton step -1/L
     toward the largest eigenvalue, where L = d/dc log|det(M - cI)| sums
@@ -464,6 +418,13 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     caterpillar's, or an unconfirmed estimate's, start from hi. At s = 0,
     M(0) = I: rho = 1 exactly and every pivot is 1 - c, so the search
     skips the float start and probes only around 1.
+
+    The default target reaches the ulp of hi (at 120 digits, [1, 5.4]
+    ends one ulp, 7.75e-121, wide), so rounding decides the last
+    halvings; :func:`deflap.shearer.epsilon_k` refuses such widths. A
+    target ceil(log10 |hi|) + 3 digits below the context's keeps the
+    width above 2^11 ulp of hi: on 40 caterpillar radii at 50-250 digits
+    no halving then stalled or took another side than at 400 digits.
     """
     if not isinstance(obj, (Tree, Caterpillar)):
         raise DomainError("expected a Tree or a Caterpillar")

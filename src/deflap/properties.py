@@ -6,7 +6,7 @@ Strict inequalities are decided by inertia probes (counting eigenvalues
 beyond the stated bound with :func:`count_eigenvalues`, whose signs come
 from pivots computed in rounded arithmetic, so a bound within rounding
 noise of an eigenvalue can be decided wrongly: 223 of 6,460 triples near
-eigenvalues of small trees were, see ROADMAP item 4); interval estimates
+eigenvalues of small trees were, see ROADMAP item 1); interval estimates
 with an explicit tolerance appear only for the two upper bounds and the
 star equality case, where the bound can actually be attained. The
 adjacency ceiling takes rho(A) from :func:`adjacency_radius`, the pivot

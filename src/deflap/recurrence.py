@@ -127,11 +127,11 @@ class OrbitReport:
         )
 
 
-def classify_orbit(params, x1, max_steps, target_digits=None):
+def classify_orbit(params, x1, max_steps):
     """Iterate phi from x1 and name the trajectory's behavior.
 
     Needs adapted parameters. Iteration stops once |x_j - theta| falls
-    below 10^-target_digits (default: context digits minus 5) or after
+    below 10^-max(1, digits - 5) at the context's digits, or after
     max_steps. An exact zero anywhere marks x1 as a null-set point; the
     exact fixed points are recognized and returned without iterating.
     """
@@ -140,9 +140,7 @@ def classify_orbit(params, x1, max_steps, target_digits=None):
     ctx = params.s.ctx
     x1 = ctx.scalar(x1)
     theta, theta_prime = params.theta, params.theta_prime
-    if target_digits is None:
-        target_digits = max(1, ctx.digits - 5)
-    tol = ctx.power_of_ten(-int(target_digits))
+    tol = ctx.power_of_ten(-max(1, ctx.digits - 5))
     if x1 == theta:
         return OrbitReport(x1, "stays-at-theta", [x1], theta, None, True)
     if x1 == theta_prime:

@@ -26,7 +26,7 @@ notes carry the measurements.
 import time
 
 from .limits import s_star, tau0
-from .scalar import DomainError, PrecisionError, Scalar, infer_context
+from .scalar import DomainError, PrecisionError, infer_context
 from .shearer import convergence_report
 
 TABLE_IDS = (

@@ -425,17 +425,16 @@ def format_counts(counts, head=None, tail=None):
     return "[%s]" % " ".join(items)
 
 
-def convergence_report(lam, s, ks, target_digits=None, ctx=None):
+def convergence_report(lam, s, ks, ctx=None):
     """Generate T_k for each k and bracket rho(T_k) with approximate_radius.
 
     The bracket is found at whatever precision the run's beta_k demands,
     re-materializing lam and s there, and resolves the gap lam - rho to
-    a relative 1e-5 or to lam*10^-target_digits, whichever is finer.
+    a relative 1e-5 or to lam*10^-digits at ``ctx``'s digits, whichever
+    is finer.
     """
     if ctx is None:
         ctx = infer_context(lam, s)
-    if target_digits is None:
-        target_digits = ctx.digits
     rows = []
     lam_user = materialize(lam, ctx)
     s_user = materialize(s, ctx)
@@ -445,7 +444,7 @@ def convergence_report(lam, s, ks, target_digits=None, ctx=None):
         probe_digits = max(ctx.digits, beta_k.decimal_magnitude() + BETA_MARGIN_DIGITS)
         pctx = PrecisionContext(probe_digits)
         lam_p = materialize(run.lam_spec, pctx)
-        width_cap = lam_p * pctx.power_of_ten(-int(target_digits))
+        width_cap = lam_p * pctx.power_of_ten(-ctx.digits)
         width = (1 / pctx.scalar(beta_k)) * pctx.power_of_ten(-5)
         if width_cap < width:
             width = width_cap

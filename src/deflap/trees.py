@@ -39,13 +39,14 @@ class Tree:
         self.labels = list(labels) if labels is not None else list(range(n))
 
     @classmethod
-    def from_edges(cls, edges, root=None, labels=None):
+    def from_edges(cls, edges, root=None):
         """Build a tree from an iterable of (u, v) pairs.
 
         Vertices may be any non-negative ints; they are relabeled to
-        0..n-1 in sorted order. ``root`` refers to an original label and
-        defaults to the highest one. A single vertex with no edges is not
-        expressible here; use :meth:`single_vertex`.
+        0..n-1 in sorted order, and ``labels`` keeps the originals.
+        ``root`` refers to an original label and defaults to the highest
+        one. A single vertex with no edges is not expressible here; use
+        :meth:`single_vertex`.
         """
         edges = list(edges)
         if not edges:
@@ -106,10 +107,8 @@ class Tree:
         if len(preorder) != n:
             _reject_duplicate(edges, pairs)
             raise DomainError("edge list is not connected")
-        if labels is None:
-            labels = order
         preorder.reverse()
-        return cls(n, r, parent, children, labels, preorder)
+        return cls(n, r, parent, children, order, preorder)
 
     @classmethod
     def single_vertex(cls):

@@ -190,6 +190,25 @@ def test_verify_csv_golden(tmp_path, capsys):
     assert digest == "3d58684e1b7aa9c0e0ad717f3d3dfd9a4db1f3cb853f98f879cc3d5c548e0d8a"
 
 
+# stdout digests of commands whose bytes the caterpillar, recurrence and
+# reproduce paths must keep
+STDOUT_GOLDENS = (
+    (("shearer", "--lambda", "1.5", "--s", "auto", "--report", "5,10,20"),
+     "1dd3c9873d55aabc8cd43f04c07ecf1d8c1ba54bc6149fc5576c440ad09749df"),
+    (("recurrence", "--s", "0.17", "--lambda", "1.5", "--orbit", "-0.5", "--json"),
+     "8a2951a5df05df9f69b328e46c214bd7ff7cfafcdebdd45ef8cba9cbe4229b8a"),
+    (("reproduce", "lam1_5_star"),
+     "99ade6f0f21d5e9e04c01f90b4acd019d6ec7ebb5fde34676a6bba2f2487ffc8"),
+)
+
+
+def test_stdout_goldens():
+    for args, digest in STDOUT_GOLDENS:
+        cp = run_cli(*args)
+        assert cp.returncode == 0, cp.stderr
+        assert hashlib.sha256(cp.stdout.encode()).hexdigest() == digest, args
+
+
 def test_verify_rejects_unknown_property():
     cp = run_cli("verify", "--props", "bogus-check", "--max-n", "3")
     assert cp.returncode == 2

@@ -5,16 +5,15 @@ import random
 import pytest
 
 from deflap.diagonalize import (
-    ZeroPivot,
+    _backbone,
     adjacency_radius,
     approximate_radius,
-    caterpillar_outputs,
     count_eigenvalues,
     diagonalize_tree,
     gershgorin_cap,
 )
 from deflap.limits import s_star
-from deflap.scalar import BracketingError, DomainError, PrecisionContext
+from deflap.scalar import BracketingError, DomainError, PrecisionContext, Scalar
 from deflap.trees import (
     Caterpillar,
     Tree,
@@ -88,12 +87,13 @@ def test_diagonalize_tree_outputs():
     assert sum(out.inertia) == t.n
 
 
-def test_caterpillar_outputs_match_tree_sweep():
+def test_backbone_matches_tree_sweep():
     s = CTX.scalar("0.7")
     c = CTX.scalar("1.9")
     cat = Caterpillar([2, 0, 3])
     tree = caterpillar_to_tree(cat)
-    outs = caterpillar_outputs(cat, s, c)
+    s2 = (s * s).raw()
+    outs = [Scalar(b, CTX) for b, _ in _backbone(cat.counts, s2, c.raw(), CTX.prec, False)]
     assert len(outs) == cat.k
     # backbone negativity pattern pins the same inertia as the full sweep
     neg_backbone = sum(1 for b in outs if b.sign() < 0)
@@ -101,18 +101,6 @@ def test_caterpillar_outputs_match_tree_sweep():
     leaves = cat.vertex_count - cat.k
     neg_total = neg_backbone + (leaves if leaf_pivot_sign < 0 else 0)
     assert neg_total == count_eigenvalues(tree, s, c)[1]
-
-
-def test_caterpillar_outputs_pole_at_one():
-    with pytest.raises(DomainError):
-        caterpillar_outputs(Caterpillar([1, 1]), CTX.scalar("0.5"), CTX.scalar(1))
-
-
-def test_caterpillar_outputs_zero_pivot():
-    # b_1 = 1 - 2 + 2 * (0.25 * 2 / 1) is exactly zero, and b_2 divides by it
-    with pytest.raises(ZeroPivot) as info:
-        caterpillar_outputs(Caterpillar([2, 1]), CTX.scalar("0.5"), 2)
-    assert info.value.index == 0
 
 
 def test_gershgorin_cap_is_the_largest_row():

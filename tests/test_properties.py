@@ -97,3 +97,24 @@ def test_witness_only_on_failure():
     report = check_property("zero-eig-iff-unit-s", P3, CTX.scalar(1))
     assert report.holds is True
     assert report.witness is None
+
+
+def test_leaf_deletion_looks_closer_when_the_bracket_is_coarse(monkeypatch):
+    # at a one-digit shared bracket the 8-vertex path's leaf deletions do
+    # not clear its low end, so the check re-brackets 15 digits finer, as
+    # a one-off that leaves the shared bracket alone, and then holds
+    path8 = next(iter(free_trees(8)))
+    assert sorted(path8.degree) == [1, 1, 2, 2, 2, 2, 2, 2]
+    widths = []
+    radius = properties._Shared._radius
+
+    def recorded(self, width_digits):
+        widths.append(width_digits)
+        return radius(self, width_digits)
+
+    monkeypatch.setattr(properties._Shared, "_radius", recorded)
+    s = CTX.scalar("0.5")
+    shared = properties._Shared(path8, s, 1)
+    report = properties._check_leaf_deletion(path8, s, None, shared)
+    assert report.holds is True
+    assert widths == [1, 16, 16]

@@ -31,12 +31,10 @@ import deflap.diagonalize
 import deflap.limits
 import deflap.scalar
 from deflap.diagonalize import (
-    ZeroPivot,
     _base,
     _caterpillar_probe,
     _tree_probe,
     approximate_radius,
-    caterpillar_outputs,
     diagonalize_tree,
     gershgorin_cap,
 )
@@ -44,7 +42,6 @@ from deflap.limits import s_star, tau0
 from deflap.recurrence import RecurrenceParams, recurrence_params
 from deflap.scalar import (
     BracketingError,
-    DomainError,
     PrecisionContext,
     PrecisionError,
     RootBracket,
@@ -94,31 +91,6 @@ def _probe(obj, s, c, slope):
 
 
 # -- frozen backbone loops --------------------------------------------------
-
-
-def _frozen_caterpillar_outputs(cat, s, lam):
-    if not isinstance(cat, Caterpillar):
-        raise DomainError("caterpillar_outputs needs a Caterpillar")
-    if not isinstance(s, Scalar):
-        raise DomainError("s must be a Scalar")
-    ctx = s.ctx
-    lam = ctx.scalar(lam)
-    if lam == 1:
-        raise DomainError("probe point 1 is a pole of the leaf-folded sweep")
-    counts = cat.counts
-    k = cat.k
-    s2 = s * s
-    delta = s2 * lam / (lam - 1)
-    b = 1 - lam + counts[0] * delta
-    outputs = [b]
-    for j in range(1, k):
-        if b.is_zero:
-            raise ZeroPivot(j - 1)
-        b = 1 + s2 - lam - s2 / b + counts[j] * delta
-        if j == k - 1:
-            b = b - s2
-        outputs.append(b)
-    return outputs
 
 
 def _frozen_caterpillar_all_negative(cat, s, c, slope):
@@ -439,7 +411,7 @@ def _outcome(fn, *args):
     raised as (type, args)."""
     try:
         out = fn(*args)
-    except (ZeroPivot, PrecisionError, DomainError, ZeroDivisionError) as exc:
+    except (PrecisionError, ZeroDivisionError) as exc:
         return type(exc), exc.args
 
     def raw(v):
@@ -453,7 +425,6 @@ def _outcome(fn, *args):
 
 
 def _assert_backbone_loops_match(cat, s, c):
-    assert _outcome(caterpillar_outputs, cat, s, c) == _outcome(_frozen_caterpillar_outputs, cat, s, c)
     for slope in (False, True):
         live = _outcome(_caterpillar_all_negative, cat, s, c, slope)
         assert live == _outcome(_frozen_caterpillar_all_negative, cat, s, c, slope)
@@ -469,13 +440,12 @@ def test_backbone_loops_match_frozen_copies():
             s = ctx.scalar(rng.choice(("-1.3", "-0.4", "0.25", "0.5", "0.9", "1.1")))
             for c_text in points:
                 _assert_backbone_loops_match(cat, s, ctx.scalar(c_text))
-    # b_1 = -1 + 2 * 0.5 is exactly zero: ZeroPivot(0) from the outputs;
-    # with or without a slope, the radius probe stops there, before it
-    # could divide by the zero: not all-negative, decided early
+    # b_1 = -1 + 2 * 0.5 is exactly zero: with or without a slope, the
+    # radius probe stops there, before it could divide by the zero: not
+    # all-negative, decided early
     ctx = PrecisionContext(30)
     cat, s, c = Caterpillar([2, 1, 3]), ctx.scalar("0.5"), ctx.scalar(2)
     _assert_backbone_loops_match(cat, s, c)
-    assert _outcome(caterpillar_outputs, cat, s, c) == (ZeroPivot, ("zero pivot at backbone position 0",))
     for slope in (False, True):
         assert _outcome(_caterpillar_all_negative, cat, s, c, slope) == (False, True, None)
 

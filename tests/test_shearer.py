@@ -145,6 +145,25 @@ def test_generate_rejects_unadapted_parameters():
         generate(lam, CTX.scalar(0), 5)
 
 
+def test_generate_takes_a_callable_spec():
+    # a callable is re-evaluated at every precision the ladder climbs to,
+    # so it gives the same run as the decimal string it spells out
+    seen = []
+
+    def spec(ctx):
+        seen.append(ctx.digits)
+        return ctx.scalar("0.3")
+
+    run = generate("5.4", spec, 30, ctx=CTX)
+    ref = generate("5.4", "0.3", 30, ctx=CTX)
+    assert run.counts == ref.counts
+    assert run.generation_digits == ref.generation_digits == 78
+    assert [b.raw() for b in run.beta_trace] == [b.raw() for b in ref.beta_trace]
+    assert sorted(set(seen)) == [50, 60, 78]
+    with pytest.raises(DomainError):
+        generate("5.4", lambda ctx: 0.3, 30, ctx=CTX)
+
+
 def test_format_counts():
     assert format_counts([3, 1, 2]) == "[3 1 2]"
     assert format_counts(list(range(12)), head=6, tail=3) == "[0 1 2 3 4 5 .. 9 10 11]"
