@@ -43,8 +43,13 @@ def _emit(text, path):
             fh.write(text)
 
 
-def _print_json(payload):
-    sys.stdout.write(json.dumps(payload) + "\n")
+def _print_result(args, text, payload):
+    """Print ``payload`` as one JSON line under --json, else ``text``."""
+    if args.json:
+        sys.stdout.write(json.dumps(payload) + "\n")
+    else:
+        print(text)
+    return EXIT_OK
 
 
 def _load_subject(args):
@@ -92,16 +97,12 @@ def cmd_rho(args, ctx):
         hi = gershgorin_cap(s, _degree_cap(subject))
     est = approximate_radius(subject, s, lo, hi, target_digits=args.target_digits)
     value = est.value().to_decimal_string(args.target_digits)
-    if args.json:
-        _print_json({
-            "rho": value,
-            "low": est.low.to_decimal_string(args.print_digits),
-            "high": est.high.to_decimal_string(args.print_digits),
-            "iterations": est.iterations,
-        })
-    else:
-        print(value)
-    return EXIT_OK
+    return _print_result(args, value, {
+        "rho": value,
+        "low": est.low.to_decimal_string(args.print_digits),
+        "high": est.high.to_decimal_string(args.print_digits),
+        "iterations": est.iterations,
+    })
 
 
 def cmd_locate(args, ctx):
@@ -111,25 +112,21 @@ def cmd_locate(args, ctx):
     s = ctx.scalar(args.s)
     c = ctx.scalar(args.point)
     pos, neg, zero = count_eigenvalues(subject, s, c)
-    if args.json:
-        _print_json({"point": args.point, "pos": pos, "neg": neg, "zero": zero})
-    else:
-        print("%d %d %d" % (pos, neg, zero))
-    return EXIT_OK
+    return _print_result(
+        args, "%d %d %d" % (pos, neg, zero),
+        {"point": args.point, "pos": pos, "neg": neg, "zero": zero},
+    )
 
 
-def _params_lines(p, digits):
-    lines = [
-        "adapted: %s" % ("yes" if p.adapted else "no"),
-        "alpha: %s" % p.alpha.to_decimal_string(digits),
-        "gamma: %s" % p.gamma.to_decimal_string(digits),
-        "discriminant: %s" % p.discriminant.to_decimal_string(digits),
-        "delta: %s" % p.delta.to_decimal_string(digits),
-    ]
-    if p.adapted:
-        lines.append("theta: %s" % p.theta.to_decimal_string(digits))
-        lines.append("theta-prime: %s" % p.theta_prime.to_decimal_string(digits))
-        lines.append("c1: %s" % p.c1.to_decimal_string(digits))
+def _field_lines(fields):
+    # the text form of JSON fields: "key: value" with dashes for
+    # underscores and yes/no for booleans; a None value prints no line
+    lines = []
+    for key, value in fields.items():
+        if isinstance(value, bool):
+            value = "yes" if value else "no"
+        if value is not None:
+            lines.append("%s: %s" % (key.replace("_", "-"), value))
     return lines
 
 
@@ -138,42 +135,24 @@ def cmd_recurrence(args, ctx):
     lam = ctx.scalar(args.lam)
     p = recurrence_params(s, lam)
     digits = args.print_digits
+    names = ["alpha", "gamma", "discriminant", "delta"]
+    if p.adapted:
+        names += ["theta", "theta_prime", "c1"]
+    payload = {"adapted": p.adapted}
+    payload.update((name, getattr(p, name).to_decimal_string(digits)) for name in names)
+    lines = _field_lines(payload)
     if args.orbit is not None:
         report = classify_orbit(p, ctx.scalar(args.orbit), args.steps)
-    else:
-        report = None
-    if args.json:
-        payload = {
-            "adapted": p.adapted,
-            "alpha": p.alpha.to_decimal_string(digits),
-            "gamma": p.gamma.to_decimal_string(digits),
-            "discriminant": p.discriminant.to_decimal_string(digits),
-            "delta": p.delta.to_decimal_string(digits),
+        steps = [x.to_decimal_string(digits) for x in report.steps]
+        orbit = {
+            "behavior": report.behavior,
+            "converged": report.converged,
+            "escape_step": report.escape_step,
         }
-        if p.adapted:
-            payload["theta"] = p.theta.to_decimal_string(digits)
-            payload["theta_prime"] = p.theta_prime.to_decimal_string(digits)
-            payload["c1"] = p.c1.to_decimal_string(digits)
-        if report is not None:
-            payload["orbit"] = {
-                "behavior": report.behavior,
-                "converged": report.converged,
-                "escape_step": report.escape_step,
-                "steps": [x.to_decimal_string(digits) for x in report.steps],
-            }
-        _print_json(payload)
-        return EXIT_OK
-    for line in _params_lines(p, digits):
-        print(line)
-    if report is not None:
-        print("behavior: %s" % report.behavior)
-        print("converged: %s" % ("yes" if report.converged else "no"))
-        if report.escape_step is not None:
-            print("escape-step: %d" % report.escape_step)
-        print("j,x_j")
-        for j, x in enumerate(report.steps, 1):
-            print("%d,%s" % (j, x.to_decimal_string(digits)))
-    return EXIT_OK
+        lines += _field_lines(orbit) + ["j,x_j"]
+        lines += ["%d,%s" % (j, x) for j, x in enumerate(steps, 1)]
+        payload["orbit"] = dict(orbit, steps=steps)
+    return _print_result(args, "\n".join(lines), payload)
 
 
 def _shearer_s(args, ctx, lam):
@@ -201,23 +180,13 @@ def cmd_shearer(args, ctx):
 
 
 def cmd_tau0(args, ctx):
-    value = tau0(ctx.scalar(args.s))
-    text = value.to_decimal_string(args.print_digits)
-    if args.json:
-        _print_json({"s": args.s, "tau0": text})
-    else:
-        print(text)
-    return EXIT_OK
+    text = tau0(ctx.scalar(args.s)).to_decimal_string(args.print_digits)
+    return _print_result(args, text, {"s": args.s, "tau0": text})
 
 
 def cmd_sstar(args, ctx):
-    value = s_star(ctx.scalar(args.lam))
-    text = value.to_decimal_string(args.print_digits)
-    if args.json:
-        _print_json({"lambda": args.lam, "sstar": text})
-    else:
-        print(text)
-    return EXIT_OK
+    text = s_star(ctx.scalar(args.lam)).to_decimal_string(args.print_digits)
+    return _print_result(args, text, {"lambda": args.lam, "sstar": text})
 
 
 def cmd_limits_table(args, ctx):
@@ -259,6 +228,8 @@ def _random_tree(rng, n):
 
 
 def cmd_verify(args, ctx):
+    if args.random > 0 and args.random_n < 2:
+        raise ScalarError("--random-n must be at least 2 when --random is positive")
     if args.props.strip() == "all":
         ids = list(PROPERTY_IDS)
     else:

@@ -39,7 +39,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .scalar import BracketingError, DomainError, Scalar, find_root
+from .scalar import BracketingError, DomainError, Scalar, find_root, halvings
 from .trees import Caterpillar, Tree
 
 _RND = round_nearest
@@ -51,31 +51,21 @@ class DiagOutcome:
     outputs[v] is the value attached to vertex v; inertia is the triple
     (positive, negative, zero). By congruence with M(s) + x*I these count
     eigenvalues of M(s) greater than, smaller than, and equal to -x.
-    An outcome built from the sweep's raw pivots wraps them as Scalars
-    on the first read of ``outputs``, so a caller after the inertia alone
-    never pays for them.
+    The outcome keeps the sweep's raw pivots and wraps them as Scalars
+    in ``ctx`` when ``outputs`` is read, so a caller after the inertia
+    alone never pays for them.
     """
 
-    __slots__ = ("_outputs", "_raw", "inertia")
+    __slots__ = ("_raw", "_ctx", "inertia")
 
-    def __init__(self, outputs, inertia):
-        self._outputs = outputs
-        self._raw = None
+    def __init__(self, raw, ctx, inertia):
+        self._raw = raw
+        self._ctx = ctx
         self.inertia = inertia
-
-    @classmethod
-    def _from_raw(cls, d, ctx, inertia):
-        out = cls(None, inertia)
-        out._raw = (d, ctx)
-        return out
 
     @property
     def outputs(self):
-        if self._raw is not None:
-            d, ctx = self._raw
-            self._outputs = [Scalar(v, ctx) for v in d]
-            self._raw = None
-        return self._outputs
+        return [Scalar(v, self._ctx) for v in self._raw]
 
     def __repr__(self):
         return "DiagOutcome(inertia=%r)" % (self.inertia,)
@@ -215,7 +205,7 @@ def diagonalize_tree(tree, s, x):
             neg += 1
         else:
             zero += 1
-    return DiagOutcome._from_raw(d, ctx, (pos, neg, zero))
+    return DiagOutcome(d, ctx, (pos, neg, zero))
 
 
 def count_eigenvalues(tree, s, c):
@@ -621,10 +611,7 @@ def _bracket(all_negative, lo, hi, iterations, target_digits, estimate=None, roo
     if iterations is None:
         if target_digits is None:
             target_digits = ctx.digits
-        span = (hi - lo).to_float()
-        if not 0 < span < math.inf:
-            raise DomainError("hi - lo lies outside float range; no iteration count can be derived")
-        iterations = max(1, int(math.ceil(math.log2(span) + target_digits * math.log2(10))))
+        iterations = halvings(hi - lo, target_digits)
     probes = 2
     start = hi
     if root is not None and lo < root < hi:

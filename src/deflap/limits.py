@@ -35,20 +35,20 @@ class ConsistencyError(ScalarError, RuntimeError):
     """Independent formulas for the same quantity disagree."""
 
 
-def tau0(s, ctx=None):
+def tau0(s):
     """The smallest limit point of caterpillar radii, for this s.
 
-    Brackets h on [1 + 10^(-digits/2), 1 + 2s^2 + 2*sqrt(2)*|s|]; the
-    upper end comes from the radius bound at maximum degree 3 and the
-    lower end stays below the root for every |s| above about
-    10^(-digits/2), since tau0(s) - 1 grows linearly in |s|. The root is
-    the midpoint that ``ctx.default_bisection_iters`` halvings of that
-    bracket end on, found by :func:`deflap.scalar.find_root` with Newton
-    steps down from the upper end, using h'(t) in closed form. The
-    result is cross-checked against the quartic before returning.
+    Works at the digits of s when it is a Scalar, else at the
+    environment's. Brackets h on [1 + 10^(-digits/2),
+    1 + 2s^2 + 2*sqrt(2)*|s|]; the upper end comes from the radius bound
+    at maximum degree 3 and the lower end stays below the root for every
+    |s| above about 10^(-digits/2), since tau0(s) - 1 grows linearly in
+    |s|. The root is the midpoint that int(3.33 digits) + 8 halvings of
+    that bracket end on, found by :func:`deflap.scalar.find_root` with
+    Newton steps down from the upper end, using h'(t) in closed form.
+    The result is cross-checked against the quartic before returning.
     """
-    if ctx is None:
-        ctx = infer_context(s)
+    ctx = infer_context(s)
     s = materialize(s, ctx)
     if s.is_zero:
         raise DomainError("s = 0 is degenerate: every radius is 1 and no limit points exist")
@@ -77,7 +77,7 @@ def tau0(s, ctx=None):
     side, step = probe(hi, True)
     if side <= 0:
         raise BracketingError("h is not positive at the upper end")
-    found = find_root(probe, lo, hi, ctx.default_bisection_iters, hi, step)
+    found = find_root(probe, lo, hi, int(ctx.digits * 3.33) + 8, hi, step)
     root = found.zero if found.zero is not None else (found.low + found.high).halved()
     residual = tau0_quartic_residual(root, s)
     scale = (abs(root) + 1) ** 3
@@ -132,16 +132,17 @@ def _s_star_quartic_residual(x, lam):
     return (((c4 * x + c3) * x + c2) * x + c1) * x
 
 
-def s_star(lam, ctx=None):
+def s_star(lam):
     """The root of the convergence margin in s, by the cubic formula.
 
-    Works at an elevated internal precision (the radical expression
-    cancels roughly log10(lam^3) digits), then verifies three ways
-    before returning: the margin vanishes at the result, the result's
-    own quartic vanishes, and the value lies in (0, sqrt(lam) - 1).
+    Returns a Scalar at the digits of lam when it is a Scalar, else at
+    the environment's. Works at an elevated internal precision (the
+    radical expression cancels roughly log10(lam^3) digits), then
+    verifies three ways before returning: the margin vanishes at the
+    result, the result's own quartic vanishes, and the value lies in
+    (0, sqrt(lam) - 1).
     """
-    if ctx is None:
-        ctx = infer_context(lam)
+    ctx = infer_context(lam)
     lam_user = materialize(lam, ctx)
     if not lam_user > 1:
         raise DomainError("lam must be strictly greater than 1")

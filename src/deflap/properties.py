@@ -74,22 +74,22 @@ class _Shared:
     def __init__(self, tree, s, width_digits):
         self.tree = tree
         self.s = s
-        self.ctx = s.ctx
         self.width_digits = width_digits
-        self._bracket = None
+        self._brackets = {}
 
     def _radius(self, width_digits):
         cap = gershgorin_cap(self.s, self.tree.max_degree())
-        return approximate_radius(self.tree, self.s, self.ctx.zero(), cap, target_digits=width_digits)
+        return approximate_radius(self.tree, self.s, self.s.ctx.zero(), cap, target_digits=width_digits)
 
     def bracket(self, width_digits=None):
-        """Radius bracket for the tree itself (n >= 2)."""
-        if width_digits is not None and width_digits > self.width_digits:
-            # a one-off finer estimate; do not overwrite the shared one
-            return self._radius(width_digits)
-        if self._bracket is None:
-            self._bracket = self._radius(self.width_digits)
-        return self._bracket
+        """Radius bracket for the tree itself (n >= 2), at ``width_digits``
+        (default: the shared width), searched once per width."""
+        if width_digits is None:
+            width_digits = self.width_digits
+        est = self._brackets.get(width_digits)
+        if est is None:
+            est = self._brackets[width_digits] = self._radius(width_digits)
+        return est
 
 
 def _floor(pid, tree, s, bound):
@@ -339,8 +339,9 @@ def _width_digits_for(tol, ctx):
     return max(8, -tol.decimal_magnitude() + 2)
 
 
-def check_property(property_id, tree, s, tol=None, ctx=None):
-    """Evaluate one named property on (tree, s).
+def check_property(property_id, tree, s, tol=None):
+    """Evaluate one named property on (tree, s), at the digits of s when
+    it is a Scalar, else at the environment's.
 
     tol bounds the slack granted to equality cases and upper-bound
     checks; strict inequalities use exact eigenvalue counts and ignore
@@ -349,7 +350,7 @@ def check_property(property_id, tree, s, tol=None, ctx=None):
     """
     if not isinstance(tree, Tree):
         raise DomainError("check_property needs a Tree")
-    return sweep([property_id], [tree], [s], tol, ctx).reports[0]
+    return sweep([property_id], [tree], [s], tol).reports[0]
 
 
 class SweepResult:

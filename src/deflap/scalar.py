@@ -33,7 +33,6 @@ import math
 import os
 
 from mpmath.libmp import (
-    ComplexResult,
     dps_to_prec,
     from_float,
     from_int,
@@ -92,12 +91,9 @@ class PrecisionContext:
     """Shared precision for one computation.
 
     digits: working decimal digits, at least 16 (default 50).
-    default_bisection_iters: halvings enough to shrink a unit bracket
-    below 10^-digits, for callers that do not derive a count from a
-    target width.
     """
 
-    __slots__ = ("digits", "prec", "default_bisection_iters")
+    __slots__ = ("digits", "prec")
 
     def __init__(self, digits=DEFAULT_DIGITS):
         digits = int(digits)
@@ -107,7 +103,6 @@ class PrecisionContext:
             )
         self.digits = digits
         self.prec = dps_to_prec(digits)
-        self.default_bisection_iters = int(digits * 3.33) + 8
 
     def scalar(self, value):
         """Lift ``value`` (Scalar, int, str, float) into this context.
@@ -115,7 +110,8 @@ class PrecisionContext:
         Strings are decimal literals, rounded once to this precision.
         Floats convert exactly (every binary float is dyadic). Scalars from
         another context are re-rounded here; this is the explicit way to
-        move values between precisions.
+        move values between precisions. NaN and infinities, as strings or
+        floats, raise DomainError: a Scalar is always finite.
         """
         if isinstance(value, Scalar):
             if value.ctx is self or value.ctx.digits == self.digits:
@@ -126,12 +122,16 @@ class PrecisionContext:
             return Scalar(from_int(value, self.prec, _RND), self)
         if isinstance(value, str):
             try:
-                return Scalar(from_str(value.strip(), self.prec, _RND), self)
+                v = from_str(value.strip(), self.prec, _RND)
             except ValueError:
                 raise DomainError("not a decimal literal: %r" % (value,))
-        if isinstance(value, float):
-            return Scalar(from_float(value, self.prec, _RND), self)
-        raise DomainError("cannot build a Scalar from %r" % (type(value).__name__,))
+        elif isinstance(value, float):
+            v = from_float(value, self.prec, _RND)
+        else:
+            raise DomainError("cannot build a Scalar from %r" % (type(value).__name__,))
+        if not v[1] and v != fzero:
+            raise DomainError("not a finite number: %r" % (value,))
+        return Scalar(v, self)
 
     def zero(self):
         return Scalar(fzero, self)
@@ -160,9 +160,8 @@ def context_from_env(digits=None):
 def infer_context(*values):
     """Context of the first Scalar among ``values``, else the env default.
 
-    Lets functions with an optional ``ctx`` parameter follow the caller's
-    working precision instead of silently re-rounding Scalar arguments to
-    the environment default.
+    Lets a function follow the caller's working precision instead of
+    silently re-rounding Scalar arguments to the environment default.
     """
     for v in values:
         if isinstance(v, Scalar):
@@ -273,10 +272,7 @@ class Scalar:
     def cbrt(self):
         """Real cube root (odd root: negative inputs allowed)."""
         if mpf_cmp(self._v, fzero) < 0:
-            try:
-                r = mpf_nthroot(mpf_neg(self._v), 3, self.ctx.prec, _RND)
-            except ComplexResult:  # pragma: no cover - cannot happen for |x|
-                raise NegativeRootError("cbrt failed")
+            r = mpf_nthroot(mpf_neg(self._v), 3, self.ctx.prec, _RND)
             return Scalar(mpf_neg(r), self.ctx)
         return Scalar(mpf_nthroot(self._v, 3, self.ctx.prec, _RND), self.ctx)
 
@@ -388,6 +384,18 @@ def materialize(value, ctx):
             raise DomainError("value callable must return a Scalar")
         return ctx.scalar(out)
     return ctx.scalar(value)
+
+
+def halvings(span, digits):
+    """The halvings of a bracket ``span`` wide (a Scalar) that shrink it
+    below 10^-digits: ceil(log2 span + digits log2 10), at least one.
+
+    Raises DomainError when span lies outside float range.
+    """
+    width = span.to_float()
+    if not 0 < width < math.inf:
+        raise DomainError("hi - lo lies outside float range; no iteration count can be derived")
+    return max(1, int(math.ceil(math.log2(width) + digits * math.log2(10))))
 
 
 class RootBracket:

@@ -22,8 +22,6 @@ whole T_k, each probe one O(k) pass; the convergence report brackets
 the same radius with the same search at its own width.
 """
 
-import math
-
 from mpmath.libmp import (
     fone,
     from_int,
@@ -46,6 +44,7 @@ from .scalar import (
     PrecisionContext,
     PrecisionError,
     Scalar,
+    halvings,
     infer_context,
     materialize,
     scalar_from_raw,
@@ -82,9 +81,11 @@ class ShearerRun:
 
     counts are exact ints; b_trace and beta_trace are the backbone sweep
     values at the probe point lam and their noise amplification factors,
-    rounded into the caller's context. generation_digits records the
-    ladder rung that produced the counts; the exact input specs are kept
-    so error certificates can re-materialize lam and s at any precision.
+    rounded into the caller's context, which is ``lam.ctx``.
+    generation_digits records the ladder rung that produced the counts;
+    the exact input specs are kept so error certificates can
+    re-materialize lam and s at any precision. The recurrence constants
+    are ``recurrence_params(run.s, run.lam)``.
     """
 
     __slots__ = (
@@ -93,21 +94,17 @@ class ShearerRun:
         "counts",
         "b_trace",
         "beta_trace",
-        "params",
-        "ctx",
         "generation_digits",
         "lam_spec",
         "s_spec",
     )
 
-    def __init__(self, lam, s, counts, b_trace, beta_trace, params, ctx, generation_digits, lam_spec, s_spec):
+    def __init__(self, lam, s, counts, b_trace, beta_trace, generation_digits, lam_spec, s_spec):
         self.lam = lam
         self.s = s
         self.counts = counts
         self.b_trace = b_trace
         self.beta_trace = beta_trace
-        self.params = params
-        self.ctx = ctx
         self.generation_digits = generation_digits
         self.lam_spec = lam_spec
         self.s_spec = s_spec
@@ -253,8 +250,7 @@ def generate(lam, s, k, ctx=None):
     s_user = materialize(s, ctx)
     if s_user.is_zero:
         raise DomainError("s = 0 is degenerate: leaves add nothing and no finite counts exist")
-    params_user = recurrence_params(s_user, lam_user)
-    if not params_user.adapted:
+    if not recurrence_params(s_user, lam_user).adapted:
         raise DomainError(
             "s is not adapted to lam (need lam > (1+|s|)^2); generation undefined"
         )
@@ -281,8 +277,6 @@ def generate(lam, s, k, ctx=None):
                 tuple(counts),
                 [scalar_from_raw(b, ctx) for b in bs],
                 [scalar_from_raw(b, ctx) for b in betas],
-                params_user,
-                ctx,
                 digits,
                 lam,
                 s,
@@ -340,7 +334,7 @@ def _radius_bracket(run, lam, width, guard_bits=None):
     pctx = lam.ctx
     s = materialize(run.s_spec, pctx)
     span = lam - 1
-    iters = max(1, int(math.ceil(math.log2(span.to_float()) - width.decimal_magnitude() * math.log2(10))))
+    iters = halvings(span, -width.decimal_magnitude())
     if guard_bits is not None:
         _, _, exp, bc = lam.raw()
         floor = from_man_exp(1, exp + bc - pctx.prec + guard_bits)
@@ -379,7 +373,8 @@ def epsilon_k(run, target_digits=None):
     est = _radius_bracket(run, lam, width, EPS_GUARD_BITS)
     padded = (lam - est.low) + est.width()
     # round into the caller's context keeping the bound valid from above
-    value = run.ctx.scalar(padded * (1 + wctx.power_of_ten(-run.ctx.digits + 2)))
+    ctx = run.lam.ctx
+    value = ctx.scalar(padded * (1 + wctx.power_of_ten(-ctx.digits + 2)))
     return EpsilonBound(run.k, value, True)
 
 
@@ -413,16 +408,9 @@ class ConvergenceReport:
         self.rows = rows
 
 
-def format_counts(counts, head=None, tail=None):
-    """Counts as a bracketed space-separated cell, CSV-safe (no commas).
-
-    head/tail non-None abbreviates: first ``head``, a ``..`` marker, and
-    the last ``tail`` entries.
-    """
-    items = [str(c) for c in counts]
-    if head is not None and tail is not None and len(items) > head + tail:
-        items = items[:head] + [".."] + items[-tail:]
-    return "[%s]" % " ".join(items)
+def format_counts(counts):
+    """Counts as a bracketed space-separated cell, CSV-safe (no commas)."""
+    return "[%s]" % " ".join(str(c) for c in counts)
 
 
 def convergence_report(lam, s, ks, ctx=None):
@@ -456,6 +444,6 @@ def convergence_report(lam, s, ks, ctx=None):
 
 def counts_cell(counts):
     """Table cell for a counts vector: full when short, else 6 .. 3."""
-    if len(counts) <= COUNTS_FULL_LIMIT:
-        return format_counts(counts)
-    return format_counts(counts, head=6, tail=3)
+    if len(counts) > COUNTS_FULL_LIMIT:
+        counts = list(counts[:6]) + [".."] + list(counts[-3:])
+    return format_counts(counts)

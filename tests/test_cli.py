@@ -199,6 +199,23 @@ STDOUT_GOLDENS = (
      "8a2951a5df05df9f69b328e46c214bd7ff7cfafcdebdd45ef8cba9cbe4229b8a"),
     (("reproduce", "lam1_5_star"),
      "99ade6f0f21d5e9e04c01f90b4acd019d6ec7ebb5fde34676a6bba2f2487ffc8"),
+    (("rho", "--caterpillar", "[31,23,9,17,23]", "--s", "0.3359489",
+      "--lo", "1", "--hi", "5.4", "--json"),
+     "a7482923f47828c42f3b9e4be98474d7213120842137134cda1495be38492d88"),
+    (("locate", "--caterpillar", "[3,1,2]", "--s", "0.5", "--point", "2", "--json"),
+     "b42709ad5bda188800cc52c2fa604ed4c493af88c840e4b79ace7f89752a37f9"),
+    (("tau0", "--s", "0.5", "--json"),
+     "3e78941112efd4843af6f8d200bd7db5266d9e806767147bd23f313d9d2051f5"),
+    (("sstar", "--lambda", "1.5", "--json"),
+     "72e4b6848e2a80c16f15f094ebd188262b2a8c6a9a4a9788f43a5b1b82b07b95"),
+    (("recurrence", "--s", "0.17", "--lambda", "1.5", "--orbit", "-0.5", "--steps", "8"),
+     "706d4bf1b39ca7c9d86889658aab4777d750d38066aea32e6169e052bcd9da35"),
+    (("recurrence", "--s", "0.17", "--lambda", "1.5", "--orbit", "0.5", "--steps", "8"),
+     "4e6f39d3786d5c30faeb6940c95f0e29a2fc9160262fc344b7d0db4796f026e7"),
+    (("recurrence", "--s", "0.3", "--lambda", "1.5"),
+     "36f15c7d1bde0b0a40f4c453b85ebca7ad6596b50dcfac22c074e06b797eb8a4"),
+    (("recurrence", "--s", "0.3", "--lambda", "1.5", "--json"),
+     "9ea52d34a8eb38159c525347dfc62664dbeec803e4a34b526bcf944c0ebbb25b"),
 )
 
 
@@ -207,6 +224,33 @@ def test_stdout_goldens():
         cp = run_cli(*args)
         assert cp.returncode == 0, cp.stderr
         assert hashlib.sha256(cp.stdout.encode()).hexdigest() == digest, args
+
+
+def test_non_finite_inputs_are_usage_errors(tmp_path):
+    tree = tmp_path / "p3.txt"
+    tree.write_text("edge 0 1\nedge 1 2\n")
+    for args in (
+        ("locate", "--tree", str(tree), "--s", "0.5", "--point", "nan"),
+        ("recurrence", "--s", "nan", "--lambda", "3"),
+        ("shearer", "--lambda", "inf", "--s", "0.1", "--k", "3"),
+        ("sstar", "--lambda", "inf"),
+    ):
+        cp = run_cli(*args)
+        assert cp.returncode == 2, args
+        assert cp.stdout == ""
+        lines = cp.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: not a finite number"), args
+
+
+def test_verify_rejects_random_trees_below_two_vertices():
+    cp = run_cli("verify", "--max-n", "3", "--random", "2", "--random-n", "1")
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and "--random-n" in lines[0]
+    # with no random trees the size bound is never read
+    cp = run_cli("verify", "--max-n", "2", "--random", "0", "--random-n", "1")
+    assert cp.returncode == 0, cp.stderr
 
 
 def test_verify_rejects_unknown_property():

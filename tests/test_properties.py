@@ -101,8 +101,8 @@ def test_witness_only_on_failure():
 
 def test_leaf_deletion_looks_closer_when_the_bracket_is_coarse(monkeypatch):
     # at a one-digit shared bracket the 8-vertex path's leaf deletions do
-    # not clear its low end, so the check re-brackets 15 digits finer, as
-    # a one-off that leaves the shared bracket alone, and then holds
+    # not clear its low end, so the check re-brackets 15 digits finer,
+    # once for all its leaves, leaves the shared bracket alone, and holds
     path8 = next(iter(free_trees(8)))
     assert sorted(path8.degree) == [1, 1, 2, 2, 2, 2, 2, 2]
     widths = []
@@ -117,4 +117,5 @@ def test_leaf_deletion_looks_closer_when_the_bracket_is_coarse(monkeypatch):
     shared = properties._Shared(path8, s, 1)
     report = properties._check_leaf_deletion(path8, s, None, shared)
     assert report.holds is True
-    assert widths == [1, 16, 16]
+    assert widths == [1, 16]
+    assert shared.bracket() is shared.bracket(1)

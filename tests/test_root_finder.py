@@ -354,7 +354,8 @@ def _reference_epsilon_k(run):
         lo, hi = lo_j, hi_j
         upper = lo
     padded = hi + (hi - lo)
-    value = run.ctx.scalar(padded * (1 + wctx.power_of_ten(-run.ctx.digits + 2)))
+    ctx = run.lam.ctx
+    value = ctx.scalar(padded * (1 + wctx.power_of_ten(-ctx.digits + 2)))
     return EpsilonBound(k, value, True)
 
 
@@ -392,7 +393,7 @@ def _reference_tau0(s):
 
     lo = 1 + ctx.power_of_ten(-(ctx.digits // 2))
     hi = 1 + 2 * s2 + 2 * ctx.scalar(2).sqrt() * abs(s)
-    return _reference_bisect(h, lo, hi, ctx.default_bisection_iters)
+    return _reference_bisect(h, lo, hi, int(ctx.digits * 3.33) + 8)
 
 
 # -- equivalence ------------------------------------------------------------

@@ -66,6 +66,15 @@ def test_decimal_magnitude():
     assert ctx.scalar("0.00123").decimal_magnitude() == -2
 
 
+def test_non_finite_values_raise():
+    ctx = PrecisionContext(50)
+    for value in ("nan", "inf", "-inf", " +inf ", float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError, match="not a finite number"):
+            ctx.scalar(value)
+    assert ctx.scalar("1e400") > 0
+    assert ctx.scalar(-0.0).is_zero
+
+
 def test_sqrt_of_negative_raises():
     ctx = PrecisionContext(50)
     with pytest.raises(NegativeRootError):

@@ -4,6 +4,7 @@ import pytest
 
 from deflap.diagonalize import approximate_radius
 from deflap.limits import s_star
+from deflap.recurrence import recurrence_params
 from deflap.scalar import DomainError, PrecisionContext
 from deflap.shearer import (
     beta_sequence,
@@ -48,21 +49,23 @@ def test_counts_do_not_depend_on_working_precision():
     a = generate(lam50, s_star(lam50).halved(), 8)
     b = generate(lam80, s_star(lam80).halved(), 8)
     assert a.counts == b.counts
-    assert b.ctx.digits == 80
+    assert b.lam.ctx.digits == 80
 
 
 def test_b_trace_stays_in_window():
     run = _half_run("5.4", 12)
-    lo = run.params.theta_prime - run.params.delta
+    p = recurrence_params(run.s, run.lam)
+    lo = p.theta_prime - p.delta
     for b in run.b_trace:
-        assert lo < b < run.params.theta_prime
+        assert lo < b < p.theta_prime
 
 
 def test_counts_are_maximal_in_window():
     # one more leaf anywhere would push b at or below theta' - delta
     run = _half_run("1.5", 5)
+    p = recurrence_params(run.s, run.lam)
     for b in run.b_trace:
-        assert b - run.params.delta <= run.params.theta_prime - run.params.delta
+        assert b - p.delta <= p.theta_prime - p.delta
 
 
 def test_beta_methods_agree():
@@ -100,8 +103,9 @@ def test_beta_matches_central_difference():
     # derivative of b_j in the probe offset eps, step 1e-20 at 50 digits;
     # meaningful while 1/beta_j stays far above the step, so k = 10 here
     run = _half_run("5.4", 10)
-    lam = run.params.lam
-    s = run.params.s
+    p = recurrence_params(run.s, run.lam)
+    lam = p.lam
+    s = p.s
     h = CTX.power_of_ten(-20)
     base = _probe_sweep(run.counts, s, lam)
     below = _probe_sweep(run.counts, s, lam - h)
@@ -166,7 +170,8 @@ def test_generate_takes_a_callable_spec():
 
 def test_format_counts():
     assert format_counts([3, 1, 2]) == "[3 1 2]"
-    assert format_counts(list(range(12)), head=6, tail=3) == "[0 1 2 3 4 5 .. 9 10 11]"
-    assert format_counts([1, 2, 3], head=6, tail=3) == "[1 2 3]"
+    assert counts_cell(tuple(range(12))) == "[0 1 2 3 4 5 6 7 8 9 10 11]"
+    assert counts_cell(tuple(range(13))) == "[0 1 2 3 4 5 .. 10 11 12]"
+    assert counts_cell([1, 2, 3]) == "[1 2 3]"
     assert counts_cell([1] * 12) == "[1 1 1 1 1 1 1 1 1 1 1 1]"
     assert counts_cell([1] * 13) == "[1 1 1 1 1 1 .. 1 1 1]"

@@ -19,13 +19,13 @@ whose probes fall next to eigenvalues, use the free trees with n >= 2 at
 import heapq
 import math
 import random
+from collections import namedtuple
 
 import pytest
 from mpmath.libmp import mpf_mul, round_nearest
 
 from deflap import diagonalize
 from deflap.diagonalize import (
-    DiagOutcome,
     _base,
     _newton_step,
     _tree_probe,
@@ -83,6 +83,10 @@ def _grid(digits):
 # -- reference sweeps -------------------------------------------------------
 
 
+# the reference sweep's outcome: Scalar pivots and their inertia
+_Outcome = namedtuple("_Outcome", "outputs inertia")
+
+
 def _reference_diagonalize_tree(tree, s, x):
     ctx = s.ctx
     x = ctx.scalar(x)
@@ -117,7 +121,7 @@ def _reference_diagonalize_tree(tree, s, x):
             neg += 1
         else:
             zero += 1
-    return DiagOutcome(d, (pos, neg, zero))
+    return _Outcome(d, (pos, neg, zero))
 
 
 def _reference_tree_all_negative(tree, s, c, slope):
