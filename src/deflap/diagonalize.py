@@ -19,7 +19,12 @@ Both round every operation as Scalar arithmetic would; Scalars appear
 only at the API edge, in returned values and in the Newton step of the
 probes, which share one bracket search. A tree's search starts from a
 float Laguerre estimate (:func:`_laguerre_start`); floats only place
-that start, and every sign a result rests on comes from the kernel.
+that start, and every sign a radius rests on comes from the kernel.
+
+:func:`count_eigenvalues` proves each triple it returns. Most are
+decided by a pair of double-precision sweeps a backward-error bound
+apart; the rest by the kernel's pair at the context's precision, or
+by the sweep in exact rational arithmetic.
 """
 
 import math
@@ -27,6 +32,7 @@ from functools import partial
 
 from mpmath.libmp import (
     fone,
+    from_float,
     from_int,
     fzero,
     mpf_add,
@@ -37,6 +43,8 @@ from mpmath.libmp import (
     mpf_shift,
     mpf_sub,
     round_nearest,
+    to_float,
+    to_rational,
 )
 
 from .scalar import BracketingError, DomainError, Scalar, find_root, halvings
@@ -211,15 +219,168 @@ def diagonalize_tree(tree, s, x):
 def count_eigenvalues(tree, s, c):
     """How many eigenvalues of M(s) lie above / below / at the point c.
 
-    The signs are those of pivots computed in rounded arithmetic, so a
-    probe point within rounding noise of an eigenvalue can be miscounted,
-    and no error is raised when it is: probing every free tree with
-    n = 3..8 near its eigenvalues (s in {0.3, -0.9, 1.5, 0.7}, 20 digits)
-    gave 223 wrong triples out of 6,460 (ROADMAP item 1).
+    Every triple returned is exact for the Scalar values of s and c. It
+    comes from the first of three rungs that decides it:
+
+    1. :func:`_float_pair`: two double-precision sweeps, at c - 2 eta and
+       at c + 2 eta. When both meet no zero or non-finite pivot and give
+       the same positive count p, the triple is (p, n - p, 0).
+    2. :func:`_working_pair`: the same test with the rounded sweep of
+       :func:`diagonalize_tree` at the context's precision.
+    3. :func:`_exact_inertia`: the sweep in exact rational arithmetic,
+       with the zero-pivot surgery, which decides every input.
+
+    Why a pair decides. A sweep whose operations round with unit
+    roundoff u computes the exact pivots, up to positive factors, of
+    M(s) + E - xI, where x is the shift it ran at and E is symmetric and
+    carried by the diagonal and the tree's edges. Write each computed
+    pivot a_v = fl(beta_v - fl(s2 * acc_v)), acc_v the rounded sum of
+    fl(1/a_w) over v's k children w. Dividing a_v by the (1 + nu_v) of
+    its last subtraction leaves beta_v - sum_w s~^2/d~_w exactly, where
+    s~^2 = s^2 (1 + rho) gathers, per edge, the rounding of s and of s^2
+    (3u), of the reciprocal (u), of the sum (k - 1 times u), of the
+    product (u) and the child's own nu_w (u): |rho| <= (k + 5)u. So an
+    edge moves by at most |s| (D + 5) u, D the largest degree, and the
+    edges of E together by at most that times D in norm. The diagonal
+    entry beta_v = fl(fl(1 + fl(s2 (deg - 1))) - x) is off 1 + s^2 (deg
+    - 1) - x by at most u (4 s^2 m + |1 + s^2 m| + |b_v - x|) with
+    m = max(D - 1, 1), so by u (2 + 6 s^2 m + |x|). In all, ||E|| <=
+    u (2 + 6 s^2 m + |c| + |s| D (D + 5)) to first order, and rounding c
+    and c +- 2 eta to the sweep's format moves the shift by at most
+    3u|c| more. eta is u times :func:`_half_width`, twice the sum with
+    5|c| in place of |c|, which covers those, every second-order term and
+    the rounding of |s|, |c| and the sum itself to floats.
+
+    By Weyl's inequality each eigenvalue of M(s) + E lies within ||E|| of
+    one of M(s). The shifts x+ and x- the two sweeps run at lie more than
+    eta beyond c, so the sweep at x+ counts p+ <= #{lam > c} eigenvalues
+    above x+, and the sweep at x- counts p- >= #{lam >= c}. If p- = p+ =
+    p, then #{lam >= c} <= p <= #{lam > c}: no eigenvalue equals c and
+    exactly p lie above it. A zero pivot ends the float sweep undecided;
+    the rounded sweep's surgery on it is the exact surgery on M(s) + E,
+    so its positive count stands.
+
+    The first rung runs only for |s| in [2^-200, 2^200] (or s = 0) and
+    |c| <= 2^400. There an overflow in a reciprocal or a sum leaves an
+    infinity or a NaN in the sums, which ends the sweep undecided. A
+    pivot that overflows keeps its sign, and its reciprocal, read as
+    zero, is off by less than 2^-1022; that and every underflow move a
+    pivot by less than (D + 1) 2^-600, which eta adds. J. Demmel, I.
+    Dhillon and H. Ren (ETNA 3 (1995) 116-149) bound Sturm counts in
+    floating point the same way.
     """
+    if not isinstance(tree, Tree):
+        raise DomainError("count_eigenvalues needs a Tree")
+    if not isinstance(s, Scalar):
+        raise DomainError("s must be a Scalar")
     c = s.ctx.scalar(c)
-    out = diagonalize_tree(tree, s, -c)
-    return out.inertia
+    for rung in (_float_pair, _working_pair):
+        pos = rung(tree, s, c)
+        if pos is not None:
+            return pos, tree.n - pos, 0
+    return _exact_inertia(tree, s, c)
+
+
+def _half_width(s, c, max_degree):
+    """eta/u for a sweep with unit roundoff u (see :func:`count_eigenvalues`),
+    from the floats |s| = ``s`` and |c| = ``c``; inf beyond float range."""
+    m = max(max_degree - 1, 1)
+    return 2 * (2 + 6 * s * s * m + 5 * c + s * max_degree * (max_degree + 5))
+
+
+def _float_positive(tree, table, s2, x):
+    """The positive count of the float sweep at shift ``x``, or None when
+    a pivot is zero or the sweep leaves float range.
+
+    Push form over the tree's own lists: in postorder each vertex takes
+    a = table[deg] - x - s2 * acc and adds 1/a to its parent's acc.
+    """
+    degree = tree.degree
+    parent = tree.parent
+    postorder = tree.postorder
+    start = [b - x for b in table]
+    acc = [0.0] * tree.n
+    neg = 0
+    try:
+        for v in postorder[:-1]:
+            a = start[degree[v]] - s2 * acc[v]
+            if a < 0.0:
+                neg += 1
+            acc[parent[v]] += 1.0 / a
+    except ZeroDivisionError:
+        return None
+    root = postorder[-1]
+    a = start[degree[root]] - s2 * acc[root]
+    # an overflow leaves an infinity or a NaN in acc, at the latest in
+    # the root's, whose pivot reads it
+    if a == 0.0 or not math.isfinite(sum(acc)):
+        return None
+    if a < 0.0:
+        neg += 1
+    return tree.n - neg
+
+
+def _float_pair(tree, s, c):
+    """Rung 1 of :func:`count_eigenvalues`: the count of eigenvalues above
+    c, proved by two float sweeps, or None."""
+    fs = abs(to_float(s.raw(), rnd=_RND))
+    fc = to_float(c.raw(), rnd=_RND)
+    if not ((s.is_zero or 2.0 ** -200 <= fs <= 2.0 ** 200) and abs(fc) <= 2.0 ** 400):
+        return None
+    degrees = set(tree.degree)
+    top = max(degrees)
+    eta = _half_width(fs, abs(fc), top) * 2.0 ** -53 + (top + 1) * 2.0 ** -600
+    s2 = fs * fs
+    table = [0.0] * (top + 1)
+    for deg in degrees:
+        table[deg] = 1.0 + s2 * (deg - 1)
+    pos = _float_positive(tree, table, s2, fc + 2 * eta)
+    if pos is None or pos != _float_positive(tree, table, s2, fc - 2 * eta):
+        return None
+    return pos
+
+
+def _working_pair(tree, s, c):
+    """Rung 2 of :func:`count_eigenvalues`: the same test as
+    :func:`_float_pair` on :func:`diagonalize_tree`'s sweeps at the
+    context's precision, u = 2^-prec; None when the counts differ, or
+    when |s| or |c| lies beyond float range."""
+    ctx = s.ctx
+    width = _half_width(abs(to_float(s.raw(), rnd=_RND)), abs(to_float(c.raw(), rnd=_RND)),
+                        tree.max_degree())
+    if not math.isfinite(width):
+        return None
+    # 2 eta, exactly
+    step = Scalar(mpf_shift(from_float(width, 53, _RND), 1 - ctx.prec), ctx)
+    pos = diagonalize_tree(tree, s, -(c + step)).inertia[0]
+    if pos != diagonalize_tree(tree, s, step - c).inertia[0]:
+        return None
+    return pos
+
+
+def _exact_inertia(tree, s, c):
+    """Rung 3 of :func:`count_eigenvalues`: the inertia triple of
+    M(s) - cI from the sweep in exact rational arithmetic on the Scalars'
+    dyadic values, with :func:`diagonalize_tree`'s zero-pivot surgery."""
+    from fractions import Fraction
+
+    s2 = Fraction(*to_rational(s.raw())) ** 2
+    c = Fraction(*to_rational(c.raw()))
+    d = [1 + s2 * (deg - 1) - c for deg in tree.degree]
+    if s2:
+        children = tree.children
+        cut = set()
+        for v in tree.postorder:
+            kids = [w for w in children[v] if w not in cut]
+            zero = next((w for w in kids if not d[w]), None)
+            if zero is None:
+                d[v] -= s2 * sum(1 / d[w] for w in kids)
+            else:
+                d[v], d[zero] = -s2 / 2, Fraction(2)
+                cut.add(v)
+    pos = sum(1 for v in d if v > 0)
+    neg = sum(1 for v in d if v < 0)
+    return pos, neg, tree.n - pos - neg
 
 
 def _backbone(counts, s2, c, prec, slope):
@@ -407,7 +568,7 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     (:func:`_laguerre_start`) once a probe confirms it lies above; a
     caterpillar's, or an unconfirmed estimate's, start from hi. At s = 0,
     M(0) = I: rho = 1 exactly and every pivot is 1 - c, so the search
-    skips the float start and probes only around 1.
+    skips the float start and probes only around 1, lo = 1 included.
 
     The default target reaches the ulp of hi (at 120 digits, [1, 5.4]
     ends one ulp, 7.75e-121, wide), so rounding decides the last
@@ -575,9 +736,10 @@ def _bracket(all_negative, lo, hi, iterations, target_digits, estimate=None, roo
     """The search behind both radius brackets.
 
     ``all_negative(c, slope)`` is a probe returning (all_negative, early,
-    step). After both ends, a ``root`` known exactly and strictly inside
-    (lo, hi) is handed to :func:`deflap.scalar.find_root` as its start
-    with a zero step, so only the probes within a final width of it run.
+    step). After both ends, a ``root`` known exactly in [lo, hi) is
+    handed to :func:`deflap.scalar.find_root` as its start with a zero
+    step, so only the probes within a final width of it run, also when
+    it is lo itself.
     Otherwise ``estimate(hi)``, when given, names a float at or just
     above the root (or None). Raised by a relative lift, one
     probe with the slope confirms it, and :func:`deflap.scalar.find_root`
@@ -614,7 +776,7 @@ def _bracket(all_negative, lo, hi, iterations, target_digits, estimate=None, roo
         iterations = halvings(hi - lo, target_digits)
     probes = 2
     start = hi
-    if root is not None and lo < root < hi:
+    if root is not None and lo <= root < hi:
         start, step = root, ctx.zero()
     elif estimate is not None:
         guess = estimate(hi.to_float())

@@ -3,14 +3,13 @@
 Each check encodes one published inequality or characterization as a
 predicate over a (tree, s) pair and returns a :class:`PropertyReport`.
 Strict inequalities are decided by inertia probes (counting eigenvalues
-beyond the stated bound with :func:`count_eigenvalues`, whose signs come
-from pivots computed in rounded arithmetic, so a bound within rounding
-noise of an eigenvalue can be decided wrongly: 223 of 6,460 triples near
-eigenvalues of small trees were, see ROADMAP item 1); interval estimates
-with an explicit tolerance appear only for the two upper bounds and the
-star equality case, where the bound can actually be attained. The
-adjacency ceiling takes rho(A) from :func:`adjacency_radius`, the pivot
-kernel's bracket, at its high end, so the bound stays an upper bound.
+beyond the stated bound with :func:`count_eigenvalues`, whose counts are
+exact for the Scalar values of s and the bound, also when the bound is
+an eigenvalue); interval estimates with an explicit tolerance appear
+only for the two upper bounds and the star equality case, where the
+bound can actually be attained. The adjacency ceiling takes rho(A) from
+:func:`adjacency_radius`, the pivot kernel's bracket, at its high end,
+so the bound stays an upper bound; a sweep searches it once per tree.
 
 ``holds`` is three-valued: True, False (with a witness), or None when the
 property's hypotheses do not apply to the input. Summaries never count
@@ -69,13 +68,27 @@ def _witness(tree, s, **values):
 
 
 class _Shared:
-    """Per-(tree, s) facts memoized across the checks of one sweep cell."""
+    """Per-(tree, s) facts memoized across the checks of one sweep cell.
 
-    def __init__(self, tree, s, width_digits):
+    ``per_tree`` is a dict the cell shares with the other cells of its
+    tree, for the facts that do not depend on s (default: its own).
+    """
+
+    def __init__(self, tree, s, width_digits, per_tree=None):
         self.tree = tree
         self.s = s
         self.width_digits = width_digits
         self._brackets = {}
+        self._per_tree = {} if per_tree is None else per_tree
+
+    def adjacency_high(self):
+        """The high end of the rho(A) bracket at the shared width, searched
+        once per tree."""
+        high = self._per_tree.get("adjacency_high")
+        if high is None:
+            est = adjacency_radius(self.tree, self.s.ctx, self.width_digits)
+            high = self._per_tree["adjacency_high"] = est.high
+        return high
 
     def _radius(self, width_digits):
         cap = gershgorin_cap(self.s, self.tree.max_degree())
@@ -283,7 +296,7 @@ def _check_adjacency_ceiling(tree, s, tol, shared):
         if holds:
             return PropertyReport(pid, True)
         return PropertyReport(pid, False, _witness(tree, s, bound=bound, radius=lhs))
-    rho_a = adjacency_radius(tree, ctx, shared.width_digits).high
+    rho_a = shared.adjacency_high()
     return _ceiling(pid, tree, s, tol, shared, 1 + s * s * (delta - 1) + abs(s) * rho_a)
 
 
@@ -381,7 +394,8 @@ def sweep(property_ids, trees, s_grid, tol=None, ctx=None):
 
     trees is any iterable of Tree objects; s_grid a list of Scalar-likes.
     Shared per-pair work (the radius bracket) is computed once per pair,
-    not once per property.
+    not once per property, and rho(A), which does not depend on s, once
+    per tree.
     """
     for pid in property_ids:
         if pid not in PROPERTY_CHECKS:
@@ -391,10 +405,12 @@ def sweep(property_ids, trees, s_grid, tol=None, ctx=None):
     grid = [ctx.scalar(v) for v in s_grid]
     if tol is not None:
         tol = ctx.scalar(tol)
+    width_digits = _width_digits_for(tol, ctx)
     reports = []
     for tree in trees:
+        per_tree = {}
         for s in grid:
-            shared = _Shared(tree, s, _width_digits_for(tol, ctx))
+            shared = _Shared(tree, s, width_digits, per_tree)
             for pid in property_ids:
                 reports.append(PROPERTY_CHECKS[pid](tree, s, tol, shared))
     return SweepResult(reports)

@@ -433,14 +433,17 @@ def find_root(probe, lo, hi, iters, start, step):
     1. Newton steps from ``start`` while they stay inside (lo, hi), stay
        on the start's side (-1 for lo, else +1) and keep shrinking; a
        step below the final bisection width is taken unprobed and ends
-       them.
+       them. A zero step, as a caller passes with a root known exactly,
+       ends them at once, wherever its point lies in [lo, hi].
     2. Certify a bracket (a, b) around the last iterate c: probe c - g
        expecting side -1 and c + g expecting +1, with g = max(2 err,
        final width). err is the size of the last step formed, or, when c
        gave no usable step, the size^3 / prev^2 that a quadratically
        converging step of that size leaves. A side that decides
        otherwise is probed again 16 times farther out, until it decides
-       as expected or reaches lo or hi.
+       as expected or reaches lo or hi. From c = lo or hi, a g under
+       half an ulp of c, which would probe c again, grows the same way
+       unprobed.
     3. Replay the bisection: walk its midpoints over the original
        [lo, hi], probing only those strictly inside (a, b) and deciding
        the others by position. The walk runs on Python integers counting
@@ -470,6 +473,10 @@ def find_root(probe, lo, hi, iters, start, step):
         if step is None:
             break
         size = abs(step)
+        if size.is_zero:
+            # a zero step names x as the root itself, even at lo or hi
+            err = size
+            break
         if prev is not None and not size < prev:
             # steps stopped shrinking: rounding noise decides them now,
             # and their size measures how far it reaches
@@ -498,6 +505,10 @@ def find_root(probe, lo, hi, iters, start, step):
             g = pad
             while True:
                 t = x + want * g
+                if t == x and not (lo < x and x < hi):
+                    # g is under half an ulp of the end x: probe past it
+                    g = g * 16
+                    continue
                 if not (lo < t and t < hi):
                     break
                 probes += 1

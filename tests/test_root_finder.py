@@ -618,7 +618,8 @@ def test_radii_at_s_zero_match_sweep_bisection():
 
         # at target 45 the final width is below the ulp of 1, so the
         # certification widens and a few more midpoints are probed
-        for lo, hi, target, cap in (("0", "3", None, 8), ("0.5", "1.75", 12, 8), ("-2", "40", 45, 16)):
+        for lo, hi, target, cap in (("0", "3", None, 8), ("0.5", "1.75", 12, 8), ("-2", "40", 45, 16),
+                                    ("1", "3", None, 8)):
             lo, hi = ctx.scalar(lo), ctx.scalar(hi)
             est = approximate_radius(obj, s, lo, hi, target_digits=target)
             assert not below(lo) and below(hi)
