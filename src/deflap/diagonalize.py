@@ -23,31 +23,40 @@ that start, and every sign a radius rests on comes from the kernel.
 
 :func:`count_eigenvalues` proves each triple it returns. Most are
 decided by a pair of double-precision sweeps a backward-error bound
-apart; the rest by the kernel's pair at the context's precision, or
-by the sweep in exact rational arithmetic.
+apart; the rest by the sweep in interval arithmetic at the context's
+precision, or by the sweep in exact rational arithmetic.
 """
 
 import math
 from functools import partial
 
 from mpmath.libmp import (
+    fhalf,
     fone,
-    from_float,
     from_int,
+    ftwo,
     fzero,
     mpf_add,
     mpf_cmp,
     mpf_div,
     mpf_mul,
     mpf_neg,
+    mpf_pos,
     mpf_shift,
     mpf_sub,
+    mpi_add,
+    mpi_div,
+    mpi_mul,
+    mpi_neg,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
     round_nearest,
     to_float,
     to_rational,
 )
 
-from .scalar import BracketingError, DomainError, Scalar, find_root, halvings
+from .scalar import BracketingError, DomainError, PrecisionError, Scalar, find_root, halvings
 from .trees import Caterpillar, Tree
 
 _RND = round_nearest
@@ -225,10 +234,13 @@ def count_eigenvalues(tree, s, c):
     1. :func:`_float_pair`: two double-precision sweeps, at c - 2 eta and
        at c + 2 eta. When both meet no zero or non-finite pivot and give
        the same positive count p, the triple is (p, n - p, 0).
-    2. :func:`_working_pair`: the same test with the rounded sweep of
-       :func:`diagonalize_tree` at the context's precision.
-    3. :func:`_exact_inertia`: the sweep in exact rational arithmetic,
-       with the zero-pivot surgery, which decides every input.
+    2. :func:`_interval_inertia`: the sweep with the zero-pivot surgery
+       in interval arithmetic at the context's precision. It decides
+       when every pivot's interval excludes zero or is the point zero,
+       as at c = 1 on a tree with two sibling leaves.
+    3. :func:`_exact_inertia`: the same sweep in exact rational
+       arithmetic, which decides every input within its work budget
+       and raises PrecisionError beyond it.
 
     Why a pair decides. A sweep whose operations round with unit
     roundoff u computes the exact pivots, up to positive factors, of
@@ -256,9 +268,7 @@ def count_eigenvalues(tree, s, c):
     eta beyond c, so the sweep at x+ counts p+ <= #{lam > c} eigenvalues
     above x+, and the sweep at x- counts p- >= #{lam >= c}. If p- = p+ =
     p, then #{lam >= c} <= p <= #{lam > c}: no eigenvalue equals c and
-    exactly p lie above it. A zero pivot ends the float sweep undecided;
-    the rounded sweep's surgery on it is the exact surgery on M(s) + E,
-    so its positive count stands.
+    exactly p lie above it. A zero pivot ends the float sweep undecided.
 
     The first rung runs only for |s| in [2^-200, 2^200] (or s = 0) and
     |c| <= 2^400. There an overflow in a reciprocal or a sum leaves an
@@ -274,11 +284,10 @@ def count_eigenvalues(tree, s, c):
     if not isinstance(s, Scalar):
         raise DomainError("s must be a Scalar")
     c = s.ctx.scalar(c)
-    for rung in (_float_pair, _working_pair):
-        pos = rung(tree, s, c)
-        if pos is not None:
-            return pos, tree.n - pos, 0
-    return _exact_inertia(tree, s, c)
+    pos = _float_pair(tree, s, c)
+    if pos is not None:
+        return pos, tree.n - pos, 0
+    return _interval_inertia(tree, s, c) or _exact_inertia(tree, s, c)
 
 
 def _half_width(s, c, max_degree):
@@ -340,44 +349,101 @@ def _float_pair(tree, s, c):
     return pos
 
 
-def _working_pair(tree, s, c):
-    """Rung 2 of :func:`count_eigenvalues`: the same test as
-    :func:`_float_pair` on :func:`diagonalize_tree`'s sweeps at the
-    context's precision, u = 2^-prec; None when the counts differ, or
-    when |s| or |c| lies beyond float range."""
-    ctx = s.ctx
-    width = _half_width(abs(to_float(s.raw(), rnd=_RND)), abs(to_float(c.raw(), rnd=_RND)),
-                        tree.max_degree())
-    if not math.isfinite(width):
-        return None
-    # 2 eta, exactly
-    step = Scalar(mpf_shift(from_float(width, 53, _RND), 1 - ctx.prec), ctx)
-    pos = diagonalize_tree(tree, s, -(c + step)).inertia[0]
-    if pos != diagonalize_tree(tree, s, step - c).inertia[0]:
-        return None
-    return pos
+def _interval_inertia(tree, s, c):
+    """Rung 2 of :func:`count_eigenvalues`: the triple of
+    :func:`_exact_inertia`'s sweep run in interval arithmetic at the
+    context's precision, or None when a pivot's interval holds zero and
+    more.
+
+    Every operation rounds outward, so each interval holds the exact
+    pivot: one that excludes zero gives its sign, and one that is the
+    point zero is an exact zero (a leaf at c = 1, say), on which the
+    surgery runs as in exact arithmetic. A straddling child ends the
+    sweep, since whether it takes the surgery is then unknown.
+    """
+    prec = s.ctx.prec
+    c = c.raw()
+    s2 = mpf_mul(s.raw(), s.raw())  # exact
+
+    def point(x):
+        return mpf_pos(x, prec, round_floor), mpf_pos(x, prec, round_ceiling)
+
+    start = {deg: point(mpf_sub(mpf_add(fone, mpf_mul(s2, from_int(deg - 1))), c))
+             for deg in set(tree.degree)}
+    d = [start[deg] for deg in tree.degree]
+    zero = (fzero, fzero)
+    if s2 != fzero:
+        one = (fone, fone)
+        s2 = point(s2)
+        children = tree.children
+        cut = set()
+        for v in tree.postorder:
+            if not children[v]:
+                continue
+            acc = zero
+            for w in children[v]:
+                if w in cut:
+                    continue
+                dw = d[w]
+                if dw == zero:
+                    d[v], d[w] = mpi_neg(mpi_mul(s2, (fhalf, fhalf))), (ftwo, ftwo)
+                    cut.add(v)
+                    break
+                if _sign(dw[0]) <= 0 <= _sign(dw[1]):
+                    return None
+                acc = mpi_add(acc, mpi_div(one, dw, prec), prec)
+            else:
+                d[v] = mpi_sub(d[v], mpi_mul(s2, acc, prec), prec)
+    pos = neg = 0
+    for lo, hi in d:
+        if _sign(lo) > 0:
+            pos += 1
+        elif _sign(hi) < 0:
+            neg += 1
+        elif lo != fzero or hi != fzero:
+            return None
+    return pos, neg, tree.n - pos - neg
+
+
+# the largest sum, over the vertices swept, of the bit lengths of their
+# exact pivots that :func:`_exact_inertia` takes on: 0.4-0.6 s of
+# Fraction arithmetic on a shared 2-core Intel Xeon host
+_EXACT_BITS = 1 << 26
 
 
 def _exact_inertia(tree, s, c):
     """Rung 3 of :func:`count_eigenvalues`: the inertia triple of
     M(s) - cI from the sweep in exact rational arithmetic on the Scalars'
-    dyadic values, with :func:`diagonalize_tree`'s zero-pivot surgery."""
+    dyadic values, with :func:`diagonalize_tree`'s zero-pivot surgery.
+
+    A pivot's bit length grows with its subtree (about 2 prec bits per
+    vertex along a path), so the sweep's cost grows as the square of the
+    tree's height; past a work budget of :data:`_EXACT_BITS` bits it
+    raises PrecisionError.
+    """
     from fractions import Fraction
 
     s2 = Fraction(*to_rational(s.raw())) ** 2
-    c = Fraction(*to_rational(c.raw()))
-    d = [1 + s2 * (deg - 1) - c for deg in tree.degree]
+    d = [1 + s2 * (deg - 1) - Fraction(*to_rational(c.raw())) for deg in tree.degree]
     if s2:
         children = tree.children
         cut = set()
+        work = 0
         for v in tree.postorder:
             kids = [w for w in children[v] if w not in cut]
             zero = next((w for w in kids if not d[w]), None)
             if zero is None:
-                d[v] -= s2 * sum(1 / d[w] for w in kids)
+                dv = d[v] = d[v] - s2 * sum(1 / d[w] for w in kids)
             else:
-                d[v], d[zero] = -s2 / 2, Fraction(2)
+                dv = d[v] = -s2 / 2
+                d[zero] = Fraction(2)
                 cut.add(v)
+            work += dv.numerator.bit_length() + dv.denominator.bit_length()
+            if work > _EXACT_BITS:
+                raise PrecisionError(
+                    "counting eigenvalues at c = %s exactly needs more than %d bits of "
+                    "pivots: c is an eigenvalue of M(s), or within the working precision "
+                    "of one, on a tree this deep" % (c, _EXACT_BITS))
     pos = sum(1 for v in d if v > 0)
     neg = sum(1 for v in d if v < 0)
     return pos, neg, tree.n - pos - neg

@@ -20,6 +20,8 @@ test harness can swap one out and confirm that injected violations are
 reported.
 """
 
+from functools import cache, partial
+
 from .diagonalize import adjacency_radius, approximate_radius, count_eigenvalues, gershgorin_cap
 from .scalar import DomainError, Scalar, infer_context
 from .trees import Tree
@@ -70,25 +72,17 @@ def _witness(tree, s, **values):
 class _Shared:
     """Per-(tree, s) facts memoized across the checks of one sweep cell.
 
-    ``per_tree`` is a dict the cell shares with the other cells of its
-    tree, for the facts that do not depend on s (default: its own).
+    ``adjacency_high()`` gives the high end of the rho(A) bracket at the
+    shared width; :func:`sweep` memoizes it once per tree, since rho(A)
+    does not depend on s.
     """
 
-    def __init__(self, tree, s, width_digits, per_tree=None):
+    def __init__(self, tree, s, width_digits, adjacency_high):
         self.tree = tree
         self.s = s
         self.width_digits = width_digits
+        self.adjacency_high = adjacency_high
         self._brackets = {}
-        self._per_tree = {} if per_tree is None else per_tree
-
-    def adjacency_high(self):
-        """The high end of the rho(A) bracket at the shared width, searched
-        once per tree."""
-        high = self._per_tree.get("adjacency_high")
-        if high is None:
-            est = adjacency_radius(self.tree, self.s.ctx, self.width_digits)
-            high = self._per_tree["adjacency_high"] = est.high
-        return high
 
     def _radius(self, width_digits):
         cap = gershgorin_cap(self.s, self.tree.max_degree())
@@ -389,6 +383,10 @@ class SweepResult:
         }
 
 
+def _adjacency_high(tree, ctx, width_digits):
+    return adjacency_radius(tree, ctx, width_digits).high
+
+
 def sweep(property_ids, trees, s_grid, tol=None, ctx=None):
     """Run the named checks over every (tree, s) pair.
 
@@ -408,9 +406,9 @@ def sweep(property_ids, trees, s_grid, tol=None, ctx=None):
     width_digits = _width_digits_for(tol, ctx)
     reports = []
     for tree in trees:
-        per_tree = {}
+        adjacency_high = cache(partial(_adjacency_high, tree, ctx, width_digits))
         for s in grid:
-            shared = _Shared(tree, s, width_digits, per_tree)
+            shared = _Shared(tree, s, width_digits, adjacency_high)
             for pid in property_ids:
                 reports.append(PROPERTY_CHECKS[pid](tree, s, tol, shared))
     return SweepResult(reports)

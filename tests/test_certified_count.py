@@ -9,18 +9,21 @@ roots at c.
 """
 
 import random
+import time
 from fractions import Fraction
 
+import pytest
 from mpmath.libmp import from_man_exp, to_rational
 
+from deflap import diagonalize
 from deflap.diagonalize import (
     _exact_inertia,
     _float_pair,
-    _working_pair,
+    _interval_inertia,
     count_eigenvalues,
     diagonalize_tree,
 )
-from deflap.scalar import PrecisionContext, Scalar
+from deflap.scalar import PrecisionContext, PrecisionError, Scalar
 from deflap.trees import Tree, dense_deformed_laplacian, free_trees
 
 
@@ -102,19 +105,53 @@ def test_near_eigenvalue_family_has_no_wrong_triple():
 def test_rungs_agree_with_the_oracle_off_the_spectrum():
     ctx = PrecisionContext(30)
     rng = random.Random(3)
-    decided = {_float_pair: 0, _working_pair: 0}
+    decided = 0
     for n in range(2, 8):
         for tree in free_trees(n):
             s = ctx.scalar("%.6f" % rng.uniform(-2, 2))
             c = ctx.scalar("%.6f" % rng.uniform(-1, 8))
             want = _oracle(_char_poly(tree, s), _exact(c))
             assert _exact_inertia(tree, s, c) == want
-            for rung in decided:
-                pos = rung(tree, s, c)
-                if pos is not None:
-                    decided[rung] += 1
-                    assert (pos, tree.n - pos, 0) == want
-    assert min(decided.values()) > 0
+            assert _interval_inertia(tree, s, c) == want
+            pos = _float_pair(tree, s, c)
+            if pos is not None:
+                decided += 1
+                assert (pos, tree.n - pos, 0) == want
+    assert decided > 0
+
+
+def _broom(n):
+    # a path whose end vertex carries two sibling leaves: eigenvalue 1 at every s
+    return Tree.from_edges([(v, v + 1) for v in range(n - 2)] + [(n - 3, n - 1)])
+
+
+def test_interval_rung_counts_an_exact_eigenvalue_on_a_long_broom(monkeypatch):
+    # the exact rung's pivots grow by about 2 prec bits per path vertex, so
+    # it takes about 0.7 s here; the interval rung sees the two leaves'
+    # pivots as exact zeros and sweeps the path in linear time
+    ctx = PrecisionContext(50)
+    s, c = ctx.scalar("0.3"), ctx.scalar(1)
+    assert count_eigenvalues(_broom(200), s, c) == _exact_inertia(_broom(200), s, c) == (109, 90, 1)
+
+    def refused(tree, s, c):
+        raise AssertionError("exact rung reached")
+
+    monkeypatch.setattr(diagonalize, "_exact_inertia", refused)
+    start = time.perf_counter()
+    assert count_eigenvalues(_broom(1000), s, c) == (547, 452, 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exact_rung_raises_past_its_budget(monkeypatch):
+    # c = 4 is an eigenvalue whose zero pivot comes out of rounded
+    # divisions, so only the exact rung decides it
+    tree = Tree.from_edges([(6, 4), (5, 4), (4, 3), (3, 2), (2, 1), (0, 1), (1, 7)])
+    ctx = PrecisionContext(50)
+    s, c = ctx.scalar(1), ctx.scalar(4)
+    assert _interval_inertia(tree, s, c) is None
+    monkeypatch.setattr(diagonalize, "_EXACT_BITS", 8)
+    with pytest.raises(PrecisionError):
+        count_eigenvalues(tree, s, c)
 
 
 def test_float_rung_decides_a_random_point_on_a_large_tree():

@@ -114,8 +114,24 @@ def test_leaf_deletion_looks_closer_when_the_bracket_is_coarse(monkeypatch):
 
     monkeypatch.setattr(properties._Shared, "_radius", recorded)
     s = CTX.scalar("0.5")
-    shared = properties._Shared(path8, s, 1)
+    # the leaf-deletion check never reads rho(A)
+    shared = properties._Shared(path8, s, 1, None)
     report = properties._check_leaf_deletion(path8, s, None, shared)
     assert report.holds is True
     assert widths == [1, 16]
     assert shared.bracket() is shared.bracket(1)
+
+
+def test_sweep_brackets_adjacency_radius_once_per_tree(monkeypatch):
+    calls = []
+    radius = properties.adjacency_radius
+
+    def recorded(tree, ctx, target_digits=None):
+        calls.append(tree)
+        return radius(tree, ctx, target_digits)
+
+    monkeypatch.setattr(properties, "adjacency_radius", recorded)
+    trees = list(free_trees(5))[:2]
+    result = sweep(["adjacency-ceiling"], trees, ["0.5", "-1.5", "2"], ctx=CTX)
+    assert all(r.holds for r in result.reports)
+    assert calls == trees
