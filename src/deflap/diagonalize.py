@@ -9,32 +9,37 @@ rho(A), caterpillar generation, error certificates) reduces to this
 sweep or to its closed caterpillar form; no library path forms a dense
 matrix.
 
-The tree sweep is one kernel, :func:`_sweep`, working on raw libmp
-tuples at the context's precision from a per-degree start table, so it
-sweeps M(s) + x*I and A - c*I alike. The caterpillar form is one
-raw-tuple recurrence along the backbone, :func:`_backbone`, read only by
-the caterpillar radius probe (behind the radii and the eps_k certificate
-of :mod:`deflap.shearer`), which stops at its first nonnegative value.
-Both round every operation as Scalar arithmetic would; Scalars appear
-only at the API edge, in returned values and in the Newton step of the
-probes, which share one bracket search. A tree's search starts from a
-float Laguerre estimate (:func:`_laguerre_start`); floats only place
-that start, and every sign a radius rests on comes from the kernel.
+A tree sweep starts from a per-degree table, so it sweeps M(s) + x*I and
+A - c*I alike. The probe kernel, :func:`_sweep`, runs it on raw libmp
+tuples for the tree radius probes and stops at the first nonnegative
+pivot. The surgery kernel, :func:`_surgery_sweep`, sweeps every vertex
+with the zero-pivot surgery in the arithmetic its caller hands it:
+rounded libmp for :func:`diagonalize_tree`, outward-rounded intervals
+and exact rationals for :func:`count_eigenvalues`. The caterpillar form
+is one raw-tuple recurrence along the backbone, :func:`_backbone`, read
+only by the caterpillar radius probe (behind the radii and the eps_k
+certificate of :mod:`deflap.shearer`), which stops at its first
+nonnegative value. Rounded sweeps round every operation as Scalar
+arithmetic would; Scalars appear only at the API edge, in returned
+values and in the Newton step of the probes, which share one bracket
+search. A tree's search starts from a float Laguerre estimate
+(:func:`_laguerre_start`); floats only place that start, and every sign
+a radius rests on comes from the kernel.
 
 :func:`count_eigenvalues` proves each triple it returns. Most are
 decided by a pair of double-precision sweeps a backward-error bound
-apart; the rest by the sweep in interval arithmetic at the context's
-precision, or by the sweep in exact rational arithmetic.
+apart (:func:`_float_positive`); the rest by the surgery kernel in
+interval arithmetic at the context's precision, or in exact rational
+arithmetic.
 """
 
 import math
+import operator
 from functools import partial
 
 from mpmath.libmp import (
-    fhalf,
     fone,
     from_int,
-    ftwo,
     fzero,
     mpf_add,
     mpf_cmp,
@@ -42,12 +47,10 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_pos,
-    mpf_shift,
     mpf_sub,
     mpi_add,
     mpi_div,
     mpi_mul,
-    mpi_neg,
     mpi_sub,
     round_ceiling,
     round_floor,
@@ -66,11 +69,15 @@ class DiagOutcome:
     """Final diagonal of one sweep plus its inertia.
 
     outputs[v] is the value attached to vertex v; inertia is the triple
-    (positive, negative, zero). By congruence with M(s) + x*I these count
-    eigenvalues of M(s) greater than, smaller than, and equal to -x.
-    The outcome keeps the sweep's raw pivots and wraps them as Scalars
-    in ``ctx`` when ``outputs`` is read, so a caller after the inertia
-    alone never pays for them.
+    (positive, negative, zero) of their signs. By congruence with
+    M(s) + x*I, exact pivots would count the eigenvalues of M(s) greater
+    than, smaller than, and equal to -x; these are rounded, and next to an
+    eigenvalue can miscount: where M(1) has the eigenvalue 4, the 50-digit
+    sweep at x = -4 gives (1, 7, 0) for the true (1, 6, 1).
+    :func:`count_eigenvalues` proves its triple. The outcome keeps the
+    sweep's raw pivots and wraps them as Scalars in ``ctx`` when
+    ``outputs`` is read, so a caller after the inertia alone never pays
+    for them.
     """
 
     __slots__ = ("_raw", "_ctx", "inertia")
@@ -102,8 +109,8 @@ def _base(tree, s2, prec):
             for deg in set(tree.degree)}
 
 
-def _sweep(tree, start, s2, prec, full, slope):
-    """The pivot sweep on raw libmp tuples: returns (d, stop, dlog).
+def _sweep(tree, start, s2, prec, slope):
+    """The probe sweep on raw libmp tuples: returns (stop, dlog).
 
     d[v] starts at the caller's pivot ``start[deg v]`` (:func:`_base` plus x
     for M(s) + x*I; -c with s2 = 1 for A - c*I) and, in postorder, each
@@ -114,82 +121,102 @@ def _sweep(tree, start, s2, prec, full, slope):
     terms, since they all start at the same pivot and none is rewritten
     before its parent reads it.
 
-    ``full``: sweep every vertex; a zero child instead forces the pair
-    (d_v, d_c) := (-s2/2, 2) and detaches v from its parent. stop and
-    dlog are None.
-
-    Otherwise stop at the first vertex whose pivot is nonnegative and
-    return it as ``stop``; children are then negative when their parent
-    reads them, so the surgery never arises. With ``slope`` and no stop,
-    dlog is L = sum of d_v'/d_v with d_v' = -1 + s2 sum_c d_c'/d_c^2, the
-    derivative of log|det| in c, every start moving as -c; else None.
+    The sweep stops at the first vertex whose pivot is nonnegative and
+    returns it as ``stop``; children are then negative when their parent
+    reads them, so the zero-pivot surgery never arises. With ``slope`` and
+    no stop, dlog is L = sum of d_v'/d_v with d_v' = -1 + s2 sum_c
+    d_c'/d_c^2, the derivative of log|det| in c, every start moving as -c;
+    else None.
     """
     children = tree.children
     postorder = tree.postorder
     one = from_int(1, prec, _RND)
     d = [start[deg] for deg in tree.degree]
-    if s2 == fzero:
-        return d, None, None
     # every childless vertex has the first postorder vertex's degree
     leaf = d[postorder[0]]
-    leaf_r = None if leaf == fzero else mpf_div(one, leaf, prec, _RND)
-    if full:
-        cut = set()
-    else:
-        if _sign(leaf) >= 0:
-            return d, postorder[0], None
-        cut = ()
-        if slope:
-            dd = [None] * tree.n
-            leaf_dd = mpf_sub(mpf_mul(s2, fzero, prec, _RND), one, prec, _RND)
-            leaf_term = mpf_div(leaf_dd, leaf, prec, _RND)
-            leaf_dterm = mpf_div(leaf_dd, mpf_mul(leaf, leaf, prec, _RND), prec, _RND)
-            dlog = fzero
+    if _sign(leaf) >= 0:
+        return postorder[0], None
+    leaf_r = mpf_div(one, leaf, prec, _RND)
+    if slope:
+        dd = [None] * tree.n
+        leaf_dd = mpf_neg(one)
+        leaf_term = mpf_div(leaf_dd, leaf, prec, _RND)
+        leaf_dterm = mpf_div(leaf_dd, mpf_mul(leaf, leaf, prec, _RND), prec, _RND)
+        dlog = fzero
     for v in postorder:
         kids = children[v]
         if not kids:
             if slope:
                 dlog = mpf_add(dlog, leaf_term, prec, _RND)
             continue
-        if cut:
-            kids = [c for c in kids if c not in cut]
-            if not kids:
-                continue
         acc = None
         for c in kids:
-            if not children[c]:
-                r = leaf_r
-                if r is None:
-                    break
-            else:
-                dc = d[c]
-                if dc == fzero:
-                    break
-                r = mpf_div(one, dc, prec, _RND)
+            r = mpf_div(one, d[c], prec, _RND) if children[c] else leaf_r
             acc = r if acc is None else mpf_add(acc, r, prec, _RND)
-        else:
-            dv = d[v] = mpf_sub(d[v], mpf_mul(s2, acc, prec, _RND), prec, _RND)
-            if full:
-                continue
-            if _sign(dv) >= 0:
-                return d, v, None
-            if slope:
-                dacc = None
-                for c in kids:
-                    if children[c]:
-                        dc = d[c]
-                        t = mpf_div(dd[c], mpf_mul(dc, dc, prec, _RND), prec, _RND)
-                    else:
-                        t = leaf_dterm
-                    dacc = t if dacc is None else mpf_add(dacc, t, prec, _RND)
-                ddv = dd[v] = mpf_sub(mpf_mul(s2, dacc, prec, _RND), one, prec, _RND)
-                dlog = mpf_add(dlog, mpf_div(ddv, dv, prec, _RND), prec, _RND)
-            continue
-        # c is the first zero child (full mode only)
-        d[v] = mpf_neg(mpf_shift(s2, -1))
-        d[c] = from_int(2, prec, _RND)
-        cut.add(v)
-    return d, None, (dlog if slope else None)
+        dv = d[v] = mpf_sub(d[v], mpf_mul(s2, acc, prec, _RND), prec, _RND)
+        if _sign(dv) >= 0:
+            return v, None
+        if slope:
+            dacc = None
+            for c in kids:
+                if children[c]:
+                    dc = d[c]
+                    t = mpf_div(dd[c], mpf_mul(dc, dc, prec, _RND), prec, _RND)
+                else:
+                    t = leaf_dterm
+                dacc = t if dacc is None else mpf_add(dacc, t, prec, _RND)
+            ddv = dd[v] = mpf_sub(mpf_mul(s2, dacc, prec, _RND), one, prec, _RND)
+            dlog = mpf_add(dlog, mpf_div(ddv, dv, prec, _RND), prec, _RND)
+    return None, (dlog if slope else None)
+
+
+def _surgery_sweep(tree, start, s2, arith):
+    """Sweep every vertex with the zero-pivot surgery in the arithmetic
+    ``arith``: returns (d, inertia), or None when a sign is unknown.
+
+    ``arith`` is (one, add, sub, mul, div, sign); sign(x) is -1, 0, 1, or
+    None when unknown. d[v] starts at ``start[deg v]`` and, in postorder,
+    becomes d_v - s2 * acc, acc the sum of 1/d_c over its children in
+    ``tree.children`` order. A zero child c instead forces (d_v, d_c) :=
+    (-s2/2, 2), d_v formed as d_c - s2/2, and detaches v from its parent.
+    At s2 = 0 the pivots are the start. inertia is (positive, negative,
+    zero) over d. A child, or a final pivot, of unknown sign gives None.
+    """
+    one, add, sub, mul, div, sign = arith
+    d = [start[deg] for deg in tree.degree]
+    if sign(s2):
+        two = add(one, one)
+        children = tree.children
+        # childless vertices share one pivot, which no surgery rewrites
+        # before their parent reads it, so they share its reciprocal too
+        leaf = d[tree.postorder[0]]
+        leaf_r = div(one, leaf) if sign(leaf) else None
+        cut = set()
+        for v in tree.postorder:
+            acc = None
+            for c in children[v]:
+                if c in cut:
+                    continue
+                dc = d[c]
+                sc = sign(dc)
+                if sc is None:
+                    return None
+                if not sc:
+                    d[v] = sub(dc, div(s2, two))
+                    d[c] = two
+                    cut.add(v)
+                    break
+                r = div(one, dc) if children[c] else leaf_r
+                acc = r if acc is None else add(acc, r)
+            else:
+                if acc is not None:
+                    d[v] = sub(d[v], mul(s2, acc))
+    signs = [sign(v) for v in d]
+    if None in signs:
+        return None
+    pos = signs.count(1)
+    neg = signs.count(-1)
+    return d, (pos, neg, tree.n - pos - neg)
 
 
 def diagonalize_tree(tree, s, x):
@@ -198,9 +225,11 @@ def diagonalize_tree(tree, s, x):
     Processing order is the tree's postorder. A vertex whose children all
     carry nonzero values absorbs -s^2/d_c from each child c; a zero child
     instead forces the pair (d_v, d_c) := (-s^2/2, 2) and detaches v from
-    its parent for the rest of the sweep. The sweep itself runs on raw
-    libmp tuples (:func:`_sweep`); the outputs become Scalars when first
-    read.
+    its parent for the rest of the sweep. The sweep is
+    :func:`_surgery_sweep` in libmp arithmetic rounded to the context's
+    precision; the outputs become Scalars when first read. Rounded pivots
+    can give a wrong inertia next to an eigenvalue (see
+    :class:`DiagOutcome`); :func:`count_eigenvalues` proves its triple.
     """
     if not isinstance(tree, Tree):
         raise DomainError("diagonalize_tree needs a Tree")
@@ -212,17 +241,9 @@ def diagonalize_tree(tree, s, x):
     s2 = mpf_mul(s_raw, s_raw, prec, _RND)
     x = ctx.scalar(x).raw()
     start = {deg: mpf_add(b, x, prec, _RND) for deg, b in _base(tree, s2, prec).items()}
-    d, _, _ = _sweep(tree, start, s2, prec, full=True, slope=False)
-    pos = neg = zero = 0
-    for v in d:
-        sg = _sign(v)
-        if sg > 0:
-            pos += 1
-        elif sg < 0:
-            neg += 1
-        else:
-            zero += 1
-    return DiagOutcome(d, ctx, (pos, neg, zero))
+    ops = [lambda a, b, op=op: op(a, b, prec, _RND) for op in (mpf_add, mpf_sub, mpf_mul, mpf_div)]
+    d, inertia = _surgery_sweep(tree, start, s2, (fone, *ops, _sign))
+    return DiagOutcome(d, ctx, inertia)
 
 
 def count_eigenvalues(tree, s, c):
@@ -234,11 +255,11 @@ def count_eigenvalues(tree, s, c):
     1. :func:`_float_pair`: two double-precision sweeps, at c - 2 eta and
        at c + 2 eta. When both meet no zero or non-finite pivot and give
        the same positive count p, the triple is (p, n - p, 0).
-    2. :func:`_interval_inertia`: the sweep with the zero-pivot surgery
-       in interval arithmetic at the context's precision. It decides
-       when every pivot's interval excludes zero or is the point zero,
-       as at c = 1 on a tree with two sibling leaves.
-    3. :func:`_exact_inertia`: the same sweep in exact rational
+    2. :func:`_interval_inertia`: :func:`_surgery_sweep` in interval
+       arithmetic at the context's precision. It decides when every
+       pivot's interval excludes zero or is the point zero, as at c = 1
+       on a tree with two sibling leaves.
+    3. :func:`_exact_inertia`: :func:`_surgery_sweep` in exact rational
        arithmetic, which decides every input within its work budget
        and raises PrecisionError beyond it.
 
@@ -351,7 +372,7 @@ def _float_pair(tree, s, c):
 
 def _interval_inertia(tree, s, c):
     """Rung 2 of :func:`count_eigenvalues`: the triple of
-    :func:`_exact_inertia`'s sweep run in interval arithmetic at the
+    :func:`_surgery_sweep` run on M(s) - cI in interval arithmetic at the
     context's precision, or None when a pivot's interval holds zero and
     more.
 
@@ -368,85 +389,57 @@ def _interval_inertia(tree, s, c):
     def point(x):
         return mpf_pos(x, prec, round_floor), mpf_pos(x, prec, round_ceiling)
 
+    def sign(x):
+        lo = _sign(x[0])
+        return lo if lo == _sign(x[1]) else None
+
     start = {deg: point(mpf_sub(mpf_add(fone, mpf_mul(s2, from_int(deg - 1))), c))
              for deg in set(tree.degree)}
-    d = [start[deg] for deg in tree.degree]
-    zero = (fzero, fzero)
-    if s2 != fzero:
-        one = (fone, fone)
-        s2 = point(s2)
-        children = tree.children
-        cut = set()
-        for v in tree.postorder:
-            if not children[v]:
-                continue
-            acc = zero
-            for w in children[v]:
-                if w in cut:
-                    continue
-                dw = d[w]
-                if dw == zero:
-                    d[v], d[w] = mpi_neg(mpi_mul(s2, (fhalf, fhalf))), (ftwo, ftwo)
-                    cut.add(v)
-                    break
-                if _sign(dw[0]) <= 0 <= _sign(dw[1]):
-                    return None
-                acc = mpi_add(acc, mpi_div(one, dw, prec), prec)
-            else:
-                d[v] = mpi_sub(d[v], mpi_mul(s2, acc, prec), prec)
-    pos = neg = 0
-    for lo, hi in d:
-        if _sign(lo) > 0:
-            pos += 1
-        elif _sign(hi) < 0:
-            neg += 1
-        elif lo != fzero or hi != fzero:
-            return None
-    return pos, neg, tree.n - pos - neg
+    ops = [lambda a, b, op=op: op(a, b, prec) for op in (mpi_add, mpi_sub, mpi_mul, mpi_div)]
+    swept = _surgery_sweep(tree, start, point(s2), ((fone, fone), *ops, sign))
+    return swept and swept[1]
 
 
-# the largest sum, over the vertices swept, of the bit lengths of their
-# exact pivots that :func:`_exact_inertia` takes on: 0.4-0.6 s of
-# Fraction arithmetic on a shared 2-core Intel Xeon host
+# the largest sum, over the pivots that :func:`_exact_inertia`'s sweep
+# forms, of their bit lengths: 0.4-0.6 s of Fraction arithmetic on a
+# shared 2-core Intel Xeon host
 _EXACT_BITS = 1 << 26
 
 
 def _exact_inertia(tree, s, c):
     """Rung 3 of :func:`count_eigenvalues`: the inertia triple of
-    M(s) - cI from the sweep in exact rational arithmetic on the Scalars'
-    dyadic values, with :func:`diagonalize_tree`'s zero-pivot surgery.
+    M(s) - cI from :func:`_surgery_sweep` in exact rational arithmetic
+    on the Scalars' dyadic values.
 
     A pivot's bit length grows with its subtree (about 2 prec bits per
     vertex along a path), so the sweep's cost grows as the square of the
     tree's height; past a work budget of :data:`_EXACT_BITS` bits it
-    raises PrecisionError.
+    raises PrecisionError. The budget is metered in the subtraction,
+    which forms every pivot the sweep takes on.
     """
     from fractions import Fraction
 
     s2 = Fraction(*to_rational(s.raw())) ** 2
-    d = [1 + s2 * (deg - 1) - Fraction(*to_rational(c.raw())) for deg in tree.degree]
-    if s2:
-        children = tree.children
-        cut = set()
-        work = 0
-        for v in tree.postorder:
-            kids = [w for w in children[v] if w not in cut]
-            zero = next((w for w in kids if not d[w]), None)
-            if zero is None:
-                dv = d[v] = d[v] - s2 * sum(1 / d[w] for w in kids)
-            else:
-                dv = d[v] = -s2 / 2
-                d[zero] = Fraction(2)
-                cut.add(v)
-            work += dv.numerator.bit_length() + dv.denominator.bit_length()
-            if work > _EXACT_BITS:
-                raise PrecisionError(
-                    "counting eigenvalues at c = %s exactly needs more than %d bits of "
-                    "pivots: c is an eigenvalue of M(s), or within the working precision "
-                    "of one, on a tree this deep" % (c, _EXACT_BITS))
-    pos = sum(1 for v in d if v > 0)
-    neg = sum(1 for v in d if v < 0)
-    return pos, neg, tree.n - pos - neg
+    shift = Fraction(*to_rational(c.raw()))
+    start = {deg: 1 + s2 * (deg - 1) - shift for deg in set(tree.degree)}
+    work = 0
+
+    def sub(a, b):
+        nonlocal work
+        d = a - b
+        work += d.numerator.bit_length() + d.denominator.bit_length()
+        if work > _EXACT_BITS:
+            raise PrecisionError(
+                "counting eigenvalues at c = %s exactly needs more than %d bits of "
+                "pivots: c is an eigenvalue of M(s), or within the working precision "
+                "of one, on a tree this deep" % (c, _EXACT_BITS))
+        return d
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    arith = (Fraction(1), operator.add, sub, operator.mul, operator.truediv, sign)
+    return _surgery_sweep(tree, start, s2, arith)[1]
 
 
 def _backbone(counts, s2, c, prec, slope):
@@ -556,7 +549,7 @@ def _tree_probe(tree, base, s2, ctx):
     def probe(c, slope):
         c = c.raw()
         start = {deg: mpf_sub(b, c, prec, _RND) for deg, b in base.items()}
-        _, stop, dlog = _sweep(tree, start, s2, prec, full=False, slope=slope)
+        stop, dlog = _sweep(tree, start, s2, prec, slope)
         if stop is not None:
             return False, stop != root, None
         if not slope:

@@ -52,6 +52,7 @@ from mpmath.libmp import (
     mpf_sub,
     round_floor,
     round_nearest,
+    to_float,
     to_int,
     to_str,
 )
@@ -338,9 +339,7 @@ class Scalar:
     # -- output -----------------------------------------------------------
 
     def to_float(self):
-        from mpmath.libmp import to_float as _tf
-
-        return _tf(self._v)
+        return to_float(self._v)
 
     def to_decimal_string(self, digits=None):
         """Round-to-nearest decimal string with ``digits`` significant digits."""

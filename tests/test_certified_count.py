@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_man_exp, to_rational
 
 from deflap import diagonalize
@@ -25,6 +26,7 @@ from deflap.diagonalize import (
 )
 from deflap.scalar import PrecisionContext, PrecisionError, Scalar
 from deflap.trees import Tree, dense_deformed_laplacian, free_trees
+from test_tree_kernel import _random_tree
 
 
 def _exact(x):
@@ -100,6 +102,26 @@ def test_near_eigenvalue_family_has_no_wrong_triple():
                         wrong += count_eigenvalues(tree, s, c) != _oracle(coeffs, _exact(c))
     assert probes == 6460
     assert wrong == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 10), rng=st.randoms(use_true_random=False),
+       s_text=st.sampled_from(("-1.5", "-1", "-0.3", "0", "0.5", "0.7", "1", "2")),
+       c_text=st.decimals(-1, 9, places=3))
+def test_rungs_agree_with_the_oracle_at_exact_points(n, rng, s_text, c_text):
+    # c = 1 zeroes every leaf's pivot and 1 + s^2 every degree-2 vertex's
+    # start, so the surgery runs on exact zeros in all three arithmetics;
+    # 0 at |s| = 1 and 4 at s = 1 are Laplacian eigenvalues
+    ctx = PrecisionContext(20)
+    tree = _random_tree(rng, n)
+    s = ctx.scalar(s_text)
+    coeffs = _char_poly(tree, s)
+    for c in (ctx.zero(), ctx.scalar(1), 1 + s * s, (1 + abs(s)) ** 2, ctx.scalar(4),
+              ctx.scalar(str(c_text))):
+        want = _oracle(coeffs, _exact(c))
+        assert count_eigenvalues(tree, s, c) == want
+        assert _exact_inertia(tree, s, c) == want
+        assert _interval_inertia(tree, s, c) in (None, want)
 
 
 def test_rungs_agree_with_the_oracle_off_the_spectrum():

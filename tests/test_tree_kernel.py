@@ -1,10 +1,12 @@
 """The raw-tuple tree sweep against the Scalar sweeps it replaces.
 
-``diagonalize._sweep`` promises the pivots of the two Scalar loops below,
-bit for bit: ``_reference_diagonalize_tree`` and
-``_reference_tree_all_negative`` are the sweeps that ``diagonalize_tree``
-and the radius probe ran before the kernel. Each test runs both on the
-same inputs and asserts identical raw values, not merely close ones.
+``diagonalize._surgery_sweep`` in rounded libmp arithmetic (behind
+``diagonalize_tree``) and ``diagonalize._sweep`` (behind the radius
+probe) promise the pivots of the two Scalar loops below, bit for bit:
+``_reference_diagonalize_tree`` and ``_reference_tree_all_negative`` are
+the sweeps that ``diagonalize_tree`` and the radius probe ran before the
+kernels. Each test runs both on the same inputs and asserts identical
+raw values, not merely close ones.
 The float Laguerre start of the tree radii is checked the same way,
 against the radii it skips, which start their Newton steps from hi.
 
