@@ -28,9 +28,8 @@ a radius rests on comes from the kernel.
 
 :func:`count_eigenvalues` proves each triple it returns. Most are
 decided by a pair of double-precision sweeps a backward-error bound
-apart (:func:`_float_positive`); the rest by the surgery kernel in
-interval arithmetic at the context's precision, or in exact rational
-arithmetic.
+apart (:func:`_float_positive`); the rest, and counts of A - tI, by the
+surgery kernel in interval or exact rational arithmetic.
 """
 
 import math
@@ -256,12 +255,13 @@ def count_eigenvalues(tree, s, c):
        at c + 2 eta. When both meet no zero or non-finite pivot and give
        the same positive count p, the triple is (p, n - p, 0).
     2. :func:`_interval_inertia`: :func:`_surgery_sweep` in interval
-       arithmetic at the context's precision. It decides when every
-       pivot's interval excludes zero or is the point zero, as at c = 1
-       on a tree with two sibling leaves.
+       arithmetic at the context's precision from :func:`_exact_start`'s
+       table. It decides when every pivot's interval excludes zero or is
+       the point zero, as at c = 1 on a tree with two sibling leaves.
     3. :func:`_exact_inertia`: :func:`_surgery_sweep` in exact rational
        arithmetic, which decides every input within its work budget
-       and raises PrecisionError beyond it.
+       and raises PrecisionError beyond it. Rungs 2 and 3 also count
+       A - tI (:func:`_adjacency_inertia`); rung 1's eta is for M(s).
 
     Why a pair decides. A sweep whose operations round with unit
     roundoff u computes the exact pivots, up to positive factors, of
@@ -308,7 +308,16 @@ def count_eigenvalues(tree, s, c):
     pos = _float_pair(tree, s, c)
     if pos is not None:
         return pos, tree.n - pos, 0
-    return _interval_inertia(tree, s, c) or _exact_inertia(tree, s, c)
+    start, s2 = _exact_start(tree, s, c)
+    return _interval_inertia(tree, start, s2, s.ctx.prec) or _exact_inertia(tree, start, s2, c)
+
+
+def _exact_start(tree, s, c):
+    """(start, s2): M(s) - cI's start table, degree -> 1 + s^2 (deg - 1) - c,
+    and s^2, exact raw tuples."""
+    s2 = mpf_mul(s.raw(), s.raw())
+    one_c = mpf_sub(fone, c.raw())
+    return {deg: mpf_add(one_c, mpf_mul(s2, from_int(deg - 1))) for deg in set(tree.degree)}, s2
 
 
 def _half_width(s, c, max_degree):
@@ -370,11 +379,10 @@ def _float_pair(tree, s, c):
     return pos
 
 
-def _interval_inertia(tree, s, c):
+def _interval_inertia(tree, start, s2, prec):
     """Rung 2 of :func:`count_eigenvalues`: the triple of
-    :func:`_surgery_sweep` run on M(s) - cI in interval arithmetic at the
-    context's precision, or None when a pivot's interval holds zero and
-    more.
+    :func:`_surgery_sweep` from exact raw ``start`` and ``s2`` in intervals
+    at ``prec``, or None when a pivot's interval holds zero and more.
 
     Every operation rounds outward, so each interval holds the exact
     pivot: one that excludes zero gives its sign, and one that is the
@@ -382,10 +390,6 @@ def _interval_inertia(tree, s, c):
     surgery runs as in exact arithmetic. A straddling child ends the
     sweep, since whether it takes the surgery is then unknown.
     """
-    prec = s.ctx.prec
-    c = c.raw()
-    s2 = mpf_mul(s.raw(), s.raw())  # exact
-
     def point(x):
         return mpf_pos(x, prec, round_floor), mpf_pos(x, prec, round_ceiling)
 
@@ -393,8 +397,7 @@ def _interval_inertia(tree, s, c):
         lo = _sign(x[0])
         return lo if lo == _sign(x[1]) else None
 
-    start = {deg: point(mpf_sub(mpf_add(fone, mpf_mul(s2, from_int(deg - 1))), c))
-             for deg in set(tree.degree)}
+    start = {deg: point(b) for deg, b in start.items()}
     ops = [lambda a, b, op=op: op(a, b, prec) for op in (mpi_add, mpi_sub, mpi_mul, mpi_div)]
     swept = _surgery_sweep(tree, start, point(s2), ((fone, fone), *ops, sign))
     return swept and swept[1]
@@ -406,10 +409,10 @@ def _interval_inertia(tree, s, c):
 _EXACT_BITS = 1 << 26
 
 
-def _exact_inertia(tree, s, c):
+def _exact_inertia(tree, start, s2, c):
     """Rung 3 of :func:`count_eigenvalues`: the inertia triple of
-    M(s) - cI from :func:`_surgery_sweep` in exact rational arithmetic
-    on the Scalars' dyadic values.
+    :func:`_surgery_sweep` in rational arithmetic from the exact raw
+    ``start`` and ``s2``; the Scalar ``c`` names the point in the error.
 
     A pivot's bit length grows with its subtree (about 2 prec bits per
     vertex along a path), so the sweep's cost grows as the square of the
@@ -419,9 +422,6 @@ def _exact_inertia(tree, s, c):
     """
     from fractions import Fraction
 
-    s2 = Fraction(*to_rational(s.raw())) ** 2
-    shift = Fraction(*to_rational(c.raw()))
-    start = {deg: 1 + s2 * (deg - 1) - shift for deg in set(tree.degree)}
     work = 0
 
     def sub(a, b):
@@ -431,15 +431,23 @@ def _exact_inertia(tree, s, c):
         if work > _EXACT_BITS:
             raise PrecisionError(
                 "counting eigenvalues at c = %s exactly needs more than %d bits of "
-                "pivots: c is an eigenvalue of M(s), or within the working precision "
+                "pivots: c is an eigenvalue, or within the working precision "
                 "of one, on a tree this deep" % (c, _EXACT_BITS))
         return d
 
     def sign(x):
         return (x > 0) - (x < 0)
 
+    start = {deg: Fraction(*to_rational(b)) for deg, b in start.items()}
     arith = (Fraction(1), operator.add, sub, operator.mul, operator.truediv, sign)
-    return _surgery_sweep(tree, start, s2, arith)[1]
+    return _surgery_sweep(tree, start, Fraction(*to_rational(s2)), arith)[1]
+
+
+def _adjacency_inertia(tree, t):
+    """The proved inertia triple of A - tI at the Scalar t: rungs 2 and 3
+    of :func:`count_eigenvalues` from start -t at every degree, s2 = 1."""
+    start = dict.fromkeys(tree.degree, mpf_neg(t.raw()))
+    return _interval_inertia(tree, start, fone, t.ctx.prec) or _exact_inertia(tree, start, fone, t)
 
 
 def _backbone(counts, s2, c, prec, slope):

@@ -7,9 +7,9 @@ beyond the stated bound with :func:`count_eigenvalues`, whose counts are
 exact for the Scalar values of s and the bound, also when the bound is
 an eigenvalue); interval estimates with an explicit tolerance appear
 only for the two upper bounds and the star equality case, where the
-bound can actually be attained. The adjacency ceiling takes rho(A) from
-:func:`adjacency_radius`, the pivot kernel's bracket, at its high end,
-so the bound stays an upper bound; a sweep searches it once per tree.
+bound can actually be attained. The adjacency ceiling needs no rho(A):
+it holds iff rho(A) >= t for the t it solves for from the radius
+bracket's high end, which a proved count of A - tI decides.
 
 ``holds`` is three-valued: True, False (with a witness), or None when the
 property's hypotheses do not apply to the input. Summaries never count
@@ -20,9 +20,7 @@ test harness can swap one out and confirm that injected violations are
 reported.
 """
 
-from functools import cache, partial
-
-from .diagonalize import adjacency_radius, approximate_radius, count_eigenvalues, gershgorin_cap
+from .diagonalize import _adjacency_inertia, approximate_radius, count_eigenvalues, gershgorin_cap
 from .scalar import DomainError, Scalar, infer_context
 from .trees import Tree
 
@@ -70,18 +68,12 @@ def _witness(tree, s, **values):
 
 
 class _Shared:
-    """Per-(tree, s) facts memoized across the checks of one sweep cell.
+    """Per-(tree, s) facts memoized across the checks of one sweep cell."""
 
-    ``adjacency_high()`` gives the high end of the rho(A) bracket at the
-    shared width; :func:`sweep` memoizes it once per tree, since rho(A)
-    does not depend on s.
-    """
-
-    def __init__(self, tree, s, width_digits, adjacency_high):
+    def __init__(self, tree, s, width_digits):
         self.tree = tree
         self.s = s
         self.width_digits = width_digits
-        self.adjacency_high = adjacency_high
         self._brackets = {}
 
     def _radius(self, width_digits):
@@ -281,17 +273,22 @@ def _check_star_floor(tree, s, tol, shared):
 
 def _check_adjacency_ceiling(tree, s, tol, shared):
     pid = "adjacency-ceiling"
-    ctx = s.ctx
-    delta = tree.max_degree()
+    base = 1 + s * s * (tree.max_degree() - 1)
     if tree.n == 1:
         lhs = 1 - s * s
-        bound = ctx.scalar(1) + s * s * (delta - 1)
-        holds = lhs <= bound + ctx.power_of_ten(-ctx.digits + 8)
-        if holds:
+        if lhs <= base + s.ctx.power_of_ten(-s.ctx.digits + 8):
             return PropertyReport(pid, True)
-        return PropertyReport(pid, False, _witness(tree, s, bound=bound, radius=lhs))
-    rho_a = shared.adjacency_high()
-    return _ceiling(pid, tree, s, tol, shared, 1 + s * s * (delta - 1) + abs(s) * rho_a)
+        return PropertyReport(pid, False, _witness(tree, s, bound=base, radius=lhs))
+    if s.is_zero:
+        return _ceiling(pid, tree, s, tol, shared, base)
+    # rho <= base + |s| rho(A) + margin iff rho(A) >= t
+    est = shared.bracket()
+    margin = tol if tol is not None else 10 * est.width()
+    t = (est.high - base - margin) / abs(s)
+    pos, _, zero = _adjacency_inertia(tree, t)
+    if pos + zero >= 1:
+        return PropertyReport(pid, True)
+    return PropertyReport(pid, False, _witness(tree, s, radius_high=est.high, adjacency_radius_below=t))
 
 
 # the adaptedness checks are floors at (1+|s|)^2: rho above it makes every
@@ -383,17 +380,12 @@ class SweepResult:
         }
 
 
-def _adjacency_high(tree, ctx, width_digits):
-    return adjacency_radius(tree, ctx, width_digits).high
-
-
 def sweep(property_ids, trees, s_grid, tol=None, ctx=None):
     """Run the named checks over every (tree, s) pair.
 
     trees is any iterable of Tree objects; s_grid a list of Scalar-likes.
     Shared per-pair work (the radius bracket) is computed once per pair,
-    not once per property, and rho(A), which does not depend on s, once
-    per tree.
+    not once per property.
     """
     for pid in property_ids:
         if pid not in PROPERTY_CHECKS:
@@ -406,9 +398,8 @@ def sweep(property_ids, trees, s_grid, tol=None, ctx=None):
     width_digits = _width_digits_for(tol, ctx)
     reports = []
     for tree in trees:
-        adjacency_high = cache(partial(_adjacency_high, tree, ctx, width_digits))
         for s in grid:
-            shared = _Shared(tree, s, width_digits, adjacency_high)
+            shared = _Shared(tree, s, width_digits)
             for pid in property_ids:
                 reports.append(PROPERTY_CHECKS[pid](tree, s, tol, shared))
     return SweepResult(reports)

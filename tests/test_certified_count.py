@@ -18,14 +18,16 @@ from mpmath.libmp import from_man_exp, to_rational
 
 from deflap import diagonalize
 from deflap.diagonalize import (
+    _adjacency_inertia,
     _exact_inertia,
+    _exact_start,
     _float_pair,
     _interval_inertia,
     count_eigenvalues,
     diagonalize_tree,
 )
 from deflap.scalar import PrecisionContext, PrecisionError, Scalar
-from deflap.trees import Tree, dense_deformed_laplacian, free_trees
+from deflap.trees import Tree, dense_adjacency, dense_deformed_laplacian, free_trees
 from test_tree_kernel import _random_tree
 
 
@@ -120,8 +122,8 @@ def test_rungs_agree_with_the_oracle_at_exact_points(n, rng, s_text, c_text):
               ctx.scalar(str(c_text))):
         want = _oracle(coeffs, _exact(c))
         assert count_eigenvalues(tree, s, c) == want
-        assert _exact_inertia(tree, s, c) == want
-        assert _interval_inertia(tree, s, c) in (None, want)
+        assert _exact_inertia(tree, *_exact_start(tree, s, c), c) == want
+        assert _interval_inertia(tree, *_exact_start(tree, s, c), ctx.prec) in (None, want)
 
 
 def test_rungs_agree_with_the_oracle_off_the_spectrum():
@@ -133,8 +135,8 @@ def test_rungs_agree_with_the_oracle_off_the_spectrum():
             s = ctx.scalar("%.6f" % rng.uniform(-2, 2))
             c = ctx.scalar("%.6f" % rng.uniform(-1, 8))
             want = _oracle(_char_poly(tree, s), _exact(c))
-            assert _exact_inertia(tree, s, c) == want
-            assert _interval_inertia(tree, s, c) == want
+            assert _exact_inertia(tree, *_exact_start(tree, s, c), c) == want
+            assert _interval_inertia(tree, *_exact_start(tree, s, c), ctx.prec) == want
             pos = _float_pair(tree, s, c)
             if pos is not None:
                 decided += 1
@@ -153,9 +155,10 @@ def test_interval_rung_counts_an_exact_eigenvalue_on_a_long_broom(monkeypatch):
     # pivots as exact zeros and sweeps the path in linear time
     ctx = PrecisionContext(50)
     s, c = ctx.scalar("0.3"), ctx.scalar(1)
-    assert count_eigenvalues(_broom(200), s, c) == _exact_inertia(_broom(200), s, c) == (109, 90, 1)
+    broom = _broom(200)
+    assert count_eigenvalues(broom, s, c) == _exact_inertia(broom, *_exact_start(broom, s, c), c) == (109, 90, 1)
 
-    def refused(tree, s, c):
+    def refused(*args):
         raise AssertionError("exact rung reached")
 
     monkeypatch.setattr(diagonalize, "_exact_inertia", refused)
@@ -170,7 +173,7 @@ def test_exact_rung_raises_past_its_budget(monkeypatch):
     tree = Tree.from_edges([(6, 4), (5, 4), (4, 3), (3, 2), (2, 1), (0, 1), (1, 7)])
     ctx = PrecisionContext(50)
     s, c = ctx.scalar(1), ctx.scalar(4)
-    assert _interval_inertia(tree, s, c) is None
+    assert _interval_inertia(tree, *_exact_start(tree, s, c), ctx.prec) is None
     monkeypatch.setattr(diagonalize, "_EXACT_BITS", 8)
     with pytest.raises(PrecisionError):
         count_eigenvalues(tree, s, c)
@@ -188,3 +191,26 @@ def test_float_rung_decides_a_random_point_on_a_large_tree():
     assert pos is not None
     assert count_eigenvalues(tree, s, c) == (pos, n - pos, 0)
     assert count_eigenvalues(tree, s, c) == diagonalize_tree(tree, s, -c).inertia
+
+
+def test_adjacency_rungs_agree_with_the_dense_spectrum():
+    # the proved triple of A - tI against the dense eigensolver at the
+    # integer eigenvalues 0..3 (2 on K_{1,4}, 3 on K_{1,9}) and at random
+    # decimals, which no eigenvalue of A, an algebraic integer, equals
+    ctx = PrecisionContext(30)
+    rng = random.Random(5)
+    tol = ctx.power_of_ten(-20)
+    trees = [tree for n in range(2, 10) for tree in free_trees(n)]
+    trees += [Tree.from_edges([(0, v) for v in range(1, k + 1)]) for k in (4, 9)]
+    hit = set()
+    for tree in trees:
+        spectrum = dense_adjacency(tree, ctx).eigenvalues(ctx)
+        points = [ctx.scalar(t) for t in range(4)]
+        points += [ctx.scalar("%.6f" % rng.uniform(-3.5, 3.5)) for _ in range(3)]
+        for t in points:
+            above = sum(1 for lam in spectrum if lam > t + tol)
+            at = sum(1 for lam in spectrum if abs(lam - t) <= tol)
+            assert _adjacency_inertia(tree, t) == (above, tree.n - above - at, at), (tree.to_text(), t)
+            if at:
+                hit.add(t.to_float())
+    assert hit == {0, 1, 2, 3}

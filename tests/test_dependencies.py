@@ -6,6 +6,7 @@ standard-library module, mpmath, or the package itself (relative).
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -30,3 +31,11 @@ def test_imports_are_stdlib_or_mpmath():
     foreign = sorted(pair for pair in found
                      if pair[1] != "mpmath" and pair[1] not in sys.stdlib_module_names)
     assert foreign == []
+
+
+def test_import_leaves_fractions_unloaded():
+    # the exact count rung imports fractions where it runs, so importing
+    # deflap, which the benchmark's set-up time includes, does not
+    code = "import sys, deflap; print('fractions' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

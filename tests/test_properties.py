@@ -2,7 +2,7 @@
 
 import pytest
 
-from deflap import properties
+from deflap import diagonalize, properties
 from deflap.properties import PROPERTY_IDS, PropertyReport, check_property, sweep
 from deflap.scalar import DomainError, PrecisionContext
 from deflap.trees import Tree, free_trees, starlike_t1nn
@@ -114,24 +114,45 @@ def test_leaf_deletion_looks_closer_when_the_bracket_is_coarse(monkeypatch):
 
     monkeypatch.setattr(properties._Shared, "_radius", recorded)
     s = CTX.scalar("0.5")
-    # the leaf-deletion check never reads rho(A)
-    shared = properties._Shared(path8, s, 1, None)
+    shared = properties._Shared(path8, s, 1)
     report = properties._check_leaf_deletion(path8, s, None, shared)
     assert report.holds is True
     assert widths == [1, 16]
     assert shared.bracket() is shared.bracket(1)
 
 
-def test_sweep_brackets_adjacency_radius_once_per_tree(monkeypatch):
-    calls = []
-    radius = properties.adjacency_radius
+def test_adjacency_ceiling_searches_no_adjacency_radius(monkeypatch):
+    # the ceiling decides rho(A) >= t by a count of A - tI; the tally is
+    # the one the rho(A) bracket gave on this family
+    def refused(*args, **kwargs):
+        raise AssertionError("rho(A) searched")
 
-    def recorded(tree, ctx, target_digits=None):
-        calls.append(tree)
-        return radius(tree, ctx, target_digits)
+    for module in (diagonalize, properties):
+        # a module that imports the name binds its own reference
+        monkeypatch.setattr(module, "adjacency_radius", refused, raising=False)
+    trees = [tree for n in range(1, 7) for tree in free_trees(n)]
+    grid = ["-2", "-1", "-0.5", "0", "0.3", "1", "1.5"]
+    result = sweep(PROPERTY_IDS, trees, grid, ctx=CTX)
+    assert result.summary() == {"checked": 1176, "passed": 681, "failed": 0, "not_applicable": 495}
+    ceiling = [r.holds for r in result.reports if r.property_id == "adjacency-ceiling"]
+    assert ceiling == [True] * len(trees) * len(grid)
 
-    monkeypatch.setattr(properties, "adjacency_radius", recorded)
-    trees = list(free_trees(5))[:2]
-    result = sweep(["adjacency-ceiling"], trees, ["0.5", "-1.5", "2"], ctx=CTX)
-    assert all(r.holds for r in result.reports)
-    assert calls == trees
+
+def test_adjacency_ceiling_is_decided_at_the_edge(monkeypatch):
+    # on one edge rho(M(s)) = 1 + |s| = 1 + |s| rho(A), so the ceiling is
+    # attained: with tol = 2^-60 at s = -0.5, a radius high end of
+    # 1.5 + tol puts t on rho(A) = 1 exactly, where the ceiling holds
+    p2 = Tree.from_edges([(0, 1)])
+    tol = 1 / CTX.scalar(2 ** 60)
+    top = CTX.scalar("1.5") + tol
+    radius = properties._Shared._radius
+    for high, holds in ((top, True), (top - tol / 2 ** 40, True), (top + CTX.scalar("1e-15"), False)):
+        def pinned(self, width_digits, high=high):
+            est = radius(self, width_digits)
+            est.high = high
+            return est
+
+        monkeypatch.setattr(properties._Shared, "_radius", pinned)
+        report = check_property("adjacency-ceiling", p2, CTX.scalar("-0.5"), tol=tol)
+        assert report.holds is holds
+        assert (report.witness is None) is holds
