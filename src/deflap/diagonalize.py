@@ -659,10 +659,7 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     else:
         probe = _tree_probe(obj, _base(obj, s2, prec), s2, ctx)
         if root is None:
-            f = s.to_float()
-            fs2 = f * f  # inf past float range, where the float start gives up
-            fbase = {deg: 1.0 + fs2 * (deg - 1) for deg in set(obj.degree)}
-            estimate = partial(_laguerre_start, obj, fbase, fs2)
+            estimate = _float_start(obj, s)
     return _bracket(probe, ctx.scalar(lo), ctx.scalar(hi), iterations, target_digits, estimate, root)
 
 
@@ -691,6 +688,14 @@ def adjacency_radius(tree, ctx, target_digits=None):
 # 140-350 a start from hi takes.
 _LAGUERRE_SWEEPS = 200
 _LAGUERRE_TOL = 1e-14
+
+
+def _float_start(tree, s):
+    """:func:`_laguerre_start` for M(s) on ``tree``, as a callable of hi."""
+    f = s.to_float()
+    fs2 = f * f  # inf past float range, where the float start gives up
+    fbase = {deg: 1.0 + fs2 * (deg - 1) for deg in set(tree.degree)}
+    return partial(_laguerre_start, tree, fbase, fs2)
 
 
 def _laguerre_start(tree, base, s2, hi):

@@ -5,11 +5,15 @@ predicate over a (tree, s) pair and returns a :class:`PropertyReport`.
 Strict inequalities are decided by inertia probes (counting eigenvalues
 beyond the stated bound with :func:`count_eigenvalues`, whose counts are
 exact for the Scalar values of s and the bound, also when the bound is
-an eigenvalue); interval estimates with an explicit tolerance appear
-only for the two upper bounds and the star equality case, where the
-bound can actually be attained. The adjacency ceiling needs no rho(A):
-it holds iff rho(A) >= t for the t it solves for from the radius
-bracket's high end, which a proved count of A - tI decides.
+an eigenvalue). The two upper bounds, leaf deletion and the star
+equality case, where a bound can be attained, read the radius bracket
+and grant it a slack: tol, or ten bracket widths. Each first tries to
+hold from two points a float estimate places around rho, which counts
+prove (:class:`_Shared`); so most True verdicts rest on proved counts
+and need no bracket, while every False verdict and its witness still
+come from the bracket's rounded ends. The adjacency ceiling needs no
+rho(A): it holds iff rho(A) >= t for the t it solves for from a high
+end, which a proved count of A - tI decides.
 
 ``holds`` is three-valued: True, False (with a witness), or None when the
 property's hypotheses do not apply to the input. Summaries never count
@@ -20,8 +24,11 @@ test harness can swap one out and confirm that injected violations are
 reported.
 """
 
-from .diagonalize import _adjacency_inertia, approximate_radius, count_eigenvalues, gershgorin_cap
-from .scalar import DomainError, Scalar, infer_context
+import math
+from functools import cached_property
+
+from .diagonalize import _adjacency_inertia, _float_start, approximate_radius, count_eigenvalues, gershgorin_cap
+from .scalar import DomainError, Scalar, halvings, infer_context
 from .trees import Tree
 
 # bisection resolution (decimal digits) used when the caller gives no
@@ -68,7 +75,19 @@ def _witness(tree, s, **values):
 
 
 class _Shared:
-    """Per-(tree, s) facts memoized across the checks of one sweep cell."""
+    """Per-(tree, s) facts memoized across the checks of one sweep cell.
+
+    ``placed`` is (below, above, w), or None when the float estimate or
+    a count does not confirm. w is the nominal width of the default
+    bracket: its search halves [0, cap] halvings(cap, width_digits)
+    times, so est.low lies in (rho - w, rho] and est.high in [rho,
+    rho + w), up to rounding. Two counts prove g(1 - 2^-36) < rho <
+    g(1 + 2^-36) for the float Laguerre estimate g of rho, and below and
+    above are those points moved 2w outward. So below < est.low - w and
+    est.high + w < above, a width to spare for the bracket's rounding: a
+    check returns True from them only where the bracket would, and
+    reads the bracket for every other outcome.
+    """
 
     def __init__(self, tree, s, width_digits):
         self.tree = tree
@@ -76,9 +95,25 @@ class _Shared:
         self.width_digits = width_digits
         self._brackets = {}
 
+    @cached_property
+    def cap(self):
+        return gershgorin_cap(self.s, self.tree.max_degree())
+
+    @cached_property
+    def placed(self):
+        tree, s = self.tree, self.s
+        g = _float_start(tree, s)(self.cap.to_float())
+        # the padded floats must stay finite
+        if g is None or not math.isfinite(2 * g):
+            return None
+        lo, hi = s.ctx.scalar(g * (1 - 2.0 ** -36)), s.ctx.scalar(g * (1 + 2.0 ** -36))
+        if not (_stays_below(tree, s, hi) and count_eigenvalues(tree, s, lo)[0] >= 1):
+            return None
+        w = self.cap / 2 ** halvings(self.cap, self.width_digits)
+        return lo - 2 * w, hi + 2 * w, w
+
     def _radius(self, width_digits):
-        cap = gershgorin_cap(self.s, self.tree.max_degree())
-        return approximate_radius(self.tree, self.s, self.s.ctx.zero(), cap, target_digits=width_digits)
+        return approximate_radius(self.tree, self.s, self.s.ctx.zero(), self.cap, target_digits=width_digits)
 
     def bracket(self, width_digits=None):
         """Radius bracket for the tree itself (n >= 2), at ``width_digits``
@@ -99,9 +134,18 @@ def _floor(pid, tree, s, bound):
     return PropertyReport(pid, False, _witness(tree, s, bound=bound))
 
 
+def _slack(tol, w):
+    # the slack the bracket grants, tol or ten widths, with a width to spare
+    return tol if tol is not None else 9 * w
+
+
 def _ceiling(pid, tree, s, tol, shared, bound):
-    """The verdict on rho <= bound + slack, from the shared bracket's high
-    end; the slack is tol, or ten bracket widths."""
+    """The verdict on rho <= bound + slack; the slack is tol, or ten
+    bracket widths. True when the proved ``above`` clears it (see
+    :class:`_Shared`), else from the shared bracket's high end."""
+    placed = shared.placed
+    if placed is not None and placed[1] <= bound + _slack(tol, placed[2]):
+        return PropertyReport(pid, True)
     est = shared.bracket()
     margin = tol if tol is not None else 10 * est.width()
     if est.high <= bound + margin:
@@ -208,10 +252,12 @@ def _check_leaf_deletion(tree, s, tol, shared):
     pid = "leaf-deletion-decreases"
     if tree.n == 1 or s.is_zero:
         return PropertyReport(pid, None)
-    est = shared.bracket()
+    placed = shared.placed
     for v in tree.leaves():
         smaller = tree.delete_leaf(v)
-        if _stays_below(smaller, s, est.low):
+        if placed is not None and _stays_below(smaller, s, placed[0]):
+            continue
+        if _stays_below(smaller, s, shared.bracket().low):
             continue
         # the gap may be finer than the shared bracket; look closer once
         fine = shared.bracket(width_digits=shared.width_digits + 15)
@@ -259,7 +305,13 @@ def _check_star_floor(tree, s, tol, shared):
         # every radius and the bound both collapse to one
         return PropertyReport(pid, True)
     if tree.max_degree() == tree.n - 1:
-        # the bound is attained exactly on stars
+        # the bound is attained exactly on stars; rho proved within the
+        # slack less one width of it puts both bracket ends within the slack
+        placed = shared.placed
+        if placed is not None:
+            pad = _slack(tol, placed[2]) - placed[2]
+            if _stays_below(tree, s, bound + pad) and count_eigenvalues(tree, s, bound - pad)[0] >= 1:
+                return PropertyReport(pid, True)
         est = shared.bracket()
         margin = tol if tol is not None else 10 * est.width()
         if est.low - margin <= bound <= est.high + margin:
@@ -281,7 +333,14 @@ def _check_adjacency_ceiling(tree, s, tol, shared):
         return PropertyReport(pid, False, _witness(tree, s, bound=base, radius=lhs))
     if s.is_zero:
         return _ceiling(pid, tree, s, tol, shared, base)
-    # rho <= base + |s| rho(A) + margin iff rho(A) >= t
+    # rho <= base + |s| rho(A) + margin iff rho(A) >= t; the proved
+    # ``above`` gives a t no lower than the bracket's
+    placed = shared.placed
+    if placed is not None:
+        t = (placed[1] - base - _slack(tol, placed[2])) / abs(s)
+        pos, _, zero = _adjacency_inertia(tree, t)
+        if pos + zero >= 1:
+            return PropertyReport(pid, True)
     est = shared.bracket()
     margin = tol if tol is not None else 10 * est.width()
     t = (est.high - base - margin) / abs(s)

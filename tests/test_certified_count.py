@@ -150,9 +150,10 @@ def _broom(n):
 
 
 def test_interval_rung_counts_an_exact_eigenvalue_on_a_long_broom(monkeypatch):
-    # the exact rung's pivots grow by about 2 prec bits per path vertex, so
-    # it takes about 0.7 s here; the interval rung sees the two leaves'
-    # pivots as exact zeros and sweeps the path in linear time
+    # the first half shows the count agrees with the exact rung's; the
+    # 1,000-vertex half, with the exact rung patched out, shows the interval
+    # rung decides alone: it sees the two leaves' pivots as exact zeros and
+    # sweeps the path in linear time
     ctx = PrecisionContext(50)
     s, c = ctx.scalar("0.3"), ctx.scalar(1)
     broom = _broom(200)

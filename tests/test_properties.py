@@ -2,7 +2,7 @@
 
 import pytest
 
-from deflap import diagonalize, properties
+from deflap import cli, diagonalize, properties
 from deflap.properties import PROPERTY_IDS, PropertyReport, check_property, sweep
 from deflap.scalar import DomainError, PrecisionContext
 from deflap.trees import Tree, free_trees, starlike_t1nn
@@ -156,3 +156,50 @@ def test_adjacency_ceiling_is_decided_at_the_edge(monkeypatch):
         report = check_property("adjacency-ceiling", p2, CTX.scalar("-0.5"), tol=tol)
         assert report.holds is holds
         assert (report.witness is None) is holds
+
+
+def _reports(result):
+    return [(r.property_id, r.holds, r.witness) for r in result.reports]
+
+
+@pytest.mark.parametrize("tol", [None, "1e-12"])
+def test_placed_points_give_the_bracket_verdicts(monkeypatch, tol):
+    # a True from the proved points is one the bracket gives too, and every
+    # other outcome reads the bracket. Here only the attained edges search
+    # one: the ceilings at s = 0 (rho = 1) and the adjacency ceiling on K2,
+    # where rho = 1 + |s| rho(A). The star floor, attained on every star,
+    # is decided by two counts around its bound.
+    trees = [tree for n in range(1, 8) for tree in free_trees(n)]
+    grid = [CTX.scalar(x) for x in ("0", "1", "-1", "1.5", "-1.5", "1.001", "-2", "3")]
+    cells = set()
+    radius = properties._Shared._radius
+
+    def recorded(self, width_digits):
+        cells.add((id(self.tree), self.s.to_float()))
+        return radius(self, width_digits)
+
+    monkeypatch.setattr(properties._Shared, "_radius", recorded)
+    fast = sweep(PROPERTY_IDS, trees, grid, tol, ctx=CTX)
+    assert cells == {(id(t), s.to_float()) for t in trees for s in grid if t.n >= 2 and (s.is_zero or t.n == 2)}
+    monkeypatch.setattr(properties._Shared, "placed", None)
+    assert _reports(fast) == _reports(sweep(PROPERTY_IDS, trees, grid, tol, ctx=CTX))
+    assert fast.violations() == []
+    star = PROPERTY_IDS.index("star-floor")
+    for i, (t, s) in enumerate((t, s) for t in trees for s in grid):
+        if t.n >= 2 and t.max_degree() == t.n - 1 and (s.sign() <= 0 or s >= 1):
+            assert fast.reports[i * len(PROPERTY_IDS) + star].holds is True
+
+
+def test_property_sweep_brackets_only_the_edge(monkeypatch):
+    # on the CLI's grid every radius search left is K2's adjacency ceiling
+    searched = []
+
+    def counted(tree, *args, **kwargs):
+        searched.append(tree.n)
+        return diagonalize.approximate_radius(tree, *args, **kwargs)
+
+    monkeypatch.setattr(properties, "approximate_radius", counted)
+    trees = [tree for n in range(1, 9) for tree in free_trees(n)]
+    result = sweep(PROPERTY_IDS, trees, cli.DEFAULT_S_GRID.split(","), ctx=CTX)
+    assert result.violations() == []
+    assert searched == [2] * 8
