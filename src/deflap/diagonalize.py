@@ -359,20 +359,29 @@ def _float_positive(tree, table, s2, x):
     return tree.n - neg
 
 
+def _float_table(tree, s):
+    """(|s|, s^2, table): s rounded to the nearest float, and M(s)'s
+    float start table, indexed by degree: table[deg] = 1 + s^2 (deg - 1).
+    |s| and s^2 are inf past float range.
+    """
+    fs = abs(to_float(s.raw(), rnd=_RND))
+    s2 = fs * fs
+    degrees = set(tree.degree)
+    table = [0.0] * (max(degrees) + 1)
+    for deg in degrees:
+        table[deg] = 1.0 + s2 * (deg - 1)
+    return fs, s2, table
+
+
 def _float_pair(tree, s, c):
     """Rung 1 of :func:`count_eigenvalues`: the count of eigenvalues above
     c, proved by two float sweeps, or None."""
-    fs = abs(to_float(s.raw(), rnd=_RND))
+    fs, s2, table = _float_table(tree, s)
     fc = to_float(c.raw(), rnd=_RND)
     if not ((s.is_zero or 2.0 ** -200 <= fs <= 2.0 ** 200) and abs(fc) <= 2.0 ** 400):
         return None
-    degrees = set(tree.degree)
-    top = max(degrees)
+    top = len(table) - 1
     eta = _half_width(fs, abs(fc), top) * 2.0 ** -53 + (top + 1) * 2.0 ** -600
-    s2 = fs * fs
-    table = [0.0] * (top + 1)
-    for deg in degrees:
-        table[deg] = 1.0 + s2 * (deg - 1)
     pos = _float_positive(tree, table, s2, fc + 2 * eta)
     if pos is None or pos != _float_positive(tree, table, s2, fc - 2 * eta):
         return None
@@ -692,10 +701,8 @@ _LAGUERRE_TOL = 1e-14
 
 def _float_start(tree, s):
     """:func:`_laguerre_start` for M(s) on ``tree``, as a callable of hi."""
-    f = s.to_float()
-    fs2 = f * f  # inf past float range, where the float start gives up
-    fbase = {deg: 1.0 + fs2 * (deg - 1) for deg in set(tree.degree)}
-    return partial(_laguerre_start, tree, fbase, fs2)
+    _, s2, table = _float_table(tree, s)
+    return partial(_laguerre_start, tree, table, s2)
 
 
 def _laguerre_start(tree, base, s2, hi):

@@ -6,14 +6,14 @@ Strict inequalities are decided by inertia probes (counting eigenvalues
 beyond the stated bound with :func:`count_eigenvalues`, whose counts are
 exact for the Scalar values of s and the bound, also when the bound is
 an eigenvalue). The two upper bounds, leaf deletion and the star
-equality case, where a bound can be attained, read the radius bracket
-and grant it a slack: tol, or ten bracket widths. Each first tries to
-hold from two points a float estimate places around rho, which counts
-prove (:class:`_Shared`); so most True verdicts rest on proved counts
-and need no bracket, while every False verdict and its witness still
-come from the bracket's rounded ends. The adjacency ceiling needs no
-rho(A): it holds iff rho(A) >= t for the t it solves for from a high
-end, which a proved count of A - tI decides.
+equality case, where a bound can be attained, read rho(M(s)) through
+the tiers of :meth:`_Shared.ends`: two points a float estimate places
+and counts prove, which decide most True verdicts, then radius
+brackets, which decide the rest and give every False verdict and its
+witness. The tiers fix the slack granted: tol, or about ten widths of
+the default bracket. The adjacency ceiling needs no rho(A): it holds
+iff rho(A) >= t for the t it solves for from a tier's high end, which
+a proved count of A - tI decides.
 
 ``holds`` is three-valued: True, False (with a witness), or None when the
 property's hypotheses do not apply to the input. Summaries never count
@@ -77,27 +77,44 @@ def _witness(tree, s, **values):
 class _Shared:
     """Per-(tree, s) facts memoized across the checks of one sweep cell.
 
-    ``placed`` is (below, above, w), or None when the float estimate or
-    a count does not confirm. w is the nominal width of the default
-    bracket: its search halves [0, cap] halvings(cap, width_digits)
-    times, so est.low lies in (rho - w, rho] and est.high in [rho,
-    rho + w), up to rounding. Two counts prove g(1 - 2^-36) < rho <
-    g(1 + 2^-36) for the float Laguerre estimate g of rho, and below and
-    above are those points moved 2w outward. So below < est.low - w and
-    est.high + w < above, a width to spare for the bracket's rounding: a
-    check returns True from them only where the bracket would, and
-    reads the bracket for every other outcome.
+    The checks read rho(M(s)) only through :meth:`ends`, which yields
+    (low, high, slack) tiers, each enclosing rho, with the slack a check
+    grants an attained bound there:
+
+    1. ``placed``, when its counts confirm it: two counts prove
+       g(1 - 2^-36) < rho < g(1 + 2^-36) for the float Laguerre estimate
+       g of rho, and low and high are those points moved 2w outward;
+       slack tol, or 9w. w is the nominal width of the default bracket:
+       its search halves [0, cap] halvings(cap, width_digits) times, so
+       its ends lie within w of rho, up to rounding. A check that holds
+       here holds on the bracket too, with a width to spare for the
+       bracket's rounding.
+    2. ``bracket``, the default bracket; slack tol, or ten of its widths.
+       It decides the attained edges (the ceilings at s = 0, where
+       rho = 1, and K2's adjacency ceiling) and, below 30 digits, where
+       the placed points are coarser than the slack, the star floor on
+       stars.
+    3. ``fine``, only with ``fine=True``: 15 digits finer, for leaf
+       deletions whose radius gap is below the default width. Its slack
+       keeps the tiers one shape; leaf deletion reads only low.
+
+    A False verdict takes its witness from the last tier, a bracket.
+    Each bracket is searched once per cell, when a check first reaches it.
     """
 
-    def __init__(self, tree, s, width_digits):
+    def __init__(self, tree, s, tol, width_digits):
         self.tree = tree
         self.s = s
+        self.tol = tol
         self.width_digits = width_digits
-        self._brackets = {}
 
     @cached_property
     def cap(self):
         return gershgorin_cap(self.s, self.tree.max_degree())
+
+    @cached_property
+    def w(self):
+        return self.cap / 2 ** halvings(self.cap, self.width_digits)
 
     @cached_property
     def placed(self):
@@ -109,21 +126,27 @@ class _Shared:
         lo, hi = s.ctx.scalar(g * (1 - 2.0 ** -36)), s.ctx.scalar(g * (1 + 2.0 ** -36))
         if not (_stays_below(tree, s, hi) and count_eigenvalues(tree, s, lo)[0] >= 1):
             return None
-        w = self.cap / 2 ** halvings(self.cap, self.width_digits)
-        return lo - 2 * w, hi + 2 * w, w
+        w = self.w
+        return lo - 2 * w, hi + 2 * w, self.tol if self.tol is not None else 9 * w
 
-    def _radius(self, width_digits):
-        return approximate_radius(self.tree, self.s, self.s.ctx.zero(), self.cap, target_digits=width_digits)
+    def _tier(self, width_digits):
+        est = approximate_radius(self.tree, self.s, self.s.ctx.zero(), self.cap, target_digits=width_digits)
+        return est.low, est.high, self.tol if self.tol is not None else 10 * est.width()
 
-    def bracket(self, width_digits=None):
-        """Radius bracket for the tree itself (n >= 2), at ``width_digits``
-        (default: the shared width), searched once per width."""
-        if width_digits is None:
-            width_digits = self.width_digits
-        est = self._brackets.get(width_digits)
-        if est is None:
-            est = self._brackets[width_digits] = self._radius(width_digits)
-        return est
+    @cached_property
+    def bracket(self):
+        return self._tier(self.width_digits)
+
+    @cached_property
+    def fine(self):
+        return self._tier(self.width_digits + 15)
+
+    def ends(self, fine=False):
+        if self.placed is not None:
+            yield self.placed
+        yield self.bracket
+        if fine:
+            yield self.fine
 
 
 def _floor(pid, tree, s, bound):
@@ -134,23 +157,13 @@ def _floor(pid, tree, s, bound):
     return PropertyReport(pid, False, _witness(tree, s, bound=bound))
 
 
-def _slack(tol, w):
-    # the slack the bracket grants, tol or ten widths, with a width to spare
-    return tol if tol is not None else 9 * w
-
-
-def _ceiling(pid, tree, s, tol, shared, bound):
-    """The verdict on rho <= bound + slack; the slack is tol, or ten
-    bracket widths. True when the proved ``above`` clears it (see
-    :class:`_Shared`), else from the shared bracket's high end."""
-    placed = shared.placed
-    if placed is not None and placed[1] <= bound + _slack(tol, placed[2]):
-        return PropertyReport(pid, True)
-    est = shared.bracket()
-    margin = tol if tol is not None else 10 * est.width()
-    if est.high <= bound + margin:
-        return PropertyReport(pid, True)
-    return PropertyReport(pid, False, _witness(tree, s, bound=bound, radius_high=est.high))
+def _ceiling(pid, tree, s, shared, bound):
+    """The verdict on rho <= bound + slack, from the first tier of
+    :meth:`_Shared.ends` whose high end clears it."""
+    for _, high, slack in shared.ends():
+        if high <= bound + slack:
+            return PropertyReport(pid, True)
+    return PropertyReport(pid, False, _witness(tree, s, bound=bound, radius_high=high))
 
 
 def _stays_below(tree, s, c):
@@ -252,21 +265,15 @@ def _check_leaf_deletion(tree, s, tol, shared):
     pid = "leaf-deletion-decreases"
     if tree.n == 1 or s.is_zero:
         return PropertyReport(pid, None)
-    placed = shared.placed
     for v in tree.leaves():
         smaller = tree.delete_leaf(v)
-        if placed is not None and _stays_below(smaller, s, placed[0]):
-            continue
-        if _stays_below(smaller, s, shared.bracket().low):
-            continue
-        # the gap may be finer than the shared bracket; look closer once
-        fine = shared.bracket(width_digits=shared.width_digits + 15)
-        if _stays_below(smaller, s, fine.low):
-            continue
-        return PropertyReport(
-            pid, False,
-            _witness(tree, s, deleted_leaf=v, parent_radius_low=fine.low),
-        )
+        # the gap may be finer than the shared bracket; the fine tier,
+        # searched once for all the leaves, looks closer
+        for low, _, _ in shared.ends(fine=True):
+            if _stays_below(smaller, s, low):
+                break
+        else:
+            return PropertyReport(pid, False, _witness(tree, s, deleted_leaf=v, parent_radius_low=low))
     return PropertyReport(pid, True)
 
 
@@ -288,7 +295,7 @@ def _check_starlike_ceiling(tree, s, tol, shared):
         return PropertyReport(pid, None)
     k = tree.degree[center]
     bound = 1 + s * s * (k - 1) + abs(s) * k / s.ctx.scalar(k - 1).sqrt()
-    return _ceiling(pid, tree, s, tol, shared, bound)
+    return _ceiling(pid, tree, s, shared, bound)
 
 
 def _check_star_floor(tree, s, tol, shared):
@@ -306,20 +313,17 @@ def _check_star_floor(tree, s, tol, shared):
         return PropertyReport(pid, True)
     if tree.max_degree() == tree.n - 1:
         # the bound is attained exactly on stars; rho proved within the
-        # slack less one width of it puts both bracket ends within the slack
+        # placed tier's slack less a width of it puts both bracket ends
+        # within the bracket's slack
         placed = shared.placed
         if placed is not None:
-            pad = _slack(tol, placed[2]) - placed[2]
+            pad = placed[2] - shared.w
             if _stays_below(tree, s, bound + pad) and count_eigenvalues(tree, s, bound - pad)[0] >= 1:
                 return PropertyReport(pid, True)
-        est = shared.bracket()
-        margin = tol if tol is not None else 10 * est.width()
-        if est.low - margin <= bound <= est.high + margin:
+        low, high, slack = shared.bracket
+        if low - slack <= bound <= high + slack:
             return PropertyReport(pid, True)
-        return PropertyReport(
-            pid, False,
-            _witness(tree, s, bound=bound, radius_low=est.low, radius_high=est.high),
-        )
+        return PropertyReport(pid, False, _witness(tree, s, bound=bound, radius_low=low, radius_high=high))
     return _floor(pid, tree, s, bound)
 
 
@@ -332,22 +336,15 @@ def _check_adjacency_ceiling(tree, s, tol, shared):
             return PropertyReport(pid, True)
         return PropertyReport(pid, False, _witness(tree, s, bound=base, radius=lhs))
     if s.is_zero:
-        return _ceiling(pid, tree, s, tol, shared, base)
-    # rho <= base + |s| rho(A) + margin iff rho(A) >= t; the proved
-    # ``above`` gives a t no lower than the bracket's
-    placed = shared.placed
-    if placed is not None:
-        t = (placed[1] - base - _slack(tol, placed[2])) / abs(s)
+        return _ceiling(pid, tree, s, shared, base)
+    # rho <= base + |s| rho(A) + slack iff rho(A) >= t; the placed tier
+    # gives a t no lower than the bracket's
+    for _, high, slack in shared.ends():
+        t = (high - base - slack) / abs(s)
         pos, _, zero = _adjacency_inertia(tree, t)
         if pos + zero >= 1:
             return PropertyReport(pid, True)
-    est = shared.bracket()
-    margin = tol if tol is not None else 10 * est.width()
-    t = (est.high - base - margin) / abs(s)
-    pos, _, zero = _adjacency_inertia(tree, t)
-    if pos + zero >= 1:
-        return PropertyReport(pid, True)
-    return PropertyReport(pid, False, _witness(tree, s, radius_high=est.high, adjacency_radius_below=t))
+    return PropertyReport(pid, False, _witness(tree, s, radius_high=high, adjacency_radius_below=t))
 
 
 # the adaptedness checks are floors at (1+|s|)^2: rho above it makes every
@@ -409,7 +406,8 @@ def check_property(property_id, tree, s, tol=None):
     tol bounds the slack granted to equality cases and upper-bound
     checks; strict inequalities use exact eigenvalue counts and ignore
     it. When omitted, the slack is ten times the bisection width at
-    DEFAULT_WIDTH_DIGITS.
+    DEFAULT_WIDTH_DIGITS, or nine nominal widths where proved points
+    decide; :class:`_Shared` says which radius enclosure decides what.
     """
     if not isinstance(tree, Tree):
         raise DomainError("check_property needs a Tree")
@@ -458,7 +456,7 @@ def sweep(property_ids, trees, s_grid, tol=None, ctx=None):
     reports = []
     for tree in trees:
         for s in grid:
-            shared = _Shared(tree, s, width_digits)
+            shared = _Shared(tree, s, tol, width_digits)
             for pid in property_ids:
                 reports.append(PROPERTY_CHECKS[pid](tree, s, tol, shared))
     return SweepResult(reports)

@@ -425,14 +425,6 @@ def _level_sequence_edges(seq):
     return edges
 
 
-def _adjacency(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def _centroids(n, adj):
     if n == 1:
         return [0]
@@ -487,13 +479,18 @@ def _ahu_code(n, adj, root):
     return code[root]
 
 
-def canonical_form(tree):
-    """An isomorphism-invariant string for the underlying free tree."""
-    adj = [[] for _ in range(tree.n)]
-    for u, v in tree.edges():
+def _free_key(n, edges):
+    # the least AHU code over the tree's centroids: one key per free tree
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    return min(_ahu_code(tree.n, adj, c) for c in _centroids(tree.n, adj))
+    return min(_ahu_code(n, adj, c) for c in _centroids(n, adj))
+
+
+def canonical_form(tree):
+    """An isomorphism-invariant string for the underlying free tree."""
+    return _free_key(tree.n, tree.edges())
 
 
 def free_trees(n):
@@ -512,8 +509,7 @@ def free_trees(n):
     seen = set()
     for seq in _rooted_level_sequences(n):
         edges = _level_sequence_edges(seq)
-        adj = _adjacency(n, edges)
-        key = min(_ahu_code(n, adj, c) for c in _centroids(n, adj))
+        key = _free_key(n, edges)
         if key in seen:
             continue
         seen.add(key)

@@ -1,5 +1,7 @@
 """The executable property suite over small exhaustive tree families."""
 
+import hashlib
+
 import pytest
 
 from deflap import cli, diagonalize, properties
@@ -106,19 +108,21 @@ def test_leaf_deletion_looks_closer_when_the_bracket_is_coarse(monkeypatch):
     path8 = next(iter(free_trees(8)))
     assert sorted(path8.degree) == [1, 1, 2, 2, 2, 2, 2, 2]
     widths = []
-    radius = properties._Shared._radius
 
-    def recorded(self, width_digits):
-        widths.append(width_digits)
-        return radius(self, width_digits)
+    def recorded(*args, target_digits):
+        widths.append(target_digits)
+        return diagonalize.approximate_radius(*args, target_digits=target_digits)
 
-    monkeypatch.setattr(properties._Shared, "_radius", recorded)
+    monkeypatch.setattr(properties, "approximate_radius", recorded)
     s = CTX.scalar("0.5")
-    shared = properties._Shared(path8, s, 1)
+    shared = properties._Shared(path8, s, None, 1)
     report = properties._check_leaf_deletion(path8, s, None, shared)
     assert report.holds is True
     assert widths == [1, 16]
-    assert shared.bracket() is shared.bracket(1)
+    bracket, fine = shared.bracket, shared.fine
+    assert list(shared.ends(fine=True))[-2:] == [bracket, fine]
+    assert fine[1] - fine[0] < bracket[1] - bracket[0]
+    assert widths == [1, 16]
 
 
 def test_adjacency_ceiling_searches_no_adjacency_radius(monkeypatch):
@@ -145,17 +149,18 @@ def test_adjacency_ceiling_is_decided_at_the_edge(monkeypatch):
     p2 = Tree.from_edges([(0, 1)])
     tol = 1 / CTX.scalar(2 ** 60)
     top = CTX.scalar("1.5") + tol
-    radius = properties._Shared._radius
     for high, holds in ((top, True), (top - tol / 2 ** 40, True), (top + CTX.scalar("1e-15"), False)):
-        def pinned(self, width_digits, high=high):
-            est = radius(self, width_digits)
+        def pinned(*args, high=high, **kwargs):
+            est = diagonalize.approximate_radius(*args, **kwargs)
             est.high = high
             return est
 
-        monkeypatch.setattr(properties._Shared, "_radius", pinned)
+        monkeypatch.setattr(properties, "approximate_radius", pinned)
         report = check_property("adjacency-ceiling", p2, CTX.scalar("-0.5"), tol=tol)
         assert report.holds is holds
         assert (report.witness is None) is holds
+        if not holds:
+            assert report.witness["values"]["radius_high"] == high.to_decimal_string(20)
 
 
 def _reports(result):
@@ -172,13 +177,12 @@ def test_placed_points_give_the_bracket_verdicts(monkeypatch, tol):
     trees = [tree for n in range(1, 8) for tree in free_trees(n)]
     grid = [CTX.scalar(x) for x in ("0", "1", "-1", "1.5", "-1.5", "1.001", "-2", "3")]
     cells = set()
-    radius = properties._Shared._radius
 
-    def recorded(self, width_digits):
-        cells.add((id(self.tree), self.s.to_float()))
-        return radius(self, width_digits)
+    def recorded(tree, s, *args, **kwargs):
+        cells.add((id(tree), s.to_float()))
+        return diagonalize.approximate_radius(tree, s, *args, **kwargs)
 
-    monkeypatch.setattr(properties._Shared, "_radius", recorded)
+    monkeypatch.setattr(properties, "approximate_radius", recorded)
     fast = sweep(PROPERTY_IDS, trees, grid, tol, ctx=CTX)
     assert cells == {(id(t), s.to_float()) for t in trees for s in grid if t.n >= 2 and (s.is_zero or t.n == 2)}
     monkeypatch.setattr(properties._Shared, "placed", None)
@@ -203,3 +207,18 @@ def test_property_sweep_brackets_only_the_edge(monkeypatch):
     result = sweep(PROPERTY_IDS, trees, cli.DEFAULT_S_GRID.split(","), ctx=CTX)
     assert result.violations() == []
     assert searched == [2] * 8
+
+
+@pytest.mark.parametrize("digits", ["16", "20"])
+def test_verify_at_low_precision(tmp_path, capsys, digits):
+    # below 30 digits the placed points are coarser than the star floor's
+    # slack, so the radius bracket decides the star floor on every star,
+    # as it decides K2's adjacency ceiling at every precision; this sweep
+    # keeps that path answering
+    out = tmp_path / "verify.csv"
+    code = cli.main(["verify", "--max-n", "6", "--digits", digits, "--csv", str(out)])
+    stdout, err = capsys.readouterr()
+    assert code == 0, err
+    assert stdout == "checked=1344 passed=818 failed=0 not-applicable=526\n"
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "e0178130848fece486e798633f9dfdb7c8f2b097695453f689e4ce37ebd310c5"
