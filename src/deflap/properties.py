@@ -2,18 +2,17 @@
 
 Each check encodes one published inequality or characterization as a
 predicate over a (tree, s) pair and returns a :class:`PropertyReport`.
-Strict inequalities are decided by inertia probes (counting eigenvalues
-beyond the stated bound with :func:`count_eigenvalues`, whose counts are
-exact for the Scalar values of s and the bound, also when the bound is
-an eigenvalue). The two upper bounds, leaf deletion and the star
-equality case, where a bound can be attained, read rho(M(s)) through
-the tiers of :meth:`_Shared.ends`: two points a float estimate places
-and counts prove, which decide most True verdicts, then radius
-brackets, which decide the rest and give every False verdict and its
-witness. The tiers fix the slack granted: tol, or about ten widths of
-the default bracket. The adjacency ceiling needs no rho(A): it holds
-iff rho(A) >= t for the t it solves for from a tier's high end, which
-a proved count of A - tI decides.
+Checks against a closed-form bound are decided by counts with
+:func:`count_eigenvalues`, exact for the Scalar values of s and the
+point, also at an eigenvalue: a floor at its bound, a ceiling at its
+bound plus :attr:`_Shared.slack` (tol, or ten nominal widths of the
+default bracket), and the star floor on stars, where it is attained, at
+its bound minus and plus that slack. The two checks that compare two
+spectra, leaf deletion and the adjacency ceiling at s != 0, read
+rho(M(s)) through the tiers of :meth:`_Shared.ends`. The adjacency
+ceiling needs no rho(A): it holds iff rho(A) >= t for the t it solves
+for from a tier's high end, which a proved count of A - tI decides.
+Every False verdict takes its witness from a radius bracket.
 
 ``holds`` is three-valued: True, False (with a witness), or None when the
 property's hypotheses do not apply to the input. Summaries never count
@@ -28,11 +27,11 @@ import math
 from functools import cached_property
 
 from .diagonalize import _adjacency_inertia, _float_start, approximate_radius, count_eigenvalues, gershgorin_cap
-from .scalar import DomainError, Scalar, halvings, infer_context
+from .scalar import DomainError, PrecisionError, Scalar, halvings, infer_context
 from .trees import Tree
 
-# bisection resolution (decimal digits) used when the caller gives no
-# tolerance; the reported tolerance is then ten times the final width
+# bisection resolution (decimal digits) of the default bracket; with no
+# tolerance given, the slack granted is ten of its nominal widths
 DEFAULT_WIDTH_DIGITS = 30
 
 
@@ -77,29 +76,21 @@ def _witness(tree, s, **values):
 class _Shared:
     """Per-(tree, s) facts memoized across the checks of one sweep cell.
 
-    The checks read rho(M(s)) only through :meth:`ends`, which yields
-    (low, high, slack) tiers, each enclosing rho, with the slack a check
-    grants an attained bound there:
+    ``slack`` is the one margin granted an attained bound: tol, or 10w,
+    where w = cap / 2^h is the nominal width of the default bracket,
+    h = halvings(cap, width_digits) capped at prec - 2 so that w stays
+    above the rounding of the working precision.
+
+    :meth:`ends` yields (low, high) tiers, each enclosing rho:
 
     1. ``placed``, when its counts confirm it: two counts prove
        g(1 - 2^-36) < rho < g(1 + 2^-36) for the float Laguerre estimate
-       g of rho, and low and high are those points moved 2w outward;
-       slack tol, or 9w. w is the nominal width of the default bracket:
-       its search halves [0, cap] halvings(cap, width_digits) times, so
-       its ends lie within w of rho, up to rounding. A check that holds
-       here holds on the bracket too, with a width to spare for the
-       bracket's rounding.
-    2. ``bracket``, the default bracket; slack tol, or ten of its widths.
-       It decides the attained edges (the ceilings at s = 0, where
-       rho = 1, and K2's adjacency ceiling) and, below 30 digits, where
-       the placed points are coarser than the slack, the star floor on
-       stars.
+       g of rho, and low and high are those points moved 2w outward.
+    2. ``bracket``, the default bracket.
     3. ``fine``, only with ``fine=True``: 15 digits finer, for leaf
-       deletions whose radius gap is below the default width. Its slack
-       keeps the tiers one shape; leaf deletion reads only low.
+       deletions whose radius gap is below the default width.
 
-    A False verdict takes its witness from the last tier, a bracket.
-    Each bracket is searched once per cell, when a check first reaches it.
+    Each bracket is searched once per cell, when a check first needs it.
     """
 
     def __init__(self, tree, s, tol, width_digits):
@@ -114,7 +105,11 @@ class _Shared:
 
     @cached_property
     def w(self):
-        return self.cap / 2 ** halvings(self.cap, self.width_digits)
+        return self.cap / 2 ** min(halvings(self.cap, self.width_digits), self.s.ctx.prec - 2)
+
+    @cached_property
+    def slack(self):
+        return self.tol if self.tol is not None else 10 * self.w
 
     @cached_property
     def placed(self):
@@ -126,12 +121,11 @@ class _Shared:
         lo, hi = s.ctx.scalar(g * (1 - 2.0 ** -36)), s.ctx.scalar(g * (1 + 2.0 ** -36))
         if not (_stays_below(tree, s, hi) and count_eigenvalues(tree, s, lo)[0] >= 1):
             return None
-        w = self.w
-        return lo - 2 * w, hi + 2 * w, self.tol if self.tol is not None else 9 * w
+        return lo - 2 * self.w, hi + 2 * self.w
 
     def _tier(self, width_digits):
         est = approximate_radius(self.tree, self.s, self.s.ctx.zero(), self.cap, target_digits=width_digits)
-        return est.low, est.high, self.tol if self.tol is not None else 10 * est.width()
+        return est.low, est.high
 
     @cached_property
     def bracket(self):
@@ -158,12 +152,11 @@ def _floor(pid, tree, s, bound):
 
 
 def _ceiling(pid, tree, s, shared, bound):
-    """The verdict on rho <= bound + slack, from the first tier of
-    :meth:`_Shared.ends` whose high end clears it."""
-    for _, high, slack in shared.ends():
-        if high <= bound + slack:
-            return PropertyReport(pid, True)
-    return PropertyReport(pid, False, _witness(tree, s, bound=bound, radius_high=high))
+    """The verdict on rho <= bound + slack, from the count of eigenvalues
+    above bound + slack."""
+    if count_eigenvalues(tree, s, bound + shared.slack)[0] == 0:
+        return PropertyReport(pid, True)
+    return PropertyReport(pid, False, _witness(tree, s, bound=bound, radius_high=shared.bracket[1]))
 
 
 def _stays_below(tree, s, c):
@@ -269,10 +262,14 @@ def _check_leaf_deletion(tree, s, tol, shared):
         smaller = tree.delete_leaf(v)
         # the gap may be finer than the shared bracket; the fine tier,
         # searched once for all the leaves, looks closer
-        for low, _, _ in shared.ends(fine=True):
+        for low, high in shared.ends(fine=True):
             if _stays_below(smaller, s, low):
                 break
         else:
+            # a violation only when counts prove rho(T - v) >= high >= rho(T)
+            pos, _, zero = count_eigenvalues(smaller, s, high)
+            if pos + zero == 0 or count_eigenvalues(tree, s, high)[0] != 0:
+                raise PrecisionError("deleting leaf %r moves the radius by less than the rounding" % (v,))
             return PropertyReport(pid, False, _witness(tree, s, deleted_leaf=v, parent_radius_low=low))
     return PropertyReport(pid, True)
 
@@ -312,17 +309,11 @@ def _check_star_floor(tree, s, tol, shared):
         # every radius and the bound both collapse to one
         return PropertyReport(pid, True)
     if tree.max_degree() == tree.n - 1:
-        # the bound is attained exactly on stars; rho proved within the
-        # placed tier's slack less a width of it puts both bracket ends
-        # within the bracket's slack
-        placed = shared.placed
-        if placed is not None:
-            pad = placed[2] - shared.w
-            if _stays_below(tree, s, bound + pad) and count_eigenvalues(tree, s, bound - pad)[0] >= 1:
-                return PropertyReport(pid, True)
-        low, high, slack = shared.bracket
-        if low - slack <= bound <= high + slack:
+        # the bound is attained exactly on stars: rho within slack of it
+        slack = shared.slack
+        if count_eigenvalues(tree, s, bound - slack)[0] >= 1 and count_eigenvalues(tree, s, bound + slack)[0] == 0:
             return PropertyReport(pid, True)
+        low, high = shared.bracket
         return PropertyReport(pid, False, _witness(tree, s, bound=bound, radius_low=low, radius_high=high))
     return _floor(pid, tree, s, bound)
 
@@ -331,16 +322,17 @@ def _check_adjacency_ceiling(tree, s, tol, shared):
     pid = "adjacency-ceiling"
     base = 1 + s * s * (tree.max_degree() - 1)
     if tree.n == 1:
+        # base = 1 + s^2 (0 - 1) rounds as 1 - s^2 does: no margin needed
         lhs = 1 - s * s
-        if lhs <= base + s.ctx.power_of_ten(-s.ctx.digits + 8):
+        if lhs <= base:
             return PropertyReport(pid, True)
         return PropertyReport(pid, False, _witness(tree, s, bound=base, radius=lhs))
     if s.is_zero:
         return _ceiling(pid, tree, s, shared, base)
     # rho <= base + |s| rho(A) + slack iff rho(A) >= t; the placed tier
     # gives a t no lower than the bracket's
-    for _, high, slack in shared.ends():
-        t = (high - base - slack) / abs(s)
+    for _, high in shared.ends():
+        t = (high - base - shared.slack) / abs(s)
         pos, _, zero = _adjacency_inertia(tree, t)
         if pos + zero >= 1:
             return PropertyReport(pid, True)
@@ -405,9 +397,10 @@ def check_property(property_id, tree, s, tol=None):
 
     tol bounds the slack granted to equality cases and upper-bound
     checks; strict inequalities use exact eigenvalue counts and ignore
-    it. When omitted, the slack is ten times the bisection width at
-    DEFAULT_WIDTH_DIGITS, or nine nominal widths where proved points
-    decide; :class:`_Shared` says which radius enclosure decides what.
+    it. When omitted, the slack is ten nominal widths of the bracket at
+    DEFAULT_WIDTH_DIGITS (:attr:`_Shared.slack`). Leaf deletion raises
+    PrecisionError when counts at the working precision can neither
+    clear a leaf nor prove its violation.
     """
     if not isinstance(tree, Tree):
         raise DomainError("check_property needs a Tree")

@@ -87,9 +87,9 @@ class Tree:
                 raise DomainError("root %r is not a vertex of the tree" % (root,))
             r = int(root) if index is None else index[root]
         # preorder with each vertex's children taken first to last; its
-        # reverse is the postorder (see _compute_postorder)
+        # reverse is the postorder (see _compute_postorder). A vertex's
+        # adjacency list less its parent is its children list
         parent = [None] * n
-        children = [[] for _ in range(n)]
         visited = [False] * n
         visited[r] = True
         preorder = []
@@ -97,18 +97,24 @@ class Tree:
         while stack:
             v = stack.pop()
             preorder.append(v)
-            kids = children[v]
-            for w in adj[v]:
-                if not visited[w]:
-                    visited[w] = True
-                    parent[w] = v
-                    kids.append(w)
-            stack.extend(reversed(kids))
+            kids = adj[v]
+            if v != r:
+                kids.remove(parent[v])
+            for w in kids:
+                if visited[w]:
+                    # a cycle, which n - 1 edges close only when some
+                    # vertex is cut off: the preorder stays short
+                    stack.clear()
+                    break
+                visited[w] = True
+                parent[w] = v
+            else:
+                stack.extend(reversed(kids))
         if len(preorder) != n:
             _reject_duplicate(edges, pairs)
             raise DomainError("edge list is not connected")
         preorder.reverse()
-        return cls(n, r, parent, children, order, preorder)
+        return cls(n, r, parent, adj, order, preorder)
 
     @classmethod
     def single_vertex(cls):

@@ -6,7 +6,7 @@ import pytest
 
 from deflap import cli, diagonalize, properties
 from deflap.properties import PROPERTY_IDS, PropertyReport, check_property, sweep
-from deflap.scalar import DomainError, PrecisionContext
+from deflap.scalar import DomainError, PrecisionContext, PrecisionError
 from deflap.trees import Tree, free_trees, starlike_t1nn
 
 CTX = PrecisionContext(50)
@@ -170,10 +170,10 @@ def _reports(result):
 @pytest.mark.parametrize("tol", [None, "1e-12"])
 def test_placed_points_give_the_bracket_verdicts(monkeypatch, tol):
     # a True from the proved points is one the bracket gives too, and every
-    # other outcome reads the bracket. Here only the attained edges search
-    # one: the ceilings at s = 0 (rho = 1) and the adjacency ceiling on K2,
-    # where rho = 1 + |s| rho(A). The star floor, attained on every star,
-    # is decided by two counts around its bound.
+    # other outcome reads the bracket. Counts decide the closed-form
+    # bounds, the ceilings at s = 0 (rho = 1) and the star floor on stars
+    # included, so only the adjacency ceiling on K2, attained at
+    # rho = 1 + |s| rho(A), searches a radius.
     trees = [tree for n in range(1, 8) for tree in free_trees(n)]
     grid = [CTX.scalar(x) for x in ("0", "1", "-1", "1.5", "-1.5", "1.001", "-2", "3")]
     cells = set()
@@ -184,7 +184,7 @@ def test_placed_points_give_the_bracket_verdicts(monkeypatch, tol):
 
     monkeypatch.setattr(properties, "approximate_radius", recorded)
     fast = sweep(PROPERTY_IDS, trees, grid, tol, ctx=CTX)
-    assert cells == {(id(t), s.to_float()) for t in trees for s in grid if t.n >= 2 and (s.is_zero or t.n == 2)}
+    assert cells == {(id(t), s.to_float()) for t in trees for s in grid if t.n == 2 and not s.is_zero}
     monkeypatch.setattr(properties._Shared, "placed", None)
     assert _reports(fast) == _reports(sweep(PROPERTY_IDS, trees, grid, tol, ctx=CTX))
     assert fast.violations() == []
@@ -194,8 +194,10 @@ def test_placed_points_give_the_bracket_verdicts(monkeypatch, tol):
             assert fast.reports[i * len(PROPERTY_IDS) + star].holds is True
 
 
-def test_property_sweep_brackets_only_the_edge(monkeypatch):
-    # on the CLI's grid every radius search left is K2's adjacency ceiling
+@pytest.mark.parametrize("digits", [16, 20, 29, 30, 50])
+def test_property_sweep_brackets_only_the_edge(monkeypatch, digits):
+    # on the CLI's grid every radius search left is K2's adjacency
+    # ceiling, at every precision
     searched = []
 
     def counted(tree, *args, **kwargs):
@@ -204,17 +206,16 @@ def test_property_sweep_brackets_only_the_edge(monkeypatch):
 
     monkeypatch.setattr(properties, "approximate_radius", counted)
     trees = [tree for n in range(1, 9) for tree in free_trees(n)]
-    result = sweep(PROPERTY_IDS, trees, cli.DEFAULT_S_GRID.split(","), ctx=CTX)
+    result = sweep(PROPERTY_IDS, trees, cli.DEFAULT_S_GRID.split(","), ctx=PrecisionContext(digits))
     assert result.violations() == []
     assert searched == [2] * 8
 
 
 @pytest.mark.parametrize("digits", ["16", "20"])
 def test_verify_at_low_precision(tmp_path, capsys, digits):
-    # below 30 digits the placed points are coarser than the star floor's
-    # slack, so the radius bracket decides the star floor on every star,
-    # as it decides K2's adjacency ceiling at every precision; this sweep
-    # keeps that path answering
+    # below 30 digits the default bracket is as coarse as the rounding, so
+    # the slack is ten widths of 2^(2 - prec) cap rather than of the
+    # 30-digit bracket; this sweep keeps those counts answering
     out = tmp_path / "verify.csv"
     code = cli.main(["verify", "--max-n", "6", "--digits", digits, "--csv", str(out)])
     stdout, err = capsys.readouterr()
@@ -222,3 +223,32 @@ def test_verify_at_low_precision(tmp_path, capsys, digits):
     assert stdout == "checked=1344 passed=818 failed=0 not-applicable=526\n"
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "e0178130848fece486e798633f9dfdb7c8f2b097695453f689e4ce37ebd310c5"
+
+
+@pytest.mark.parametrize("digits", ["20", "50"])
+def test_verify_off_the_default_grid(tmp_path, capsys, digits):
+    # s = 0, where the ceilings are attained at rho = 1, and s near +-1;
+    # the digest is the one the radius bracket's verdicts gave
+    out = tmp_path / "verify.csv"
+    argv = ["verify", "--max-n", "7", "--s-grid", "0,0.05,0.999,1.001,-2,3", "--digits", digits, "--csv", str(out)]
+    code = cli.main(argv)
+    stdout, err = capsys.readouterr()
+    assert code == 0, err
+    assert stdout == "checked=1800 passed=1098 failed=0 not-applicable=702\n"
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "12106e7f839e6a4cbcbd3b69aea0f1ec2bf110d9a06e2647477bfab8fb2caaa0"
+
+
+# a leaf of this 24-vertex tree shifts rho(M(3)) by less than one ulp at
+# 16 digits, so no count there can separate rho(T - v) from rho(T)
+NEAR_TIE = Tree.from_edges([
+    (0, 3), (0, 19), (1, 15), (1, 23), (2, 16), (2, 19), (3, 8), (3, 11), (3, 14), (3, 20), (4, 7), (4, 11),
+    (5, 14), (6, 12), (6, 22), (8, 13), (9, 12), (10, 17), (10, 20), (12, 18), (15, 21), (19, 21), (22, 23),
+])
+
+
+def test_leaf_deletion_reports_only_proved_violations():
+    with pytest.raises(PrecisionError):
+        check_property("leaf-deletion-decreases", NEAR_TIE, PrecisionContext(16).scalar(3))
+    for digits in (20, 50):
+        assert check_property("leaf-deletion-decreases", NEAR_TIE, PrecisionContext(digits).scalar(3)).holds is True
