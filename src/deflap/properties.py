@@ -267,9 +267,8 @@ def _check_leaf_deletion(tree, s, tol, shared):
                 break
         else:
             # a violation only when counts prove rho(T - v) >= high >= rho(T)
-            pos, _, zero = count_eigenvalues(smaller, s, high)
-            if pos + zero == 0 or count_eigenvalues(tree, s, high)[0] != 0:
-                raise PrecisionError("deleting leaf %r moves the radius by less than the rounding" % (v,))
+            if _stays_below(smaller, s, high) or count_eigenvalues(tree, s, high)[0] != 0:
+                raise PrecisionError("leaf %r: no count at this precision separates rho(T - v) from rho(T)" % (v,))
             return PropertyReport(pid, False, _witness(tree, s, deleted_leaf=v, parent_radius_low=low))
     return PropertyReport(pid, True)
 

@@ -213,9 +213,9 @@ def test_property_sweep_brackets_only_the_edge(monkeypatch, digits):
 
 @pytest.mark.parametrize("digits", ["16", "20"])
 def test_verify_at_low_precision(tmp_path, capsys, digits):
-    # below 30 digits the default bracket is as coarse as the rounding, so
-    # the slack is ten widths of 2^(2 - prec) cap rather than of the
-    # 30-digit bracket; this sweep keeps those counts answering
+    # below 30 digits no bracket is finer than the rounding, so the slack
+    # is 10 cap 2^(2 - prec) rather than ten 30-digit widths; this sweep
+    # keeps the counts at bound -+ slack answering
     out = tmp_path / "verify.csv"
     code = cli.main(["verify", "--max-n", "6", "--digits", digits, "--csv", str(out)])
     stdout, err = capsys.readouterr()
@@ -239,16 +239,14 @@ def test_verify_off_the_default_grid(tmp_path, capsys, digits):
     assert digest == "12106e7f839e6a4cbcbd3b69aea0f1ec2bf110d9a06e2647477bfab8fb2caaa0"
 
 
-# a leaf of this 24-vertex tree shifts rho(M(3)) by less than one ulp at
-# 16 digits, so no count there can separate rho(T - v) from rho(T)
-NEAR_TIE = Tree.from_edges([
-    (0, 3), (0, 19), (1, 15), (1, 23), (2, 16), (2, 19), (3, 8), (3, 11), (3, 14), (3, 20), (4, 7), (4, 11),
-    (5, 14), (6, 12), (6, 22), (8, 13), (9, 12), (10, 17), (10, 20), (12, 18), (15, 21), (19, 21), (22, 23),
-])
-
-
 def test_leaf_deletion_reports_only_proved_violations():
+    # a leaf of this 24-vertex tree moves rho(M(3)) by less than one ulp at
+    # 16 digits, so no count there separates rho(T - v) from rho(T)
+    tree = Tree.from_edges([
+        (0, 3), (0, 19), (1, 15), (1, 23), (2, 16), (2, 19), (3, 8), (3, 11), (3, 14), (3, 20), (4, 7), (4, 11),
+        (5, 14), (6, 12), (6, 22), (8, 13), (9, 12), (10, 17), (10, 20), (12, 18), (15, 21), (19, 21), (22, 23),
+    ])
     with pytest.raises(PrecisionError):
-        check_property("leaf-deletion-decreases", NEAR_TIE, PrecisionContext(16).scalar(3))
+        check_property("leaf-deletion-decreases", tree, PrecisionContext(16).scalar(3))
     for digits in (20, 50):
-        assert check_property("leaf-deletion-decreases", NEAR_TIE, PrecisionContext(digits).scalar(3)).holds is True
+        assert check_property("leaf-deletion-decreases", tree, PrecisionContext(digits).scalar(3)).holds is True
