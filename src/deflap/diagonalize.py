@@ -28,8 +28,9 @@ a radius rests on comes from the kernel.
 
 :func:`count_eigenvalues` proves each triple it returns. Most are
 decided by a pair of double-precision sweeps a backward-error bound
-apart (:func:`_float_positive`); the rest, and counts of A - tI, by the
-surgery kernel in interval or exact rational arithmetic.
+apart (:func:`_float_positive`), which also proves each side of a count
+alone (:func:`_float_side`); the rest by the surgery kernel in interval
+or exact rational arithmetic. Counts of A - tI take the same rungs.
 """
 
 import math
@@ -252,16 +253,19 @@ def count_eigenvalues(tree, s, c):
     comes from the first of three rungs that decides it:
 
     1. :func:`_float_pair`: two double-precision sweeps, at c - 2 eta and
-       at c + 2 eta. When both meet no zero or non-finite pivot and give
-       the same positive count p, the triple is (p, n - p, 0).
+       at c + 2 eta, from :func:`_float_table`, which holds
+       1 + s^2 (deg - 1) at every degree 0..D. When both meet no zero or
+       non-finite pivot and give the same positive count p, the triple
+       is (p, n - p, 0).
     2. :func:`_interval_inertia`: :func:`_surgery_sweep` in interval
        arithmetic at the context's precision from :func:`_exact_start`'s
        table. It decides when every pivot's interval excludes zero or is
        the point zero, as at c = 1 on a tree with two sibling leaves.
     3. :func:`_exact_inertia`: :func:`_surgery_sweep` in exact rational
        arithmetic, which decides every input within its work budget
-       and raises PrecisionError beyond it. Rungs 2 and 3 also count
-       A - tI (:func:`_adjacency_inertia`); rung 1's eta is for M(s).
+       and raises PrecisionError beyond it. All three rungs also count
+       A - tI (:func:`_adjacency_inertia`), rung 1 with the eta of M(s)
+       at |s| = 1.
 
     Why a pair decides. A sweep whose operations round with unit
     roundoff u computes the exact pivots, up to positive factors, of
@@ -290,6 +294,17 @@ def count_eigenvalues(tree, s, c):
     above x+, and the sweep at x- counts p- >= #{lam >= c}. If p- = p+ =
     p, then #{lam >= c} <= p <= #{lam > c}: no eigenvalue equals c and
     exactly p lie above it. A zero pivot ends the float sweep undecided.
+
+    Each sweep also proves one side alone (:func:`_float_side`): p+ >= 1
+    proves some eigenvalue above c, and p- = 0 proves every eigenvalue
+    below c. So a caller that needs only one side runs one sweep, and
+    falls back to the count when it is undecided. The same sweep with
+    T's eta proves either side for T - v, v a leaf, on T's own arrays
+    (:func:`_leaf_deleted`): T - v's degrees and |s| are T's or lower,
+    and the bound grows with the largest degree, so T's eta covers the
+    smaller matrix. Its lowered degree may be one T lacks (2 on K1,3
+    less a leaf, 0 on K2 less one), which is why the table holds every
+    degree up to D.
 
     The first rung runs only for |s| in [2^-200, 2^200] (or s = 0) and
     |c| <= 2^400. There an overflow in a reciprocal or a sum leaves an
@@ -327,28 +342,27 @@ def _half_width(s, c, max_degree):
     return 2 * (2 + 6 * s * s * m + 5 * c + s * max_degree * (max_degree + 5))
 
 
-def _float_positive(tree, table, s2, x):
+def _float_positive(order, degree, parent, table, s2, x):
     """The positive count of the float sweep at shift ``x``, or None when
     a pivot is zero or the sweep leaves float range.
 
-    Push form over the tree's own lists: in postorder each vertex takes
-    a = table[deg] - x - s2 * acc and adds 1/a to its parent's acc.
+    Push form over the arrays it is handed: in ``order``, whose last
+    vertex is the root, each vertex takes a = table[degree] - x - s2 * acc
+    and adds 1/a to its ``parent``'s acc. A tree hands its own postorder,
+    degrees and parents; :func:`_leaf_deleted` hands T - v on T's.
     """
-    degree = tree.degree
-    parent = tree.parent
-    postorder = tree.postorder
     start = [b - x for b in table]
-    acc = [0.0] * tree.n
+    acc = [0.0] * len(degree)
     neg = 0
     try:
-        for v in postorder[:-1]:
+        for v in order[:-1]:
             a = start[degree[v]] - s2 * acc[v]
             if a < 0.0:
                 neg += 1
             acc[parent[v]] += 1.0 / a
     except ZeroDivisionError:
         return None
-    root = postorder[-1]
+    root = order[-1]
     a = start[degree[root]] - s2 * acc[root]
     # an overflow leaves an infinity or a NaN in acc, at the latest in
     # the root's, whose pivot reads it
@@ -356,36 +370,88 @@ def _float_positive(tree, table, s2, x):
         return None
     if a < 0.0:
         neg += 1
-    return tree.n - neg
+    return len(order) - neg
+
+
+def _tree_arrays(tree):
+    """(order, degree, parent) of :func:`_float_positive` for ``tree``."""
+    return tree.postorder, tree.degree, tree.parent
+
+
+def _leaf_deleted(tree, v):
+    """(order, degree, parent) of :func:`_float_positive` for T - v, the
+    tree less its leaf ``v``, on T's own lists: T's postorder less v, and
+    T's degrees with v's neighbour one lower. When v is T's root its one
+    child comes last in that order and is T - v's root. T - v's degrees
+    are all in T's table (:func:`_float_table` fills 0..D), and its
+    largest degree is at most T's, so T's eta bounds its sweep's error.
+    """
+    order = [w for w in tree.postorder if w != v]
+    degree = list(tree.degree)
+    degree[tree.neighbors(v)[0]] -= 1
+    return order, degree, tree.parent
 
 
 def _float_table(tree, s):
     """(|s|, s^2, table): s rounded to the nearest float, and M(s)'s
-    float start table, indexed by degree: table[deg] = 1 + s^2 (deg - 1).
-    |s| and s^2 are inf past float range.
+    float start table at every degree 0..D: table[deg] = 1 + s^2 (deg - 1).
+    Degrees absent from the tree are filled too, for the sweeps of T - v
+    (:func:`_leaf_deleted`), whose lowered degree may be absent from T,
+    and 0 on K1. |s| and s^2 are inf past float range.
     """
     fs = abs(to_float(s.raw(), rnd=_RND))
     s2 = fs * fs
-    degrees = set(tree.degree)
-    table = [0.0] * (max(degrees) + 1)
-    for deg in degrees:
-        table[deg] = 1.0 + s2 * (deg - 1)
-    return fs, s2, table
+    return fs, s2, [1.0 + s2 * (deg - 1) for deg in range(tree.max_degree() + 1)]
+
+
+def _float_shifts(zero, fs, c, top):
+    """(c - 2 eta, c + 2 eta): rung 1's shifts for the Scalar ``c``, from
+    the float |s| = ``fs`` (``zero`` when s is exactly 0) and the largest
+    degree ``top``; None outside the range its bound covers."""
+    fc = to_float(c.raw(), rnd=_RND)
+    if not ((zero or 2.0 ** -200 <= fs <= 2.0 ** 200) and abs(fc) <= 2.0 ** 400):
+        return None
+    eta = _half_width(fs, abs(fc), top) * 2.0 ** -53 + (top + 1) * 2.0 ** -600
+    return fc - 2 * eta, fc + 2 * eta
+
+
+def _float_count(arrays, zero, float_table, c):
+    """The count of eigenvalues above c proved by rung 1's two sweeps of
+    ``arrays`` from ``float_table`` (:func:`_float_table`), or None."""
+    fs, s2, table = float_table
+    shifts = _float_shifts(zero, fs, c, len(table) - 1)
+    if shifts is None:
+        return None
+    pos = _float_positive(*arrays, table, s2, shifts[1])
+    if pos is None or pos != _float_positive(*arrays, table, s2, shifts[0]):
+        return None
+    return pos
+
+
+def _float_side(arrays, zero, float_table, c, above):
+    """True when one float sweep proves that some eigenvalue lies above c
+    (``above``), or that every eigenvalue lies below c; else False.
+
+    The two halves of rung 1's pair, read apart (see
+    :func:`count_eigenvalues`): the sweep at c + 2 eta counts p+ <=
+    #{lam > c}, so p+ >= 1 proves an eigenvalue above c, and the sweep at
+    c - 2 eta counts p- >= #{lam >= c}, so p- = 0 proves none at or above
+    it. False says nothing either way.
+    """
+    fs, s2, table = float_table
+    shifts = _float_shifts(zero, fs, c, len(table) - 1)
+    if shifts is None:
+        return False
+    if above:
+        pos = _float_positive(*arrays, table, s2, shifts[1])
+        return pos is not None and pos >= 1
+    return _float_positive(*arrays, table, s2, shifts[0]) == 0
 
 
 def _float_pair(tree, s, c):
     """Rung 1 of :func:`count_eigenvalues`: the count of eigenvalues above
     c, proved by two float sweeps, or None."""
-    fs, s2, table = _float_table(tree, s)
-    fc = to_float(c.raw(), rnd=_RND)
-    if not ((s.is_zero or 2.0 ** -200 <= fs <= 2.0 ** 200) and abs(fc) <= 2.0 ** 400):
-        return None
-    top = len(table) - 1
-    eta = _half_width(fs, abs(fc), top) * 2.0 ** -53 + (top + 1) * 2.0 ** -600
-    pos = _float_positive(tree, table, s2, fc + 2 * eta)
-    if pos is None or pos != _float_positive(tree, table, s2, fc - 2 * eta):
-        return None
-    return pos
+    return _float_count(_tree_arrays(tree), s.is_zero, _float_table(tree, s), c)
 
 
 def _interval_inertia(tree, start, s2, prec):
@@ -453,8 +519,18 @@ def _exact_inertia(tree, start, s2, c):
 
 
 def _adjacency_inertia(tree, t):
-    """The proved inertia triple of A - tI at the Scalar t: rungs 2 and 3
-    of :func:`count_eigenvalues` from start -t at every degree, s2 = 1."""
+    """The proved inertia triple of A - tI at the Scalar t: the rungs of
+    :func:`count_eigenvalues` from start -t at every degree, s2 = 1.
+
+    Rung 1 runs the float pair on a zero table with s^2 = 1 and M(s)'s
+    eta at |s| = 1. Its bound holds here: the diagonal -x is exact, since
+    each start is 0 - x, and s^2 = 1 is exact, so the matrix the rounded
+    sweep diagonalizes moves by no more than M(s)'s at |s| = 1, whose
+    diagonal and s^2 carry rounding that A - tI's do not.
+    """
+    pos = _float_count(_tree_arrays(tree), False, (1.0, 1.0, [0.0] * (tree.max_degree() + 1)), t)
+    if pos is not None:
+        return pos, tree.n - pos, 0
     start = dict.fromkeys(tree.degree, mpf_neg(t.raw()))
     return _interval_inertia(tree, start, fone, t.ctx.prec) or _exact_inertia(tree, start, fone, t)
 

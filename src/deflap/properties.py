@@ -2,17 +2,24 @@
 
 Each check encodes one published inequality or characterization as a
 predicate over a (tree, s) pair and returns a :class:`PropertyReport`.
-Checks against a closed-form bound are decided by counts with
-:func:`count_eigenvalues`, exact for the Scalar values of s and the
-point, also at an eigenvalue: a floor at its bound, a ceiling at its
-bound plus :attr:`_Shared.slack` (tol, or ten nominal widths of the
-default bracket), and the star floor on stars, where it is attained, at
-its bound minus and plus that slack. The two checks that compare two
-spectra, leaf deletion and the adjacency ceiling at s != 0, read
-rho(M(s)) through the tiers of :meth:`_Shared.ends`. The adjacency
-ceiling needs no rho(A): it holds iff rho(A) >= t for the t it solves
-for from a tier's high end, which a proved count of A - tI decides.
-Every False verdict takes its witness from a radius bracket.
+Checks against a closed-form bound are decided by proved counts, exact
+for the Scalar values of s and the point, also at an eigenvalue: a
+floor at its bound, a ceiling at its bound plus :attr:`_Shared.slack`
+(tol, or ten nominal widths of the default bracket), and the star floor
+on stars, where it is attained, at its bound minus and plus that slack.
+The two checks that compare two spectra, leaf deletion and the
+adjacency ceiling at s != 0, read rho(M(s)) through the tiers of
+:meth:`_Shared.ends`. The adjacency ceiling needs no rho(A): it holds
+iff rho(A) >= t for the t it solves for from a tier's high end, which a
+proved count of A - tI decides. Every False verdict takes its witness
+from a radius bracket.
+
+Most questions a check asks need one side of a count only: is some
+eigenvalue above c, or is every eigenvalue below c? :class:`_Shared`
+answers each with one float sweep when that sweep proves it, on T - v
+too without building T - v, and with :func:`count_eigenvalues`
+otherwise. A sweep proves only what the count would say, so the
+verdicts and witnesses are the counts' alone.
 
 ``holds`` is three-valued: True, False (with a witness), or None when the
 property's hypotheses do not apply to the input. Summaries never count
@@ -26,7 +33,17 @@ reported.
 import math
 from functools import cached_property
 
-from .diagonalize import _adjacency_inertia, _float_start, approximate_radius, count_eigenvalues, gershgorin_cap
+from .diagonalize import (
+    _adjacency_inertia,
+    _float_side,
+    _float_start,
+    _float_table,
+    _leaf_deleted,
+    _tree_arrays,
+    approximate_radius,
+    count_eigenvalues,
+    gershgorin_cap,
+)
 from .scalar import DomainError, PrecisionError, Scalar, halvings, infer_context
 from .trees import Tree
 
@@ -91,6 +108,16 @@ class _Shared:
        deletions whose radius gap is below the default width.
 
     Each bracket is searched once per cell, when a check first needs it.
+
+    The checks ask through :meth:`above`, :meth:`below` and
+    :meth:`at_most`. Each runs one float sweep from the cell's
+    ``float_table`` (:func:`_float_side`) and returns at once when the
+    sweep proves its answer; otherwise it reads :meth:`count`, the
+    proved count, memoized per point so that checks asking at one point
+    (zero-eig and posdef at 0, the branching and adapted floors at
+    (1 + |s|)^2) share one. :meth:`below` with a leaf asks about T - v,
+    swept on T's own arrays; T - v is built only when that sweep leaves
+    the question undecided.
     """
 
     def __init__(self, tree, s, tol, width_digits):
@@ -98,6 +125,8 @@ class _Shared:
         self.s = s
         self.tol = tol
         self.width_digits = width_digits
+        self._counts = {}
+        self._smaller = {}
 
     @cached_property
     def cap(self):
@@ -119,7 +148,7 @@ class _Shared:
         if g is None or not math.isfinite(2 * g):
             return None
         lo, hi = s.ctx.scalar(g * (1 - 2.0 ** -36)), s.ctx.scalar(g * (1 + 2.0 ** -36))
-        if not (_stays_below(tree, s, hi) and count_eigenvalues(tree, s, lo)[0] >= 1):
+        if not (self.below(hi) and self.above(lo)):
             return None
         return lo - 2 * self.w, hi + 2 * self.w
 
@@ -142,27 +171,55 @@ class _Shared:
         if fine:
             yield self.fine
 
+    @cached_property
+    def float_table(self):
+        return _float_table(self.tree, self.s)
 
-def _floor(pid, tree, s, bound):
-    """The verdict on rho > bound, from the count of eigenvalues above it."""
-    pos, _, _ = count_eigenvalues(tree, s, bound)
-    if pos >= 1:
+    def count(self, c):
+        """:func:`count_eigenvalues` at c, once per point."""
+        key = c.raw()
+        if key not in self._counts:
+            self._counts[key] = count_eigenvalues(self.tree, self.s, c)
+        return self._counts[key]
+
+    def _sweep(self, arrays, c, above):
+        return _float_side(arrays, self.s.is_zero, self.float_table, c, above)
+
+    def above(self, c):
+        """Whether some eigenvalue lies above c."""
+        return self._sweep(_tree_arrays(self.tree), c, True) or self.count(c)[0] >= 1
+
+    def below(self, c, leaf=None):
+        """Whether every eigenvalue lies below c, of T, or of T - ``leaf``."""
+        if leaf is None:
+            if self._sweep(_tree_arrays(self.tree), c, False):
+                return True
+            pos, _, zero = self.count(c)
+        else:
+            if self._sweep(_leaf_deleted(self.tree, leaf), c, False):
+                return True
+            if leaf not in self._smaller:
+                self._smaller[leaf] = self.tree.delete_leaf(leaf)
+            pos, _, zero = count_eigenvalues(self._smaller[leaf], self.s, c)
+        return pos == 0 and zero == 0
+
+    def at_most(self, c):
+        """Whether no eigenvalue lies above c."""
+        return self.below(c) or self.count(c)[0] == 0
+
+
+def _floor(pid, shared, bound):
+    """The verdict on rho > bound."""
+    if shared.above(bound):
         return PropertyReport(pid, True)
-    return PropertyReport(pid, False, _witness(tree, s, bound=bound))
+    return PropertyReport(pid, False, _witness(shared.tree, shared.s, bound=bound))
 
 
-def _ceiling(pid, tree, s, shared, bound):
-    """The verdict on rho <= bound + slack, from the count of eigenvalues
-    above bound + slack."""
-    if count_eigenvalues(tree, s, bound + shared.slack)[0] == 0:
+def _ceiling(pid, shared, bound):
+    """The verdict on rho <= bound + slack."""
+    if shared.at_most(bound + shared.slack):
         return PropertyReport(pid, True)
-    return PropertyReport(pid, False, _witness(tree, s, bound=bound, radius_high=shared.bracket[1]))
-
-
-def _stays_below(tree, s, c):
-    # exact certificate that every eigenvalue is strictly below c
-    pos, _, zero = count_eigenvalues(tree, s, c)
-    return pos == 0 and zero == 0
+    return PropertyReport(pid, False, _witness(shared.tree, shared.s, bound=bound, radius_high=shared.bracket[1]))
 
 
 def _is_unit(s):
@@ -222,7 +279,7 @@ def _check_zero_eig(tree, s, tol, shared):
     pid = "zero-eig-iff-unit-s"
     if tree.n == 1:
         return PropertyReport(pid, None)
-    _, _, zero = count_eigenvalues(tree, s, s.ctx.zero())
+    _, _, zero = shared.count(s.ctx.zero())
     claimed = _is_unit(s)
     if (zero >= 1) == claimed:
         return PropertyReport(pid, True)
@@ -233,7 +290,7 @@ def _check_posdef(tree, s, tol, shared):
     pid = "posdef-iff-subunit-s"
     if tree.n == 1:
         return PropertyReport(pid, None)
-    pos, neg, zero = count_eigenvalues(tree, s, s.ctx.zero())
+    _, neg, zero = shared.count(s.ctx.zero())
     posdef = neg == 0 and zero == 0
     if posdef == (abs(s) < 1):
         return PropertyReport(pid, True)
@@ -244,14 +301,14 @@ def _check_radius_above_one(tree, s, tol, shared):
     pid = "radius-above-one"
     if tree.n == 1 or s.is_zero:
         return PropertyReport(pid, None)
-    return _floor(pid, tree, s, s.ctx.scalar(1))
+    return _floor(pid, shared, s.ctx.scalar(1))
 
 
 def _check_pendant_pair_floor(tree, s, tol, shared):
     pid = "pendant-pair-floor"
     if tree.n == 1 or s.is_zero or not _has_pendant_pair(tree):
         return PropertyReport(pid, None)
-    return _floor(pid, tree, s, 1 + s * s)
+    return _floor(pid, shared, 1 + s * s)
 
 
 def _check_leaf_deletion(tree, s, tol, shared):
@@ -259,15 +316,14 @@ def _check_leaf_deletion(tree, s, tol, shared):
     if tree.n == 1 or s.is_zero:
         return PropertyReport(pid, None)
     for v in tree.leaves():
-        smaller = tree.delete_leaf(v)
         # the gap may be finer than the shared bracket; the fine tier,
         # searched once for all the leaves, looks closer
         for low, high in shared.ends(fine=True):
-            if _stays_below(smaller, s, low):
+            if shared.below(low, v):
                 break
         else:
             # a violation only when counts prove rho(T - v) >= high >= rho(T)
-            if _stays_below(smaller, s, high) or count_eigenvalues(tree, s, high)[0] != 0:
+            if shared.below(high, v) or shared.above(high):
                 raise PrecisionError("leaf %r: no count at this precision separates rho(T - v) from rho(T)" % (v,))
             return PropertyReport(pid, False, _witness(tree, s, deleted_leaf=v, parent_radius_low=low))
     return PropertyReport(pid, True)
@@ -278,9 +334,9 @@ def _check_branching_floor(tree, s, tol, shared):
     if s.is_zero or tree.max_degree() < 3:
         return PropertyReport(pid, None)
     a = abs(s)
-    report = _floor(pid, tree, s, 1 + s.ctx.scalar(3).sqrt() * a + s * s)
+    report = _floor(pid, shared, 1 + s.ctx.scalar(3).sqrt() * a + s * s)
     if report.holds and tree.max_degree() >= 4:
-        report = _floor(pid, tree, s, (1 + a) ** 2)
+        report = _floor(pid, shared, (1 + a) ** 2)
     return report
 
 
@@ -291,7 +347,7 @@ def _check_starlike_ceiling(tree, s, tol, shared):
         return PropertyReport(pid, None)
     k = tree.degree[center]
     bound = 1 + s * s * (k - 1) + abs(s) * k / s.ctx.scalar(k - 1).sqrt()
-    return _ceiling(pid, tree, s, shared, bound)
+    return _ceiling(pid, shared, bound)
 
 
 def _check_star_floor(tree, s, tol, shared):
@@ -310,11 +366,11 @@ def _check_star_floor(tree, s, tol, shared):
     if tree.max_degree() == tree.n - 1:
         # the bound is attained exactly on stars: rho within slack of it
         slack = shared.slack
-        if count_eigenvalues(tree, s, bound - slack)[0] >= 1 and count_eigenvalues(tree, s, bound + slack)[0] == 0:
+        if shared.above(bound - slack) and shared.at_most(bound + slack):
             return PropertyReport(pid, True)
         low, high = shared.bracket
         return PropertyReport(pid, False, _witness(tree, s, bound=bound, radius_low=low, radius_high=high))
-    return _floor(pid, tree, s, bound)
+    return _floor(pid, shared, bound)
 
 
 def _check_adjacency_ceiling(tree, s, tol, shared):
@@ -327,7 +383,7 @@ def _check_adjacency_ceiling(tree, s, tol, shared):
             return PropertyReport(pid, True)
         return PropertyReport(pid, False, _witness(tree, s, bound=base, radius=lhs))
     if s.is_zero:
-        return _ceiling(pid, tree, s, shared, base)
+        return _ceiling(pid, shared, base)
     # rho <= base + |s| rho(A) + slack iff rho(A) >= t; the placed tier
     # gives a t no lower than the bracket's
     for _, high in shared.ends():
@@ -344,14 +400,14 @@ def _check_adapted_super(tree, s, tol, shared):
     pid = "adapted-super"
     if tree.max_degree() < 3 or not abs(s) > 1:
         return PropertyReport(pid, None)
-    return _floor(pid, tree, s, (1 + abs(s)) ** 2)
+    return _floor(pid, shared, (1 + abs(s)) ** 2)
 
 
 def _check_adapted_sub_deg4(tree, s, tol, shared):
     pid = "adapted-sub-deg4"
     if tree.max_degree() < 4 or s.is_zero or not abs(s) < 1:
         return PropertyReport(pid, None)
-    return _floor(pid, tree, s, (1 + abs(s)) ** 2)
+    return _floor(pid, shared, (1 + abs(s)) ** 2)
 
 
 def _check_adapted_sub_deg3_deep(tree, s, tol, shared):
@@ -360,7 +416,7 @@ def _check_adapted_sub_deg3_deep(tree, s, tol, shared):
         return PropertyReport(pid, None)
     if not _contains_deep_three_star(tree):
         return PropertyReport(pid, None)
-    return _floor(pid, tree, s, (1 + abs(s)) ** 2)
+    return _floor(pid, shared, (1 + abs(s)) ** 2)
 
 
 PROPERTY_CHECKS = {

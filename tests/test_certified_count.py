@@ -22,9 +22,13 @@ from deflap.diagonalize import (
     _exact_inertia,
     _exact_start,
     _float_pair,
+    _float_side,
+    _float_table,
     _interval_inertia,
+    _leaf_deleted,
     count_eigenvalues,
     diagonalize_tree,
+    gershgorin_cap,
 )
 from deflap.scalar import PrecisionContext, PrecisionError, Scalar
 from deflap.trees import Tree, dense_adjacency, dense_deformed_laplacian, free_trees
@@ -194,16 +198,26 @@ def test_float_rung_decides_a_random_point_on_a_large_tree():
     assert count_eigenvalues(tree, s, c) == diagonalize_tree(tree, s, -c).inertia
 
 
-def test_adjacency_rungs_agree_with_the_dense_spectrum():
+def test_adjacency_rungs_agree_with_the_dense_spectrum(monkeypatch):
     # the proved triple of A - tI against the dense eigensolver at the
     # integer eigenvalues 0..3 (2 on K_{1,4}, 3 on K_{1,9}) and at random
-    # decimals, which no eigenvalue of A, an algebraic integer, equals
+    # decimals, which no eigenvalue of A, an algebraic integer, equals.
+    # The float rung decides every point off the spectrum and none on it
     ctx = PrecisionContext(30)
     rng = random.Random(5)
     tol = ctx.power_of_ten(-20)
     trees = [tree for n in range(2, 10) for tree in free_trees(n)]
     trees += [Tree.from_edges([(0, v) for v in range(1, k + 1)]) for k in (4, 9)]
+    interval = diagonalize._interval_inertia
+    later = []
+
+    def recorded(*args):
+        later.append(args)
+        return interval(*args)
+
+    monkeypatch.setattr(diagonalize, "_interval_inertia", recorded)
     hit = set()
+    first = 0
     for tree in trees:
         spectrum = dense_adjacency(tree, ctx).eigenvalues(ctx)
         points = [ctx.scalar(t) for t in range(4)]
@@ -211,7 +225,65 @@ def test_adjacency_rungs_agree_with_the_dense_spectrum():
         for t in points:
             above = sum(1 for lam in spectrum if lam > t + tol)
             at = sum(1 for lam in spectrum if abs(lam - t) <= tol)
+            del later[:]
             assert _adjacency_inertia(tree, t) == (above, tree.n - above - at, at), (tree.to_text(), t)
+            assert bool(later) == bool(at)
+            first += not later
             if at:
                 hit.add(t.to_float())
     assert hit == {0, 1, 2, 3}
+    assert first == 549
+
+
+def test_adjacency_float_rung_decides_off_the_spectrum(monkeypatch):
+    # with the interval rung refused, points off the spectrum still get
+    # their triple from the float pair, and an eigenvalue falls through
+    ctx = PrecisionContext(50)
+
+    def refused(*args):
+        raise AssertionError("interval rung reached")
+
+    monkeypatch.setattr(diagonalize, "_interval_inertia", refused)
+    star = Tree.from_edges([(0, v) for v in range(1, 5)])
+    path = Tree.from_edges([(0, 1), (1, 2)])
+    # K_{1,4}: -2, 0, 0, 0, 2; P3: -sqrt 2, 0, sqrt 2
+    assert _adjacency_inertia(star, ctx.scalar("1.999999")) == (1, 4, 0)
+    assert _adjacency_inertia(star, ctx.scalar("-0.5")) == (4, 1, 0)
+    assert _adjacency_inertia(path, ctx.scalar("1.41421356")) == (1, 2, 0)
+    assert _adjacency_inertia(path, ctx.scalar("1.41421357")) == (0, 3, 0)
+    for tree, t in ((star, 2), (star, 0), (path, 0)):
+        with pytest.raises(AssertionError, match="interval rung"):
+            _adjacency_inertia(tree, ctx.scalar(t))
+
+
+def test_one_sided_sweeps_of_a_deleted_leaf_agree_with_its_count():
+    # every True that one float sweep of T - v on T's arrays gives, either
+    # way, against the proved count of T.delete_leaf(v). K1,3 less a leaf
+    # has the degree 2 that K1,3 lacks, and K2 less a leaf the degree 0;
+    # every free tree here is rooted at a leaf, so deleting the root, whose
+    # child then ends the order, is covered at every n
+    ctx = PrecisionContext(20)
+    trees = [tree for n in range(2, 10) for tree in free_trees(n)]
+    trees += [Tree.from_edges([(0, 1), (0, 2), (0, 3)], root=0), Tree.from_edges([(0, 1), (1, 2), (2, 3)], root=1)]
+    assert {tuple(sorted(t.degree)) for t in trees} >= {(1, 1), (1, 1, 1, 3)}
+    assert all(t.degree[t.root] == 1 for t in trees[:-2])
+    answers = wrong = 0
+    for s_text in ("0.3", "-0.9", "1", "-1", "1.5", "3"):
+        s = ctx.scalar(s_text)
+        for tree in trees:
+            table = _float_table(tree, s)
+            cap = gershgorin_cap(s, tree.max_degree())
+            points = [ctx.zero(), ctx.scalar(1)] + [cap * k / 12 for k in range(-1, 13)]
+            for v in tree.leaves():
+                arrays = _leaf_deleted(tree, v)
+                smaller = tree.delete_leaf(v)
+                for c in points:
+                    up = _float_side(arrays, s.is_zero, table, c, True)
+                    down = _float_side(arrays, s.is_zero, table, c, False)
+                    if not (up or down):
+                        continue
+                    pos, _, zero = count_eigenvalues(smaller, s, c)
+                    answers += up + down
+                    wrong += (up and pos == 0) + (down and (pos, zero) != (0, 0))
+    assert wrong == 0
+    assert answers == 39736

@@ -197,18 +197,41 @@ def test_placed_points_give_the_bracket_verdicts(monkeypatch, tol):
 @pytest.mark.parametrize("digits", [16, 20, 29, 30, 50])
 def test_property_sweep_brackets_only_the_edge(monkeypatch, digits):
     # on the CLI's grid every radius search left is K2's adjacency
-    # ceiling, at every precision
+    # ceiling, at every precision. One-sided float sweeps answer nearly
+    # every other question: where counting every question took 4,772
+    # counts, 1,464 T - v rebuilds and 952 interval sweeps, and counted
+    # twice at 0 per cell, 460 counts, no rebuild and 186 interval
+    # sweeps remain, with zero-eig and posdef sharing one count at 0
     searched = []
+    tally = {"delete_leaf": 0, "interval": 0, "counts": 0}
+    at_zero = []
 
     def counted(tree, *args, **kwargs):
         searched.append(tree.n)
         return diagonalize.approximate_radius(tree, *args, **kwargs)
 
+    def tallied(key, fn):
+        def call(*args):
+            tally[key] += 1
+            return fn(*args)
+        return call
+
+    def count(tree, s, c):
+        if c.is_zero:
+            at_zero.append((id(tree), s.raw()))
+        return tallied("counts", diagonalize.count_eigenvalues)(tree, s, c)
+
     monkeypatch.setattr(properties, "approximate_radius", counted)
+    monkeypatch.setattr(properties, "count_eigenvalues", count)
+    monkeypatch.setattr(diagonalize, "_interval_inertia", tallied("interval", diagonalize._interval_inertia))
+    monkeypatch.setattr(Tree, "delete_leaf", tallied("delete_leaf", Tree.delete_leaf))
     trees = [tree for n in range(1, 9) for tree in free_trees(n)]
-    result = sweep(PROPERTY_IDS, trees, cli.DEFAULT_S_GRID.split(","), ctx=PrecisionContext(digits))
+    grid = cli.DEFAULT_S_GRID.split(",")
+    result = sweep(PROPERTY_IDS, trees, grid, ctx=PrecisionContext(digits))
     assert result.violations() == []
     assert searched == [2] * 8
+    assert tally == {"delete_leaf": 0, "interval": 186, "counts": 460}
+    assert sorted(at_zero) == sorted(set(at_zero)) and len(at_zero) == sum(t.n > 1 for t in trees) * len(grid)
 
 
 @pytest.mark.parametrize("digits", ["16", "20"])

@@ -799,6 +799,31 @@ def test_replay_edge_brackets_match_tuple_replay():
     assert zeros > 0
 
 
+def test_zero_step_from_lo_replays_plain_bisection():
+    # a zero step names its start as the root, even at lo, and ends the
+    # Newton phase there: the bracket certified around lo = 0 is [0, w]
+    # with w = 2^37 the final width, one probe, and the replay decides
+    # every midpoint of [0, 2^40] by position. The frozen finder predates
+    # that branch (it steps and probes three times), so plain bisection
+    # is the reference
+    ctx = PrecisionContext(20)
+    lo, hi, root = ctx.zero(), ctx.scalar(2 ** 40), ctx.scalar("1234567.25")
+    calls = []
+    probe = _cubic_probe(root, calls)
+    found = find_root(probe, lo, hi, 3, lo, ctx.zero())
+    assert found.probes == 1 and found.zero is None
+    assert [x.raw() for x in calls] == [ctx.scalar(2 ** 37).raw()]
+    a, b = lo, hi
+    for _ in range(3):
+        mid = (a + b).halved()
+        if probe(mid, False)[0] < 0:
+            a = mid
+        else:
+            b = mid
+    assert (found.low.raw(), found.high.raw()) == (a.raw(), b.raw()) == (fzero, ctx.scalar(2 ** 37).raw())
+    assert _frozen_find_root(probe, lo, hi, 3, lo, ctx.zero()).probes == 3
+
+
 def test_exact_zero_midpoint_is_returned():
     ctx = PrecisionContext(30)
     root = ctx.scalar("0.625")

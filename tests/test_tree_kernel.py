@@ -364,22 +364,24 @@ def test_float_start_past_float_range(monkeypatch):
 def test_float_count_and_float_start_share_one_table(monkeypatch):
     # the float count pair and the float Laguerre start read one M(s)
     # table, built from s rounded to the nearest double: -0.9 there is
-    # the double 0.9, not the truncated 0.8999999999999999
+    # the double 0.9, not the truncated 0.8999999999999999. It holds
+    # every degree up to the largest, 0 and 3 too, which this tree lacks
+    # but its leaf deletions sweep
     ctx = PrecisionContext(50)
     tree = Tree.from_edges([(0, 1), (1, 2), (1, 3), (1, 4), (4, 5)])
     assert sorted(set(tree.degree)) == [1, 2, 4]
     tables = []
     positive = diagonalize._float_positive
 
-    def recorded(tree, table, s2, x):
+    def recorded(order, degree, parent, table, s2, x):
         tables.append((table, s2))
-        return positive(tree, table, s2, x)
+        return positive(order, degree, parent, table, s2, x)
 
     monkeypatch.setattr(diagonalize, "_float_positive", recorded)
     for s_text in ("-0.9", "0.3", "1.5", "0.05"):
         s = ctx.scalar(s_text)
         f = abs(float(s_text))
-        want = ([0.0, 1.0, 1.0 + f * f, 0.0, 1.0 + 3 * f * f], f * f)
+        want = ([1.0 - f * f, 1.0, 1.0 + f * f, 1.0 + 2 * f * f, 1.0 + 3 * f * f], f * f)
         del tables[:]
         count_eigenvalues(tree, s, ctx.scalar(2))
         assert tables == [want, want]
