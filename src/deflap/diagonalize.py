@@ -16,13 +16,16 @@ pivot. The surgery kernel, :func:`_surgery_sweep`, sweeps every vertex
 with the zero-pivot surgery in the arithmetic its caller hands it:
 rounded libmp for :func:`diagonalize_tree`, outward-rounded intervals
 and exact rationals for :func:`count_eigenvalues`. The caterpillar form
-is one raw-tuple recurrence along the backbone, :func:`_backbone`, read
-only by the caterpillar radius probe (behind the radii and the eps_k
+is one recurrence along the backbone, :func:`_backbone`, read only by
+the caterpillar radius probe (behind the radii and the eps_k
 certificate of :mod:`deflap.shearer`), which stops at its first
-nonnegative value. Rounded sweeps round every operation as Scalar
-arithmetic would; Scalars appear only at the API edge, in returned
-values and in the Newton step of the probes, which share one bracket
-search. A tree's search starts from a float Laguerre estimate
+nonnegative value. It runs on Python integers counting 2^-g, g = prec
++ 64 or finer, each operation rounded by hand
+(:func:`deflap.scalar._round`); a value that falls below the grid
+reruns the probe on a finer one. Rounded sweeps round every operation
+as Scalar arithmetic would; Scalars appear only at the API edge, in
+returned values and in the Newton step of the probes, which share one
+bracket search. A tree's search starts from a float Laguerre estimate
 (:func:`_laguerre_start`); floats only place that start, and every sign
 a radius rests on comes from the kernel.
 
@@ -60,6 +63,7 @@ from mpmath.libmp import (
 )
 
 from .scalar import BracketingError, DomainError, PrecisionError, Scalar, find_root, halvings
+from .scalar import _div, _drop, _mul, _on_grid, _round
 from .trees import Caterpillar, Tree
 
 _RND = round_nearest
@@ -535,8 +539,8 @@ def _adjacency_inertia(tree, t):
     return _interval_inertia(tree, start, fone, t.ctx.prec) or _exact_inertia(tree, start, fone, t)
 
 
-def _backbone(counts, s2, c, prec, slope):
-    """Yield raw (b_j, b_j') for j = 1..k: the leaf-folded sweep at point c.
+def _backbone(counts, s2, c, prec, slope, g):
+    """Yield (b_j, b_j') for j = 1..k: the leaf-folded sweep at point c.
 
     Every pendant leaf pivot is 1 - c, so each leaf adds delta =
     s2*c/(c - 1) to its backbone node: b_1 = 1 - c + r_1 delta and
@@ -545,35 +549,36 @@ def _backbone(counts, s2, c, prec, slope):
     b_j' = -1 + s2 b_{j-1}'/b_{j-1}^2 + r_j delta' is the derivative in c,
     delta' = -s2/(c - 1)^2; otherwise b_j' is None.
 
-    ``s2`` and ``c`` are raw libmp tuples. Every operation rounds to
-    ``prec`` to nearest, in the order the formulas read left to right, as
-    Scalar arithmetic would; 1 + s2 - c is formed once per point. c = 1
-    is a pole of delta, and the next value divides by b_j, so the caller
-    (:func:`_caterpillar_probe`) never passes c = 1 and stops at the
-    first nonnegative b_j.
+    ``s2``, ``c`` and every value yielded are Python integers counting
+    2^-g. Every operation rounds to ``prec`` bits by hand, to nearest,
+    in the order the formulas read left to right, bit for bit as libmp
+    and Scalar arithmetic would (:func:`deflap.scalar._round`); a value
+    that would fall below the grid raises _OffGrid. 1 + s2 - c is formed
+    once per point. c = 1 is a pole of delta, and the next value divides
+    by b_j, so the caller (:func:`_caterpillar_probe`) never passes c = 1
+    and stops at the first nonnegative b_j.
     """
-    cm1 = mpf_sub(c, fone, prec, _RND)
-    delta = mpf_div(mpf_mul(s2, c, prec, _RND), cm1, prec, _RND)
-    base = mpf_sub(mpf_add(fone, s2, prec, _RND), c, prec, _RND)
-    r = from_int(counts[0], prec, _RND)
-    b = mpf_add(mpf_sub(fone, c, prec, _RND), mpf_mul(delta, r, prec, _RND), prec, _RND)
+    one = 1 << g
+    cm1 = _round(c - one, prec)
+    delta = _div(_mul(s2, c, prec, g), cm1, prec, g)
+    base = _round(_round(one + s2, prec) - c, prec)
+    r = counts[0]
+    b = _round(_round(one - c, prec) + _round(delta * r, prec), prec)
     db = None
     if slope:
-        ddelta = mpf_div(mpf_neg(s2), mpf_mul(cm1, cm1, prec, _RND), prec, _RND)
-        db = mpf_sub(mpf_mul(ddelta, r, prec, _RND), fone, prec, _RND)
+        ddelta = _div(-s2, _mul(cm1, cm1, prec, g), prec, g)
+        db = _round(_round(ddelta * r, prec) - one, prec)
     yield b, db
     last = len(counts) - 1
     for j in range(1, last + 1):
-        r = from_int(counts[j], prec, _RND)
-        q = mpf_div(s2, b, prec, _RND)
-        nb = mpf_sub(base, q, prec, _RND)
-        nb = mpf_add(nb, mpf_mul(delta, r, prec, _RND), prec, _RND)
+        r = counts[j]
+        q = _div(s2, b, prec, g)
+        nb = _round(_round(base - q, prec) + _round(delta * r, prec), prec)
         if j == last:
-            nb = mpf_sub(nb, s2, prec, _RND)
+            nb = _round(nb - s2, prec)
         if slope:
-            db = mpf_div(mpf_mul(q, db, prec, _RND), b, prec, _RND)
-            db = mpf_add(db, mpf_mul(ddelta, r, prec, _RND), prec, _RND)
-            db = mpf_sub(db, fone, prec, _RND)
+            db = _div(_mul(q, db, prec, g), b, prec, g)
+            db = _round(_round(db + _round(ddelta * r, prec), prec) - one, prec)
         b = nb
         yield b, db
 
@@ -582,43 +587,44 @@ def _caterpillar_probe(cat, s2, ctx):
     """The radius probe of a caterpillar at s^2 = ``s2`` (raw): returns
     probe(c, slope) -> (all_negative, early, step) on the folded backbone.
 
-    The probe stops at its first nonnegative pivot, so it never divides by
-    a zero one. The leaf pivot sign is checked before :func:`_backbone`
-    forms delta, so the c = 1 pole is never evaluated: a nonnegative or
-    zero leaf pivot already decides the probe.
-    ``early`` reports a verdict reached before the last backbone node.
-    With ``slope`` and every pivot negative, step is the Newton step -1/L
-    toward the largest eigenvalue, where L = d/dc log|det(M - cI)| sums
-    b_j'/b_j over the backbone and 1/(c - 1) per leaf; otherwise step is
-    None.
+    The probe runs :func:`_backbone` on integers counting 2^-g, g = prec
+    + 64 or finer, so that c and s2 lift exactly; a value that falls
+    below the grid reruns the probe on a finer one
+    (:func:`deflap.scalar._on_grid`). Signs are read off the integers.
+    The probe stops at its first nonnegative pivot, so it never divides
+    by a zero one. The leaf pivot 1 - c is checked first, so the c = 1
+    pole is never evaluated: a nonnegative or zero leaf pivot already
+    decides the probe. ``early`` reports a verdict reached before the
+    last backbone node. With ``slope`` and every pivot negative, step is
+    the Newton step -1/L toward the largest eigenvalue, where L =
+    d/dc log|det(M - cI)| sums b_j'/b_j over the backbone and 1/(c - 1)
+    per leaf; L alone becomes a raw tuple, and step a Scalar; otherwise
+    step is None.
     """
     prec = ctx.prec
     counts = cat.counts
     last = cat.k - 1
     leaves = sum(counts)
-    leaf_sum = from_int(leaves, prec, _RND)
 
-    def probe(c, slope):
-        c = c.raw()
-        leaf_pivot = mpf_sub(fone, c, prec, _RND)
-        if (leaves and _sign(leaf_pivot) >= 0) or leaf_pivot == fzero:
+    def sweep(g, s2, c, slope):
+        one = 1 << g
+        if (leaves and c <= one) or c == one:
             # with no leaves anywhere the backbone pivots start at zero
             return False, True, None
         total = None
-        for j, (b, db) in enumerate(_backbone(counts, s2, c, prec, slope)):
-            if _sign(b) >= 0:
+        for j, (b, db) in enumerate(_backbone(counts, s2, c, prec, slope, g)):
+            if b >= 0:
                 return False, j < last, None
             if slope:
-                t = mpf_div(db, b, prec, _RND)
-                total = t if total is None else mpf_add(total, t, prec, _RND)
+                t = _div(db, b, prec, g)
+                total = t if total is None else _round(total + t, prec)
         if not slope:
             return True, False, None
         if leaves:
-            t = mpf_div(leaf_sum, mpf_sub(c, fone, prec, _RND), prec, _RND)
-            total = mpf_add(total, t, prec, _RND)
-        return True, False, _newton_step(Scalar(total, ctx))
+            total = _round(total + _div(leaves << g, _round(c - one, prec), prec, g), prec)
+        return True, False, _newton_step(_drop(total, -g, ctx))
 
-    return probe
+    return lambda c, slope: _on_grid(sweep, prec, (s2, c.raw()), slope)
 
 
 def _tree_probe(tree, base, s2, ctx):

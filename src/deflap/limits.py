@@ -15,6 +15,11 @@ geometric rate; s_star(lam) is its root in s, past which generation
 still works but convergence degrades. It has a closed cubic-formula
 expression, cross-checked here against the margin and against its own
 quartic before being returned.
+
+tau0's probe evaluates h and h' on Python integers counting 2^-g, each
+operation rounded by hand as the Scalar formula would round it
+(:func:`deflap.scalar._round`), so its signs and Newton steps are bit
+for bit those of Scalar arithmetic.
 """
 
 from .recurrence import recurrence_params
@@ -29,6 +34,7 @@ from .scalar import (
     infer_context,
     materialize,
 )
+from .scalar import _div, _drop, _mul, _on_grid, _round
 
 
 class ConsistencyError(ScalarError, RuntimeError):
@@ -52,23 +58,30 @@ def tau0(s):
     s = materialize(s, ctx)
     if s.is_zero:
         raise DomainError("s = 0 is degenerate: every radius is 1 and no limit points exist")
+    prec = ctx.prec
     s2 = s * s
-    s4 = s2 * s2
+    s4 = (s2 * s2).raw()
 
-    def probe(t, slope):
+    def h(g, t, s2, s4, slope):
         # h(t) = w^2 - 4 s^2 - s^4 (1 + 1/(t - 1))^2 with w = 1 + s^2 - t,
-        # h'(t) = -2w + 2 s^4 (1 + 1/(t - 1)) / (t - 1)^2
-        w = 1 + s2 - t
-        pole_part = 1 + 1 / (t - 1)
-        value = w * w - 4 * s2 - s4 * pole_part * pole_part
-        side = value.sign()
+        # h'(t) = -2w + 2 s^4 (1 + 1/(t - 1)) / (t - 1)^2, on integers
+        # counting 2^-g, each op rounded as the Scalar formula rounds it
+        one = 1 << g
+        w = _round(_round(one + s2, prec) - t, prec)
+        u = _round(t - one, prec)
+        pole_part = _round(one + _div(one, u, prec, g), prec)
+        scaled = _mul(s4, pole_part, prec, g)
+        value = _round(_round(_mul(w, w, prec, g) - 4 * s2, prec) - _mul(scaled, pole_part, prec, g), prec)
+        side = (value > 0) - (value < 0)
         if not slope:
             return side, None
-        u = t - 1
-        deriv = 2 * (s4 * pole_part / (u * u) - w)
-        if deriv.sign() <= 0:
+        deriv = 2 * _round(_div(scaled, _mul(u, u, prec, g), prec, g) - w, prec)
+        if deriv <= 0:
             return side, None
-        return side, -value / deriv
+        return side, -_drop(value, -g, ctx) / _drop(deriv, -g, ctx)
+
+    def probe(t, slope):
+        return _on_grid(h, prec, (t.raw(), s2.raw(), s4), slope)
 
     lo = 1 + ctx.power_of_ten(-(ctx.digits // 2))
     hi = 1 + 2 * s2 + 2 * ctx.scalar(2).sqrt() * abs(s)

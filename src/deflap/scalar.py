@@ -19,14 +19,16 @@ is the bracket a fixed number of halvings would give, reached in a few
 probes instead of one per halving.
 
 The hot loops below the API run without Scalars. The tree pivot sweep,
-the caterpillar backbone recurrence and the Shearer generator work on
-the raw tuples themselves, rounding every operation to the context's
-precision, to nearest, in the order the Scalar formula would run it.
-The replay walks its midpoints as Python integers at one fixed binary
-exponent and rounds each sum to the context's precision by hand, half
-to even, as ``mpf_add`` rounds it. Either way the values are bit for bit
-those of Scalar arithmetic; Scalars are made only where values are
-returned or handed to a caller.
+the Shearer generator and the finder's Newton and certification steps
+work on the raw tuples themselves, rounding every operation to the
+context's precision, to nearest, in the order the Scalar formula would
+run it. The caterpillar backbone recurrence, tau0's probe and the
+replay work on Python integers counting one power of two, and round
+each sum, product and quotient to the context's precision by hand, half
+to even (:func:`_round`), as ``mpf_add``, ``mpf_mul`` and ``mpf_div``
+round it. Either way the values are bit for bit those of Scalar
+arithmetic; Scalars are made only where values are returned or handed
+to a caller.
 """
 
 import math
@@ -462,62 +464,70 @@ def find_root(probe, lo, hi, iters, start, step):
     bracket is [lo, hi] and the replay is plain bisection.
     """
     iters = int(iters)
-    width = Scalar(mpf_shift((hi - lo)._v, -iters), lo.ctx)
+    ctx = lo.ctx
+    prec = ctx.prec
     start_side = -1 if start == lo else 1
+    lo, hi, x = lo._v, hi._v, start._v
+    width = mpf_shift(mpf_sub(hi, lo, prec, _RND), -iters)
     probes = 0
 
-    x = start
+    # phases 1 and 2 run on raw tuples, each op rounded as the Scalar
+    # formula in the docstring rounds it
     err = prev = None
     for _ in range(iters):
         if step is None:
             break
-        size = abs(step)
-        if size.is_zero:
+        size = mpf_abs(step._v)
+        if size == fzero:
             # a zero step names x as the root itself, even at lo or hi
             err = size
             break
-        if prev is not None and not size < prev:
+        if prev is not None and mpf_cmp(size, prev) >= 0:
             # steps stopped shrinking: rounding noise decides them now,
             # and their size measures how far it reaches
             err = size
             break
-        nxt = x + step
-        if not (lo < nxt and nxt < hi):
+        nxt = mpf_add(x, step._v, prec, _RND)
+        if not (mpf_cmp(lo, nxt) < 0 and mpf_cmp(nxt, hi) < 0):
             break
         x = nxt
-        if not size > width:
+        if mpf_cmp(size, width) <= 0:
             err = size
             break
-        side, step = probe(x, True)
+        side, step = probe(Scalar(x, ctx), True)
         probes += 1
-        err = size if prev is None else min(size, size * size * size / (prev * prev))
+        err = size
+        if prev is not None:
+            cube = mpf_mul(mpf_mul(size, size, prec, _RND), size, prec, _RND)
+            tail = mpf_div(cube, mpf_mul(prev, prev, prec, _RND), prec, _RND)
+            if mpf_cmp(tail, size) < 0:
+                err = tail
         prev = size
         if side != start_side:
             break
 
     ends = [lo, hi]
     if err is not None:
-        pad = err + err
-        if pad < width:
+        pad = mpf_add(err, err, prec, _RND)
+        if mpf_cmp(pad, width) < 0:
             pad = width
+        inside = mpf_cmp(lo, x) < 0 and mpf_cmp(x, hi) < 0
         for i, want in ((0, -1), (1, 1)):
             g = pad
             while True:
-                t = x + want * g
-                if t == x and not (lo < x and x < hi):
+                t = (mpf_sub if want < 0 else mpf_add)(x, g, prec, _RND)
+                if not inside and mpf_cmp(t, x) == 0:
                     # g is under half an ulp of the end x: probe past it
-                    g = g * 16
+                    g = mpf_shift(g, 4)
                     continue
-                if not (lo < t and t < hi):
+                if not (mpf_cmp(lo, t) < 0 and mpf_cmp(t, hi) < 0):
                     break
                 probes += 1
-                if probe(t, False)[0] == want:
+                if probe(Scalar(t, ctx), False)[0] == want:
                     ends[i] = t
                     break
-                g = g * 16
-    ctx = lo.ctx
-    prec = ctx.prec
-    raw = (lo._v, hi._v, ends[0]._v, ends[1]._v)
+                g = mpf_shift(g, 4)
+    raw = (lo, hi, ends[0], ends[1])
     e = min(v[2] for v in raw if v[1]) - iters - 1
     lo, hi, a, b = [_lift(v, e) for v in raw]
     for _ in range(iters):
@@ -557,26 +567,69 @@ def _drop(n, e, ctx):
 
 def _midpoint(x, y, prec):
     """(x + y)/2 with the sum rounded to ``prec`` bits, for integers x, y
-    counting one power of two 2^e.
-
-    The sum is rounded by magnitude to nearest, ties to even. On the
-    tuples of x*2^e and y*2^e that is what ``mpf_add(., ., prec,
-    round_nearest)`` gives, bit for bit, whenever both carry at most
-    ``prec`` significant bits; its sticky-bit path for far-apart
-    exponents rounds the same way. A sum that needs no rounding must be
-    even, so the halving is exact.
+    counting one power of two: ``mpf_add(., ., prec, round_nearest)``,
+    halved, bit for bit, whenever both carry at most ``prec`` bits. A
+    sum that needs no rounding must be even, so the halving is exact.
     """
-    s = x + y
-    u = abs(s)
-    n = u.bit_length() - prec
-    if n <= 0:
-        return s >> 1
-    t = u >> (n - 1)
-    q = t >> 1
-    if t & 1 and (t & 2 or t << (n - 1) != u):
-        q += 1
-    q <<= n - 1
-    return -q if s < 0 else q
+    return _round(x + y, prec) >> 1
+
+
+class _OffGrid(ArithmeticError):
+    """A rounded value has bits below the integer grid it must lie on."""
+
+
+def _round(n, prec, shift=0, sticky=False):
+    """n / 2^shift rounded to ``prec`` bits, to nearest with ties to even,
+    as an integer: the package's one hand rounding.
+
+    The integers count one power of two, 2^-g on the probes' grids. Sums
+    and int multiples are exact before rounding; a product is exact on
+    the grid 2^-2g, and ``shift`` g brings it back; a quotient comes from
+    ``divmod`` on magnitudes, its remainder ``sticky``: the true value
+    exceeds n >= 0 by less than one. Each result is then bit for bit the
+    one ``mpf_add``, ``mpf_sub``, ``mpf_mul`` or ``mpf_div`` gives at
+    ``prec`` with round_nearest. Raises _OffGrid when it is not an
+    integer, so the caller reruns on a finer grid.
+    """
+    k = n.bit_length() - prec
+    if k <= 0 or k < shift:
+        if sticky or n & ((1 << shift) - 1):
+            raise _OffGrid
+        return n >> shift
+    # t ends in the rounding bit; the floor remainder below it, or the
+    # sticky one, breaks a tie upward, else it goes to the even side
+    t = n >> (k - 1)
+    if t & 1 and (t & 2 or sticky or n & ((1 << (k - 1)) - 1)):
+        t += 2
+    return t >> 1 << (k - shift)
+
+
+def _mul(x, y, prec, g):
+    # x * y for integers counting 2^-g, rounded, on the same grid
+    return _round(x * y, prec, g)
+
+
+def _div(x, y, prec, g):
+    # x / y for integers counting 2^-g, rounded, on the same grid
+    q, r = divmod((-x if x < 0 else x) << g, -y if y < 0 else y)
+    q = _round(q, prec, 0, r)
+    return -q if (x < 0) != (y < 0) else q
+
+
+# bits the probes' integer grids reach below the working precision
+_GUARD = 64
+
+
+def _on_grid(kernel, prec, raws, *args):
+    """kernel(g, *ints, *args), the ints the raw tuples ``raws`` as counts
+    of 2^-g: g is ``prec`` + _GUARD, or finer so every one lifts exactly,
+    and doubles until no value the kernel rounds falls below the grid."""
+    g = max(prec + _GUARD, *[-v[2] for v in raws])
+    while True:
+        try:
+            return kernel(g, *[_lift(v, -g) for v in raws], *args)
+        except _OffGrid:
+            g += g
 
 
 def bisect_monotone_root(f, a, b, iters):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from mpmath.libmp import from_man_exp
 
 from deflap.diagonalize import (
     _backbone,
@@ -13,7 +14,7 @@ from deflap.diagonalize import (
     gershgorin_cap,
 )
 from deflap.limits import s_star
-from deflap.scalar import BracketingError, DomainError, PrecisionContext, Scalar
+from deflap.scalar import BracketingError, DomainError, PrecisionContext, Scalar, _lift
 from deflap.trees import (
     Caterpillar,
     Tree,
@@ -93,7 +94,8 @@ def test_backbone_matches_tree_sweep():
     cat = Caterpillar([2, 0, 3])
     tree = caterpillar_to_tree(cat)
     s2 = (s * s).raw()
-    outs = [Scalar(b, CTX) for b, _ in _backbone(cat.counts, s2, c.raw(), CTX.prec, False)]
+    outs = [Scalar(from_man_exp(b, -g), CTX) for g in (CTX.prec + 64,)
+            for b, _ in _backbone(cat.counts, _lift(s2, -g), _lift(c.raw(), -g), CTX.prec, False, g)]
     assert len(outs) == cat.k
     # backbone negativity pattern pins the same inertia as the full sweep
     neg_backbone = sum(1 for b in outs if b.sign() < 0)
