@@ -471,8 +471,8 @@ def find_root(probe, lo, hi, iters, start, step):
     width = mpf_shift(mpf_sub(hi, lo, prec, _RND), -iters)
     probes = 0
 
-    # phases 1 and 2 run on raw tuples, each op rounded as the Scalar
-    # formula in the docstring rounds it
+    # phases 1 and 2 run on raw tuples, each op rounded as Scalar
+    # arithmetic rounds it
     err = prev = None
     for _ in range(iters):
         if step is None:
