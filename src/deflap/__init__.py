@@ -33,7 +33,6 @@ from .trees import (
 from .diagonalize import (
     DiagOutcome,
     RadiusEstimate,
-    adjacency_radius,
     approximate_radius,
     count_eigenvalues,
     diagonalize_tree,
@@ -100,7 +99,6 @@ __all__ = [
     "SweepResult",
     "TABLE_IDS",
     "Tree",
-    "adjacency_radius",
     "approximate_radius",
     "beta_sequence",
     "caterpillar_to_tree",

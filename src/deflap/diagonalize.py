@@ -4,23 +4,21 @@ One bottom-up sweep produces a diagonal matrix congruent to M(s) + x*I,
 so by Sylvester's law of inertia the sign counts of the output locate
 eigenvalues relative to -x without ever forming the matrix (Jacobs &
 Trevisan, "Locating the eigenvalues of trees", LAA 434 (2011) 81-88).
-Everything else in this package (radius brackets, the adjacency radius
-rho(A), caterpillar generation, error certificates) reduces to this
-sweep or to its closed caterpillar form; no library path forms a dense
-matrix.
+Everything else in this package (radius brackets, caterpillar
+generation, error certificates) reduces to this sweep or to its closed
+caterpillar form; no library path forms a dense matrix.
 
-A tree sweep starts from a per-degree table, so it sweeps M(s) + x*I and
-A - c*I alike. The probe kernel, :func:`_sweep`, runs it on raw libmp
-tuples for the tree radius probes and stops at the first nonnegative
-pivot. The surgery kernel, :func:`_surgery_sweep`, sweeps every vertex
-with the zero-pivot surgery in the arithmetic its caller hands it:
-rounded libmp for :func:`diagonalize_tree`, outward-rounded intervals
-and exact rationals for :func:`count_eigenvalues`. The caterpillar form
-is one recurrence along the backbone, :func:`_backbone`, read only by
-the caterpillar radius probe (behind the radii and the eps_k
-certificate of :mod:`deflap.shearer`), which stops at its first
-nonnegative value. It runs on Python integers counting 2^-g, g = prec
-+ 64 or finer, each operation rounded by hand
+A tree sweep starts from a per-degree table. The probe kernel,
+:func:`_sweep`, runs it on raw libmp tuples for the tree radius probes
+and stops at the first nonnegative pivot. The surgery kernel,
+:func:`_surgery_sweep`, sweeps every vertex with the zero-pivot surgery
+in the arithmetic its caller hands it: rounded libmp for
+:func:`diagonalize_tree`, outward-rounded intervals and exact rationals
+for the count ladder. The caterpillar form is one recurrence along the
+backbone, :func:`_backbone`, read only by the caterpillar radius probe
+(behind the radii and the eps_k certificate of :mod:`deflap.shearer`),
+which stops at its first nonnegative value. It runs on Python integers
+counting 2^-g, g = prec + 64 or finer, each operation rounded by hand
 (:func:`deflap.scalar._round`); a value that falls below the grid
 reruns the probe on a finer one. Rounded sweeps round every operation
 as Scalar arithmetic would; Scalars appear only at the API edge, in
@@ -29,11 +27,12 @@ bracket search. A tree's search starts from a float Laguerre estimate
 (:func:`_laguerre_start`); floats only place that start, and every sign
 a radius rests on comes from the kernel.
 
-:func:`count_eigenvalues` proves each triple it returns. Most are
-decided by a pair of double-precision sweeps a backward-error bound
-apart (:func:`_float_positive`), which also proves each side of a count
-alone (:func:`_float_side`); the rest by the surgery kernel in interval
-or exact rational arithmetic. Counts of A - tI take the same rungs.
+:func:`count_eigenvalues` proves each triple it returns, by the count
+ladder :class:`_Ladder`: most are decided by a pair of double-precision
+sweeps a backward-error bound apart, which also proves each side of a
+count alone; the rest by the surgery kernel in interval or exact
+rational arithmetic. The same ladder counts M(s) on T less a leaf, on
+T's own arrays, and A - tI.
 """
 
 import math
@@ -117,13 +116,13 @@ def _sweep(tree, start, s2, prec, slope):
     """The probe sweep on raw libmp tuples: returns (stop, dlog).
 
     d[v] starts at the caller's pivot ``start[deg v]`` (:func:`_base` plus x
-    for M(s) + x*I; -c with s2 = 1 for A - c*I) and, in postorder, each
-    vertex absorbs -s2/d_c from every child c. Every operation rounds to
-    ``prec`` to nearest, children are summed in ``tree.children`` order,
-    and values are shared only where the operands are identical: the
-    starting pivot per distinct degree, and the childless vertices'
-    terms, since they all start at the same pivot and none is rewritten
-    before its parent reads it.
+    for M(s) + x*I) and, in postorder, each vertex absorbs -s2/d_c from
+    every child c. Every operation rounds to ``prec`` to nearest,
+    children are summed in ``tree.children`` order, and values are
+    shared only where the operands are identical: the starting pivot per
+    distinct degree, and the childless vertices' terms, since they all
+    start at the same pivot and none is rewritten before its parent
+    reads it.
 
     The sweep stops at the first vertex whose pivot is nonnegative and
     returns it as ``stop``; children are then negative when their parent
@@ -174,29 +173,33 @@ def _sweep(tree, start, s2, prec, slope):
     return None, (dlog if slope else None)
 
 
-def _surgery_sweep(tree, start, s2, arith):
+def _surgery_sweep(arrays, children, start, s2, arith):
     """Sweep every vertex with the zero-pivot surgery in the arithmetic
     ``arith``: returns (d, inertia), or None when a sign is unknown.
 
-    ``arith`` is (one, add, sub, mul, div, sign); sign(x) is -1, 0, 1, or
-    None when unknown. d[v] starts at ``start[deg v]`` and, in postorder,
-    becomes d_v - s2 * acc, acc the sum of 1/d_c over its children in
-    ``tree.children`` order. A zero child c instead forces (d_v, d_c) :=
-    (-s2/2, 2), d_v formed as d_c - s2/2, and detaches v from its parent.
-    At s2 = 0 the pivots are the start. inertia is (positive, negative,
-    zero) over d. A child, or a final pivot, of unknown sign gives None.
+    ``arrays`` is (order, degree, parent), the lists the float rung
+    reads (:func:`_float_positive`); ``children`` are the children lists
+    that go with them, T's own, or T's with a deleted leaf left out of
+    its parent's (:class:`_Ladder`). ``arith`` is (one, add, sub, mul,
+    div, sign); sign(x) is -1, 0, 1, or None when unknown. d[v] starts
+    at ``start[deg v]`` and, in ``order``, becomes d_v - s2 * acc, acc
+    the sum of 1/d_c over its children in list order. A zero child c
+    instead forces (d_v, d_c) := (-s2/2, 2), d_v formed as d_c - s2/2,
+    and detaches v from its parent. At s2 = 0 the pivots are the start.
+    inertia is (positive, negative, zero) over the pivots of ``order``.
+    A child, or a final pivot, of unknown sign gives None.
     """
+    order, degree, _ = arrays
     one, add, sub, mul, div, sign = arith
-    d = [start[deg] for deg in tree.degree]
+    d = [start[deg] for deg in degree]
     if sign(s2):
         two = add(one, one)
-        children = tree.children
         # childless vertices share one pivot, which no surgery rewrites
         # before their parent reads it, so they share its reciprocal too
-        leaf = d[tree.postorder[0]]
+        leaf = d[order[0]]
         leaf_r = div(one, leaf) if sign(leaf) else None
         cut = set()
-        for v in tree.postorder:
+        for v in order:
             acc = None
             for c in children[v]:
                 if c in cut:
@@ -215,12 +218,12 @@ def _surgery_sweep(tree, start, s2, arith):
             else:
                 if acc is not None:
                     d[v] = sub(d[v], mul(s2, acc))
-    signs = [sign(v) for v in d]
+    signs = [sign(d[v]) for v in order]
     if None in signs:
         return None
     pos = signs.count(1)
     neg = signs.count(-1)
-    return d, (pos, neg, tree.n - pos - neg)
+    return d, (pos, neg, len(order) - pos - neg)
 
 
 def diagonalize_tree(tree, s, x):
@@ -246,7 +249,8 @@ def diagonalize_tree(tree, s, x):
     x = ctx.scalar(x).raw()
     start = {deg: mpf_add(b, x, prec, _RND) for deg, b in _base(tree, s2, prec).items()}
     ops = [lambda a, b, op=op: op(a, b, prec, _RND) for op in (mpf_add, mpf_sub, mpf_mul, mpf_div)]
-    d, inertia = _surgery_sweep(tree, start, s2, (fone, *ops, _sign))
+    arrays = tree.postorder, tree.degree, tree.parent
+    d, inertia = _surgery_sweep(arrays, tree.children, start, s2, (fone, *ops, _sign))
     return DiagOutcome(d, ctx, inertia)
 
 
@@ -254,22 +258,21 @@ def count_eigenvalues(tree, s, c):
     """How many eigenvalues of M(s) lie above / below / at the point c.
 
     Every triple returned is exact for the Scalar values of s and c. It
-    comes from the first of three rungs that decides it:
+    comes from the first of three rungs of :meth:`_Ladder.prove` that
+    decides it:
 
-    1. :func:`_float_pair`: two double-precision sweeps, at c - 2 eta and
-       at c + 2 eta, from :func:`_float_table`, which holds
+    1. :meth:`_Ladder.pair`: two double-precision sweeps, at c - 2 eta
+       and at c + 2 eta, from :func:`_float_table`, which holds
        1 + s^2 (deg - 1) at every degree 0..D. When both meet no zero or
        non-finite pivot and give the same positive count p, the triple
        is (p, n - p, 0).
     2. :func:`_interval_inertia`: :func:`_surgery_sweep` in interval
-       arithmetic at the context's precision from :func:`_exact_start`'s
-       table. It decides when every pivot's interval excludes zero or is
-       the point zero, as at c = 1 on a tree with two sibling leaves.
+       arithmetic at the context's precision from the exact start table.
+       It decides when every pivot's interval excludes zero or is the
+       point zero, as at c = 1 on a tree with two sibling leaves.
     3. :func:`_exact_inertia`: :func:`_surgery_sweep` in exact rational
        arithmetic, which decides every input within its work budget
-       and raises PrecisionError beyond it. All three rungs also count
-       A - tI (:func:`_adjacency_inertia`), rung 1 with the eta of M(s)
-       at |s| = 1.
+       and raises PrecisionError beyond it.
 
     Why a pair decides. A sweep whose operations round with unit
     roundoff u computes the exact pivots, up to positive factors, of
@@ -299,16 +302,15 @@ def count_eigenvalues(tree, s, c):
     p, then #{lam >= c} <= p <= #{lam > c}: no eigenvalue equals c and
     exactly p lie above it. A zero pivot ends the float sweep undecided.
 
-    Each sweep also proves one side alone (:func:`_float_side`): p+ >= 1
+    Each sweep also proves one side alone (:meth:`_Ladder.side`): p+ >= 1
     proves some eigenvalue above c, and p- = 0 proves every eigenvalue
     below c. So a caller that needs only one side runs one sweep, and
-    falls back to the count when it is undecided. The same sweep with
-    T's eta proves either side for T - v, v a leaf, on T's own arrays
-    (:func:`_leaf_deleted`): T - v's degrees and |s| are T's or lower,
-    and the bound grows with the largest degree, so T's eta covers the
-    smaller matrix. Its lowered degree may be one T lacks (2 on K1,3
-    less a leaf, 0 on K2 less one), which is why the table holds every
-    degree up to D.
+    falls back to the count when it is undecided. The same rungs with
+    T's eta count T - v, v a leaf, on T's own arrays: T - v's degrees
+    and |s| are T's or lower, and the bound grows with the largest
+    degree, so T's eta covers the smaller matrix. Its lowered degree may
+    be one T lacks (2 on K1,3 less a leaf, 0 on K2 less one), which is
+    why the table holds every degree up to D.
 
     The first rung runs only for |s| in [2^-200, 2^200] (or s = 0) and
     |c| <= 2^400. There an overflow in a reciprocal or a sum leaves an
@@ -323,20 +325,7 @@ def count_eigenvalues(tree, s, c):
         raise DomainError("count_eigenvalues needs a Tree")
     if not isinstance(s, Scalar):
         raise DomainError("s must be a Scalar")
-    c = s.ctx.scalar(c)
-    pos = _float_pair(tree, s, c)
-    if pos is not None:
-        return pos, tree.n - pos, 0
-    start, s2 = _exact_start(tree, s, c)
-    return _interval_inertia(tree, start, s2, s.ctx.prec) or _exact_inertia(tree, start, s2, c)
-
-
-def _exact_start(tree, s, c):
-    """(start, s2): M(s) - cI's start table, degree -> 1 + s^2 (deg - 1) - c,
-    and s^2, exact raw tuples."""
-    s2 = mpf_mul(s.raw(), s.raw())
-    one_c = mpf_sub(fone, c.raw())
-    return {deg: mpf_add(one_c, mpf_mul(s2, from_int(deg - 1))) for deg in set(tree.degree)}, s2
+    return _Ladder(tree, s).prove(s.ctx.scalar(c))
 
 
 def _half_width(s, c, max_degree):
@@ -353,7 +342,7 @@ def _float_positive(order, degree, parent, table, s2, x):
     Push form over the arrays it is handed: in ``order``, whose last
     vertex is the root, each vertex takes a = table[degree] - x - s2 * acc
     and adds 1/a to its ``parent``'s acc. A tree hands its own postorder,
-    degrees and parents; :func:`_leaf_deleted` hands T - v on T's.
+    degrees and parents; :class:`_Ladder` hands T - v on T's.
     """
     start = [b - x for b in table]
     acc = [0.0] * len(degree)
@@ -377,31 +366,12 @@ def _float_positive(order, degree, parent, table, s2, x):
     return len(order) - neg
 
 
-def _tree_arrays(tree):
-    """(order, degree, parent) of :func:`_float_positive` for ``tree``."""
-    return tree.postorder, tree.degree, tree.parent
-
-
-def _leaf_deleted(tree, v):
-    """(order, degree, parent) of :func:`_float_positive` for T - v, the
-    tree less its leaf ``v``, on T's own lists: T's postorder less v, and
-    T's degrees with v's neighbour one lower. When v is T's root its one
-    child comes last in that order and is T - v's root. T - v's degrees
-    are all in T's table (:func:`_float_table` fills 0..D), and its
-    largest degree is at most T's, so T's eta bounds its sweep's error.
-    """
-    order = [w for w in tree.postorder if w != v]
-    degree = list(tree.degree)
-    degree[tree.neighbors(v)[0]] -= 1
-    return order, degree, tree.parent
-
-
 def _float_table(tree, s):
     """(|s|, s^2, table): s rounded to the nearest float, and M(s)'s
     float start table at every degree 0..D: table[deg] = 1 + s^2 (deg - 1).
     Degrees absent from the tree are filled too, for the sweeps of T - v
-    (:func:`_leaf_deleted`), whose lowered degree may be absent from T,
-    and 0 on K1. |s| and s^2 are inf past float range.
+    (:class:`_Ladder`), whose lowered degree may be absent from T, and 0
+    on K1. |s| and s^2 are inf past float range.
     """
     fs = abs(to_float(s.raw(), rnd=_RND))
     s2 = fs * fs
@@ -419,49 +389,123 @@ def _float_shifts(zero, fs, c, top):
     return fc - 2 * eta, fc + 2 * eta
 
 
-def _float_count(arrays, zero, float_table, c):
-    """The count of eigenvalues above c proved by rung 1's two sweeps of
-    ``arrays`` from ``float_table`` (:func:`_float_table`), or None."""
-    fs, s2, table = float_table
-    shifts = _float_shifts(zero, fs, c, len(table) - 1)
-    if shifts is None:
-        return None
-    pos = _float_positive(*arrays, table, s2, shifts[1])
-    if pos is None or pos != _float_positive(*arrays, table, s2, shifts[0]):
-        return None
-    return pos
+class _Ladder:
+    """The rungs of :func:`count_eigenvalues` for one tree matrix P given
+    as sweep arrays: M(s) on the tree T, M(s) on T - ``leaf``, or A - tI
+    when s is None. :meth:`prove` counts at c, and :meth:`count` keeps
+    the counts per point. :meth:`above` and :meth:`below` take one float
+    sweep (:meth:`side`) where it proves the answer, else the count.
 
-
-def _float_side(arrays, zero, float_table, c, above):
-    """True when one float sweep proves that some eigenvalue lies above c
-    (``above``), or that every eigenvalue lies below c; else False.
-
-    The two halves of rung 1's pair, read apart (see
-    :func:`count_eigenvalues`): the sweep at c + 2 eta counts p+ <=
-    #{lam > c}, so p+ >= 1 proves an eigenvalue above c, and the sweep at
-    c - 2 eta counts p- >= #{lam >= c}, so p- = 0 proves none at or above
-    it. False says nothing either way.
+    ``arrays`` is (order, degree, parent) of :func:`_float_positive` and
+    ``children`` the lists :func:`_surgery_sweep` reads with them. T - v
+    is T's postorder less v, T's degrees with v's neighbour one lower,
+    and T's children lists with v left out of its parent's; when v is
+    T's root its one child comes last in that order and is T - v's root.
+    ``floats`` is (zero, |s|, s^2, table) of rung 1: T's
+    :func:`_float_table`, whose eta bounds T - v's sweep too, with zero
+    when s is exactly 0. A - tI's is a zero table with s^2 = 1 and
+    M(s)'s eta at |s| = 1. That bound holds for it: the diagonal -x is
+    exact, since each start is 0 - x, and s^2 = 1 is exact, so the matrix
+    the rounded sweep diagonalizes moves by no more than M(s)'s at
+    |s| = 1, whose diagonal and s^2 carry rounding that A - tI's do not.
     """
-    fs, s2, table = float_table
-    shifts = _float_shifts(zero, fs, c, len(table) - 1)
-    if shifts is None:
-        return False
-    if above:
-        pos = _float_positive(*arrays, table, s2, shifts[1])
-        return pos is not None and pos >= 1
-    return _float_positive(*arrays, table, s2, shifts[0]) == 0
+
+    __slots__ = ("s", "arrays", "children", "floats", "_counts")
+
+    def __init__(self, tree, s=None, leaf=None):
+        self.s = s
+        if s is None:
+            self.floats = False, 1.0, 1.0, [0.0] * (tree.max_degree() + 1)
+        else:
+            self.floats = (s.is_zero, *_float_table(tree, s))
+        self._counts = {}
+        order, degree, children = tree.postorder, tree.degree, tree.children
+        if leaf is not None:
+            u = tree.neighbors(leaf)[0]
+            order = [w for w in order if w != leaf]
+            degree = list(degree)
+            degree[u] -= 1
+            if tree.parent[leaf] == u:
+                children = list(children)
+                children[u] = [w for w in children[u] if w != leaf]
+        self.arrays = order, degree, tree.parent
+        self.children = children
+
+    def _positive(self, c, up):
+        """The positive count of the float sweep at c + 2 eta (``up``) or
+        c - 2 eta, or None."""
+        zero, fs, s2, table = self.floats
+        shifts = _float_shifts(zero, fs, c, len(table) - 1)
+        return shifts and _float_positive(*self.arrays, table, s2, shifts[up])
+
+    def side(self, c, above):
+        """True when one half of rung 1's pair proves that some eigenvalue
+        lies above c (``above``: p+ >= 1), or that every eigenvalue lies
+        below c (p- = 0; see :func:`count_eigenvalues`). False says
+        nothing either way."""
+        pos = self._positive(c, above)
+        if above:
+            return pos is not None and pos >= 1
+        return pos == 0
+
+    def pair(self, c):
+        """Rung 1: the count of eigenvalues above c, proved by two float
+        sweeps, or None."""
+        pos = self._positive(c, True)
+        if pos is None or pos != self._positive(c, False):
+            return None
+        return pos
+
+    def _start(self, c):
+        """(start, s2): P - cI's start table by degree, 1 + s^2 (deg - 1) - c
+        or -c, and s^2, exact raw tuples."""
+        degrees = set(self.arrays[1])
+        if self.s is None:
+            return dict.fromkeys(degrees, mpf_neg(c.raw())), fone
+        s2 = mpf_mul(self.s.raw(), self.s.raw())
+        one_c = mpf_sub(fone, c.raw())
+        return {deg: mpf_add(one_c, mpf_mul(s2, from_int(deg - 1))) for deg in degrees}, s2
+
+    def interval(self, c):
+        """Rung 2: :func:`_interval_inertia` at c's precision, or None."""
+        return _interval_inertia(self.arrays, self.children, *self._start(c), c.ctx.prec)
+
+    def exact(self, c):
+        """Rung 3: :func:`_exact_inertia`."""
+        return _exact_inertia(self.arrays, self.children, *self._start(c), c)
+
+    def prove(self, c):
+        """The proved triple (above, below, at) c from the first rung that
+        decides it."""
+        pos = self.pair(c)
+        if pos is not None:
+            return pos, len(self.arrays[0]) - pos, 0
+        return self.interval(c) or self.exact(c)
+
+    def count(self, c):
+        """:meth:`prove` at c, once per point."""
+        key = c.raw()
+        if key not in self._counts:
+            self._counts[key] = self.prove(c)
+        return self._counts[key]
+
+    def above(self, c):
+        """Whether some eigenvalue lies above c."""
+        return self.side(c, True) or self.count(c)[0] >= 1
+
+    def below(self, c):
+        """Whether every eigenvalue lies below c."""
+        if self.side(c, False):
+            return True
+        pos, _, zero = self.count(c)
+        return pos == 0 and zero == 0
 
 
-def _float_pair(tree, s, c):
-    """Rung 1 of :func:`count_eigenvalues`: the count of eigenvalues above
-    c, proved by two float sweeps, or None."""
-    return _float_count(_tree_arrays(tree), s.is_zero, _float_table(tree, s), c)
-
-
-def _interval_inertia(tree, start, s2, prec):
+def _interval_inertia(arrays, children, start, s2, prec):
     """Rung 2 of :func:`count_eigenvalues`: the triple of
-    :func:`_surgery_sweep` from exact raw ``start`` and ``s2`` in intervals
-    at ``prec``, or None when a pivot's interval holds zero and more.
+    :func:`_surgery_sweep` of ``arrays`` and ``children`` from exact raw
+    ``start`` and ``s2`` in intervals at ``prec``, or None when a pivot's
+    interval holds zero and more.
 
     Every operation rounds outward, so each interval holds the exact
     pivot: one that excludes zero gives its sign, and one that is the
@@ -478,7 +522,7 @@ def _interval_inertia(tree, start, s2, prec):
 
     start = {deg: point(b) for deg, b in start.items()}
     ops = [lambda a, b, op=op: op(a, b, prec) for op in (mpi_add, mpi_sub, mpi_mul, mpi_div)]
-    swept = _surgery_sweep(tree, start, point(s2), ((fone, fone), *ops, sign))
+    swept = _surgery_sweep(arrays, children, start, point(s2), ((fone, fone), *ops, sign))
     return swept and swept[1]
 
 
@@ -488,10 +532,11 @@ def _interval_inertia(tree, start, s2, prec):
 _EXACT_BITS = 1 << 26
 
 
-def _exact_inertia(tree, start, s2, c):
+def _exact_inertia(arrays, children, start, s2, c):
     """Rung 3 of :func:`count_eigenvalues`: the inertia triple of
-    :func:`_surgery_sweep` in rational arithmetic from the exact raw
-    ``start`` and ``s2``; the Scalar ``c`` names the point in the error.
+    :func:`_surgery_sweep` of ``arrays`` and ``children`` in rational
+    arithmetic from the exact raw ``start`` and ``s2``; the Scalar ``c``
+    names the point in the error.
 
     A pivot's bit length grows with its subtree (about 2 prec bits per
     vertex along a path), so the sweep's cost grows as the square of the
@@ -519,24 +564,14 @@ def _exact_inertia(tree, start, s2, c):
 
     start = {deg: Fraction(*to_rational(b)) for deg, b in start.items()}
     arith = (Fraction(1), operator.add, sub, operator.mul, operator.truediv, sign)
-    return _surgery_sweep(tree, start, Fraction(*to_rational(s2)), arith)[1]
+    return _surgery_sweep(arrays, children, start, Fraction(*to_rational(s2)), arith)[1]
 
 
 def _adjacency_inertia(tree, t):
     """The proved inertia triple of A - tI at the Scalar t: the rungs of
-    :func:`count_eigenvalues` from start -t at every degree, s2 = 1.
-
-    Rung 1 runs the float pair on a zero table with s^2 = 1 and M(s)'s
-    eta at |s| = 1. Its bound holds here: the diagonal -x is exact, since
-    each start is 0 - x, and s^2 = 1 is exact, so the matrix the rounded
-    sweep diagonalizes moves by no more than M(s)'s at |s| = 1, whose
-    diagonal and s^2 carry rounding that A - tI's do not.
-    """
-    pos = _float_count(_tree_arrays(tree), False, (1.0, 1.0, [0.0] * (tree.max_degree() + 1)), t)
-    if pos is not None:
-        return pos, tree.n - pos, 0
-    start = dict.fromkeys(tree.degree, mpf_neg(t.raw()))
-    return _interval_inertia(tree, start, fone, t.ctx.prec) or _exact_inertia(tree, start, fone, t)
+    :func:`count_eigenvalues` from start -t at every degree, s2 = 1
+    (:class:`_Ladder` with no s)."""
+    return _Ladder(tree).prove(t)
 
 
 def _backbone(counts, s2, c, prec, slope, g):
@@ -628,12 +663,12 @@ def _caterpillar_probe(cat, s2, ctx):
 
 
 def _tree_probe(tree, base, s2, ctx):
-    """The radius probe of a tree matrix: returns probe(c, slope) ->
+    """The radius probe of M(s) on a tree: returns probe(c, slope) ->
     (all_negative, early, step), one kernel sweep from ``base[deg] - c``
     that stops at the first nonnegative pivot.
 
-    ``base`` is :func:`_base` and ``s2`` is s^2 (raw) for M(s); base 0
-    and s2 = 1 give A. ``early`` reports a stop before the root. With
+    ``base`` is :func:`_base` and ``s2`` is s^2 (raw). ``early`` reports
+    a stop before the root. With
     ``slope`` and every pivot negative, step is the Newton step -1/L,
     L = sum of d_v'/d_v with d_v' = -1 + s2 sum_c d_c'/d_c^2; otherwise
     None.
@@ -754,23 +789,6 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     return _bracket(probe, ctx.scalar(lo), ctx.scalar(hi), iterations, target_digits, estimate, root)
 
 
-def adjacency_radius(tree, ctx, target_digits=None):
-    """Bracket rho(A), the largest adjacency eigenvalue of a tree.
-
-    The kernel sweeps A - c*I (each pivot starts at -c and absorbs -1/d_c
-    from each child) over [0, max degree + 1], which holds rho(A) since
-    trace A = 0, with :func:`approximate_radius`'s Newton steps from its
-    confirmed float Laguerre start. The high end bounds rho(A) from above
-    within 10^-target_digits (default: the context's digits).
-    """
-    if not isinstance(tree, Tree):
-        raise DomainError("adjacency_radius needs a Tree")
-    probe = _tree_probe(tree, dict.fromkeys(tree.degree, fzero), fone, ctx)
-    estimate = partial(_laguerre_start, tree, dict.fromkeys(tree.degree, 0.0), 1.0)
-    hi = ctx.scalar(tree.max_degree() + 1)
-    return _bracket(probe, ctx.zero(), hi, None, target_digits, estimate)
-
-
 # Laguerre's float pre-solve runs at most this many sweeps, and a step
 # below _LAGUERRE_TOL times the iterate lands. Far above rho its steps
 # shrink only linearly, the more slowly the larger the tree: random trees
@@ -790,9 +808,9 @@ def _float_start(tree, s):
 def _laguerre_start(tree, base, s2, hi):
     """A float at or just above the largest root of det(P - cI), or None.
 
-    P is the tree matrix whose pivot sweep at c starts each vertex at
-    ``base[deg] - c`` and subtracts ``s2``/d_c per child: M(s) with base
-    1 + s^2 (deg - 1), or A with base 0 and s2 = 1. Its determinant is a
+    P is M(s), whose pivot sweep at c starts each vertex at
+    ``base[deg] - c``, base 1 + s^2 (deg - 1), and subtracts ``s2``/d_c
+    per child. Its determinant is a
     real-rooted polynomial of degree n, so Laguerre's steps
     c <- c - n/(G + sqrt((n - 1)(nH - G^2))), run from ``hi`` above the
     roots, fall monotonically onto the largest (B. Parlett, Math. Comp.

@@ -16,10 +16,11 @@ from a radius bracket.
 
 Most questions a check asks need one side of a count only: is some
 eigenvalue above c, or is every eigenvalue below c? :class:`_Shared`
-answers each with one float sweep when that sweep proves it, on T - v
-too without building T - v, and with :func:`count_eigenvalues`
-otherwise. A sweep proves only what the count would say, so the
-verdicts and witnesses are the counts' alone.
+asks them of the count ladder of :mod:`deflap.diagonalize`, for M(s) on
+T, on T - v (on T's own arrays, never a rebuilt tree) and for A - tI.
+The ladder answers each with one float sweep when that sweep proves
+it, and with a proved count otherwise. A sweep proves only what the
+count would say, so the verdicts and witnesses are the counts' alone.
 
 ``holds`` is three-valued: True, False (with a witness), or None when the
 property's hypotheses do not apply to the input. Summaries never count
@@ -33,17 +34,7 @@ reported.
 import math
 from functools import cached_property
 
-from .diagonalize import (
-    _adjacency_inertia,
-    _float_side,
-    _float_start,
-    _float_table,
-    _leaf_deleted,
-    _tree_arrays,
-    approximate_radius,
-    count_eigenvalues,
-    gershgorin_cap,
-)
+from .diagonalize import _float_start, _Ladder, approximate_radius, gershgorin_cap
 from .scalar import DomainError, PrecisionError, Scalar, halvings, infer_context
 from .trees import Tree
 
@@ -109,15 +100,15 @@ class _Shared:
 
     Each bracket is searched once per cell, when a check first needs it.
 
-    The checks ask through :meth:`above`, :meth:`below` and
-    :meth:`at_most`. Each runs one float sweep from the cell's
-    ``float_table`` (:func:`_float_side`) and returns at once when the
-    sweep proves its answer; otherwise it reads :meth:`count`, the
-    proved count, memoized per point so that checks asking at one point
-    (zero-eig and posdef at 0, the branching and adapted floors at
-    (1 + |s|)^2) share one. :meth:`below` with a leaf asks about T - v,
-    swept on T's own arrays; T - v is built only when that sweep leaves
-    the question undecided.
+    The checks put their questions to ``ladder``, the count ladder of
+    M(s) on T (:class:`deflap.diagonalize._Ladder`), directly or through
+    :meth:`below` and :meth:`at_most`. A side question runs one float
+    sweep and returns at once when the sweep proves its answer;
+    otherwise it reads the proved count, kept per point so that checks
+    asking at one point (zero-eig and posdef at 0, the branching and
+    adapted floors at (1 + |s|)^2) share one. :meth:`below` with a leaf
+    asks the ladder of T - v, built on T's own arrays once per cell and
+    leaf. ``adjacency`` is the ladder of A - tI.
     """
 
     def __init__(self, tree, s, tol, width_digits):
@@ -125,8 +116,7 @@ class _Shared:
         self.s = s
         self.tol = tol
         self.width_digits = width_digits
-        self._counts = {}
-        self._smaller = {}
+        self._less = {}
 
     @cached_property
     def cap(self):
@@ -148,7 +138,7 @@ class _Shared:
         if g is None or not math.isfinite(2 * g):
             return None
         lo, hi = s.ctx.scalar(g * (1 - 2.0 ** -36)), s.ctx.scalar(g * (1 + 2.0 ** -36))
-        if not (self.below(hi) and self.above(lo)):
+        if not (self.below(hi) and self.ladder.above(lo)):
             return None
         return lo - 2 * self.w, hi + 2 * self.w
 
@@ -172,45 +162,29 @@ class _Shared:
             yield self.fine
 
     @cached_property
-    def float_table(self):
-        return _float_table(self.tree, self.s)
+    def ladder(self):
+        return _Ladder(self.tree, self.s)
 
-    def count(self, c):
-        """:func:`count_eigenvalues` at c, once per point."""
-        key = c.raw()
-        if key not in self._counts:
-            self._counts[key] = count_eigenvalues(self.tree, self.s, c)
-        return self._counts[key]
-
-    def _sweep(self, arrays, c, above):
-        return _float_side(arrays, self.s.is_zero, self.float_table, c, above)
-
-    def above(self, c):
-        """Whether some eigenvalue lies above c."""
-        return self._sweep(_tree_arrays(self.tree), c, True) or self.count(c)[0] >= 1
+    @cached_property
+    def adjacency(self):
+        return _Ladder(self.tree)
 
     def below(self, c, leaf=None):
         """Whether every eigenvalue lies below c, of T, or of T - ``leaf``."""
         if leaf is None:
-            if self._sweep(_tree_arrays(self.tree), c, False):
-                return True
-            pos, _, zero = self.count(c)
-        else:
-            if self._sweep(_leaf_deleted(self.tree, leaf), c, False):
-                return True
-            if leaf not in self._smaller:
-                self._smaller[leaf] = self.tree.delete_leaf(leaf)
-            pos, _, zero = count_eigenvalues(self._smaller[leaf], self.s, c)
-        return pos == 0 and zero == 0
+            return self.ladder.below(c)
+        if leaf not in self._less:
+            self._less[leaf] = _Ladder(self.tree, self.s, leaf)
+        return self._less[leaf].below(c)
 
     def at_most(self, c):
         """Whether no eigenvalue lies above c."""
-        return self.below(c) or self.count(c)[0] == 0
+        return self.below(c) or self.ladder.count(c)[0] == 0
 
 
 def _floor(pid, shared, bound):
     """The verdict on rho > bound."""
-    if shared.above(bound):
+    if shared.ladder.above(bound):
         return PropertyReport(pid, True)
     return PropertyReport(pid, False, _witness(shared.tree, shared.s, bound=bound))
 
@@ -279,7 +253,7 @@ def _check_zero_eig(tree, s, tol, shared):
     pid = "zero-eig-iff-unit-s"
     if tree.n == 1:
         return PropertyReport(pid, None)
-    _, _, zero = shared.count(s.ctx.zero())
+    _, _, zero = shared.ladder.count(s.ctx.zero())
     claimed = _is_unit(s)
     if (zero >= 1) == claimed:
         return PropertyReport(pid, True)
@@ -290,7 +264,7 @@ def _check_posdef(tree, s, tol, shared):
     pid = "posdef-iff-subunit-s"
     if tree.n == 1:
         return PropertyReport(pid, None)
-    _, neg, zero = shared.count(s.ctx.zero())
+    _, neg, zero = shared.ladder.count(s.ctx.zero())
     posdef = neg == 0 and zero == 0
     if posdef == (abs(s) < 1):
         return PropertyReport(pid, True)
@@ -323,7 +297,7 @@ def _check_leaf_deletion(tree, s, tol, shared):
                 break
         else:
             # a violation only when counts prove rho(T - v) >= high >= rho(T)
-            if shared.below(high, v) or shared.above(high):
+            if shared.below(high, v) or shared.ladder.above(high):
                 raise PrecisionError("leaf %r: no count at this precision separates rho(T - v) from rho(T)" % (v,))
             return PropertyReport(pid, False, _witness(tree, s, deleted_leaf=v, parent_radius_low=low))
     return PropertyReport(pid, True)
@@ -366,7 +340,7 @@ def _check_star_floor(tree, s, tol, shared):
     if tree.max_degree() == tree.n - 1:
         # the bound is attained exactly on stars: rho within slack of it
         slack = shared.slack
-        if shared.above(bound - slack) and shared.at_most(bound + slack):
+        if shared.ladder.above(bound - slack) and shared.at_most(bound + slack):
             return PropertyReport(pid, True)
         low, high = shared.bracket
         return PropertyReport(pid, False, _witness(tree, s, bound=bound, radius_low=low, radius_high=high))
@@ -388,7 +362,7 @@ def _check_adjacency_ceiling(tree, s, tol, shared):
     # gives a t no lower than the bracket's
     for _, high in shared.ends():
         t = (high - base - shared.slack) / abs(s)
-        pos, _, zero = _adjacency_inertia(tree, t)
+        pos, _, zero = shared.adjacency.prove(t)
         if pos + zero >= 1:
             return PropertyReport(pid, True)
     return PropertyReport(pid, False, _witness(tree, s, radius_high=high, adjacency_radius_below=t))

@@ -323,10 +323,6 @@ class DenseMatrix:
         self.n = n
         self.rows = rows
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def is_symmetric(self):
         return all(
             self.rows[i][j] == self.rows[j][i]

@@ -19,13 +19,7 @@ from mpmath.libmp import from_man_exp, to_rational
 from deflap import diagonalize
 from deflap.diagonalize import (
     _adjacency_inertia,
-    _exact_inertia,
-    _exact_start,
-    _float_pair,
-    _float_side,
-    _float_table,
-    _interval_inertia,
-    _leaf_deleted,
+    _Ladder,
     count_eigenvalues,
     diagonalize_tree,
     gershgorin_cap,
@@ -126,8 +120,8 @@ def test_rungs_agree_with_the_oracle_at_exact_points(n, rng, s_text, c_text):
               ctx.scalar(str(c_text))):
         want = _oracle(coeffs, _exact(c))
         assert count_eigenvalues(tree, s, c) == want
-        assert _exact_inertia(tree, *_exact_start(tree, s, c), c) == want
-        assert _interval_inertia(tree, *_exact_start(tree, s, c), ctx.prec) in (None, want)
+        assert _Ladder(tree, s).exact(c) == want
+        assert _Ladder(tree, s).interval(c) in (None, want)
 
 
 def test_rungs_agree_with_the_oracle_off_the_spectrum():
@@ -139,9 +133,9 @@ def test_rungs_agree_with_the_oracle_off_the_spectrum():
             s = ctx.scalar("%.6f" % rng.uniform(-2, 2))
             c = ctx.scalar("%.6f" % rng.uniform(-1, 8))
             want = _oracle(_char_poly(tree, s), _exact(c))
-            assert _exact_inertia(tree, *_exact_start(tree, s, c), c) == want
-            assert _interval_inertia(tree, *_exact_start(tree, s, c), ctx.prec) == want
-            pos = _float_pair(tree, s, c)
+            assert _Ladder(tree, s).exact(c) == want
+            assert _Ladder(tree, s).interval(c) == want
+            pos = _Ladder(tree, s).pair(c)
             if pos is not None:
                 decided += 1
                 assert (pos, tree.n - pos, 0) == want
@@ -161,7 +155,7 @@ def test_interval_rung_counts_an_exact_eigenvalue_on_a_long_broom(monkeypatch):
     ctx = PrecisionContext(50)
     s, c = ctx.scalar("0.3"), ctx.scalar(1)
     broom = _broom(200)
-    assert count_eigenvalues(broom, s, c) == _exact_inertia(broom, *_exact_start(broom, s, c), c) == (109, 90, 1)
+    assert count_eigenvalues(broom, s, c) == _Ladder(broom, s).exact(c) == (109, 90, 1)
 
     def refused(*args):
         raise AssertionError("exact rung reached")
@@ -178,7 +172,7 @@ def test_exact_rung_raises_past_its_budget(monkeypatch):
     tree = Tree.from_edges([(6, 4), (5, 4), (4, 3), (3, 2), (2, 1), (0, 1), (1, 7)])
     ctx = PrecisionContext(50)
     s, c = ctx.scalar(1), ctx.scalar(4)
-    assert _interval_inertia(tree, *_exact_start(tree, s, c), ctx.prec) is None
+    assert _Ladder(tree, s).interval(c) is None
     monkeypatch.setattr(diagonalize, "_EXACT_BITS", 8)
     with pytest.raises(PrecisionError):
         count_eigenvalues(tree, s, c)
@@ -192,7 +186,7 @@ def test_float_rung_decides_a_random_point_on_a_large_tree():
     ctx = PrecisionContext(50)
     s = ctx.scalar("%.12f" % rng.uniform(0.2, 1.4))
     c = ctx.scalar("%.20f" % rng.uniform(0.3, 2.5))
-    pos = _float_pair(tree, s, c)
+    pos = _Ladder(tree, s).pair(c)
     assert pos is not None
     assert count_eigenvalues(tree, s, c) == (pos, n - pos, 0)
     assert count_eigenvalues(tree, s, c) == diagonalize_tree(tree, s, -c).inertia
@@ -271,15 +265,14 @@ def test_one_sided_sweeps_of_a_deleted_leaf_agree_with_its_count():
     for s_text in ("0.3", "-0.9", "1", "-1", "1.5", "3"):
         s = ctx.scalar(s_text)
         for tree in trees:
-            table = _float_table(tree, s)
             cap = gershgorin_cap(s, tree.max_degree())
             points = [ctx.zero(), ctx.scalar(1)] + [cap * k / 12 for k in range(-1, 13)]
             for v in tree.leaves():
-                arrays = _leaf_deleted(tree, v)
+                less = _Ladder(tree, s, v)
                 smaller = tree.delete_leaf(v)
                 for c in points:
-                    up = _float_side(arrays, s.is_zero, table, c, True)
-                    down = _float_side(arrays, s.is_zero, table, c, False)
+                    up = less.side(c, True)
+                    down = less.side(c, False)
                     if not (up or down):
                         continue
                     pos, _, zero = count_eigenvalues(smaller, s, c)
@@ -287,3 +280,41 @@ def test_one_sided_sweeps_of_a_deleted_leaf_agree_with_its_count():
                     wrong += (up and pos == 0) + (down and (pos, zero) != (0, 0))
     assert wrong == 0
     assert answers == 39736
+
+
+def test_upper_rungs_of_a_deleted_leaf_agree_with_its_count():
+    # the interval and exact rungs of T - v, swept on T's arrays with v
+    # left out of its parent's children, against the proved count of
+    # T.delete_leaf(v), at the points the float pair leaves undecided: c = 1
+    # (every leaf pivot of T - v is zero), c = 0 at |s| = 1, and each
+    # eigenvalue of T - v rounded to the context. The free trees are rooted
+    # at a leaf, so v = root is covered at every n; K2 less a leaf is one
+    # vertex of degree 0. The random trees are rooted at an inner vertex
+    ctx = PrecisionContext(20)
+    rng = random.Random(7)
+    trees = [tree for n in range(2, 9) for tree in free_trees(n)]
+    for n in (11, 14):
+        tree = _random_tree(rng, n)
+        trees.append(tree.rerooted(tree.degree.index(tree.max_degree())))
+    assert trees[0].n == 2 and all(t.degree[t.root] == 1 for t in trees[:-2])
+    assert all(t.degree[t.root] > 1 for t in trees[-2:])
+    points = interval = 0
+    for s_text in ("1", "-0.6"):
+        s = ctx.scalar(s_text)
+        for tree in trees:
+            for v in tree.leaves():
+                less = _Ladder(tree, s, v)
+                smaller = tree.delete_leaf(v)
+                cs = [ctx.scalar(1)] + dense_deformed_laplacian(smaller, s).eigenvalues(ctx)
+                if abs(s) == 1:
+                    cs.append(ctx.zero())
+                for c in cs:
+                    if less.pair(c) is not None:
+                        continue
+                    want = count_eigenvalues(smaller, s, c)
+                    got = less.interval(c)
+                    assert got in (None, want), (tree.to_text(), v, s, c)
+                    assert less.exact(c) == want, (tree.to_text(), v, s, c)
+                    points += 1
+                    interval += got is not None
+    assert (points, interval) == (3028, 1574)

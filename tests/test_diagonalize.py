@@ -1,13 +1,10 @@
 """Inertia counting against a dense eigensolver, plus the fast paths."""
 
-import random
-
 import pytest
 from mpmath.libmp import from_man_exp
 
 from deflap.diagonalize import (
     _backbone,
-    adjacency_radius,
     approximate_radius,
     count_eigenvalues,
     diagonalize_tree,
@@ -19,7 +16,6 @@ from deflap.trees import (
     Caterpillar,
     Tree,
     caterpillar_to_tree,
-    dense_adjacency,
     dense_deformed_laplacian,
     free_trees,
 )
@@ -170,17 +166,3 @@ def test_radius_rejects_span_below_float_range():
     lo = ctx.scalar("1.5")
     with pytest.raises(DomainError):
         approximate_radius(Tree.from_edges([(0, 1)]), ctx.scalar("0.5"), lo, lo + ctx.power_of_ten(-400))
-
-
-def test_adjacency_radius_brackets_dense_oracle():
-    # the kernel bracket for rho(A) holds the dense eigensolver's value on
-    # every free tree n = 2..9 and on random trees up to the dense cap
-    ctx = PrecisionContext(20)
-    rng = random.Random(64)
-    trees = [tree for n in range(2, 10) for tree in free_trees(n)]
-    trees += [Tree.from_edges([(v, rng.randrange(v)) for v in range(1, n)]) for n in (20, 40, 64)]
-    for tree in trees:
-        est = adjacency_radius(tree, ctx, 10)
-        rho = dense_adjacency(tree, ctx).eigenvalues(ctx)[-1]
-        assert est.low <= rho <= est.high, tree.to_text()
-        assert est.width() < ctx.power_of_ten(-10)

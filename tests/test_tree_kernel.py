@@ -31,7 +31,6 @@ from deflap.diagonalize import (
     _base,
     _newton_step,
     _tree_probe,
-    adjacency_radius,
     approximate_radius,
     count_eigenvalues,
     diagonalize_tree,
@@ -245,9 +244,7 @@ def test_radius_matches_reference_probe(digits, monkeypatch):
 # -- the float Laguerre start ---------------------------------------------------
 
 
-def _radius(kind, tree, s, ctx):
-    if kind == "A":
-        return adjacency_radius(tree, ctx)
+def _radius(tree, s, ctx):
     return approximate_radius(tree, s, ctx.zero(), gershgorin_cap(s, tree.max_degree()))
 
 
@@ -261,27 +258,26 @@ def _from_hi(monkeypatch):
 
 @pytest.mark.parametrize("digits", DIGITS)
 def test_float_start_keeps_brackets(digits, monkeypatch):
-    # every free tree on the verify grid plus rho(A), one vertex and P2
-    # (where the start lands on rho) at s = 0 too, and the random trees
-    # on part of it: the start from hi takes 140-350 sweeps per radius on
-    # the 300- and 2000-vertex ones. One vertex's rho, 1 - s^2, lies
-    # above lo = 0 only for |s| < 1.
+    # every free tree on the verify grid, one vertex and P2 (where the
+    # start lands on rho) at s = 0 too, and the random trees on part of
+    # it: the start from hi takes 140-350 sweeps per radius on the 300-
+    # and 2000-vertex ones. One vertex's rho, 1 - s^2, lies above lo = 0
+    # only for |s| < 1.
     ctx = PrecisionContext(digits)
     grid = [ctx.scalar(t) for t in S_VALUES]
     cases = []
     for tree in TREES + RANDOM_TREES[:1]:
-        cases.append(("A", tree, None))
         for s in grid:
             if (s.sign() or tree.n <= 2) and (tree.n > 1 or abs(s) < 1):
-                cases.append(("M", tree, s))
+                cases.append((tree, s))
     big = RANDOM_TREES[1] if digits == 50 else RANDOM_TREES[2]
-    cases += [("M", big, grid[2 if digits == 50 else 6]), ("A", big, None)]
+    cases.append((big, grid[2 if digits == 50 else 6]))
 
     def brackets():
         # the sweeps are summed off s = 0, where M = I and rho = 1 is an
         # n-fold root that Newton nears linearly from either start
-        runs = [_radius(kind, tree, s, ctx) for kind, tree, s in cases]
-        probes = sum(est.probes for est, (_, _, s) in zip(runs, cases) if s is None or s.sign())
+        runs = [_radius(tree, s, ctx) for tree, s in cases]
+        probes = sum(est.probes for est, (_, s) in zip(runs, cases) if s.sign())
         return [_bracket_raw(est) for est in runs], probes
 
     got, probes = brackets()
@@ -296,23 +292,21 @@ def test_float_start_sweep_budget():
     for tree in RANDOM_TREES[1:]:
         grid = S_VALUES[:-1] if tree.n < 1000 else ("-0.9", "0.3", "1")
         for s_text in grid:
-            assert _radius("M", tree, ctx.scalar(s_text), ctx).probes <= 15
-        assert _radius("A", tree, None, ctx).probes <= 15
+            assert _radius(tree, ctx.scalar(s_text), ctx).probes <= 15
 
 
 def test_float_start_below_rho_falls_back_to_hi(monkeypatch):
     ctx = PrecisionContext(50)
     tree = RANDOM_TREES[0]
     s = ctx.scalar("0.9")
-    for kind in ("M", "A"):
-        _from_hi(monkeypatch)
-        want = _radius(kind, tree, s, ctx)
-        below = want.low.to_float() * (1 - 1e-9)
-        monkeypatch.setattr(diagonalize, "_laguerre_start", lambda *args: below)
-        got = _radius(kind, tree, s, ctx)
-        assert _bracket_raw(got) == _bracket_raw(want)
-        # the probe that rejected the start, then hi's own walk
-        assert got.probes == want.probes + 1
+    _from_hi(monkeypatch)
+    want = _radius(tree, s, ctx)
+    below = want.low.to_float() * (1 - 1e-9)
+    monkeypatch.setattr(diagonalize, "_laguerre_start", lambda *args: below)
+    got = _radius(tree, s, ctx)
+    assert _bracket_raw(got) == _bracket_raw(want)
+    # the probe that rejected the start, then hi's own walk
+    assert got.probes == want.probes + 1
 
 
 def test_float_start_capped_keeps_brackets(monkeypatch):
@@ -322,13 +316,13 @@ def test_float_start_capped_keeps_brackets(monkeypatch):
     tree = RANDOM_TREES[0]
     s = ctx.scalar("-0.9")
     monkeypatch.setattr(diagonalize, "_LAGUERRE_SWEEPS", 2)
-    got = [_radius(kind, tree, s, ctx) for kind in ("M", "A")]
+    got = _radius(tree, s, ctx)
     hi = 1 + 0.81 * (tree.max_degree() - 1) + 0.9 * tree.max_degree() + 1
     base = {deg: 1 + 0.81 * (deg - 1) for deg in set(tree.degree)}
     start = diagonalize._laguerre_start(tree, base, 0.81, hi)
-    assert got[0].high.to_float() + 1e-3 < start < hi
+    assert got.high.to_float() + 1e-3 < start < hi
     _from_hi(monkeypatch)
-    assert [_bracket_raw(est) for est in got] == [_bracket_raw(_radius(kind, tree, s, ctx)) for kind in ("M", "A")]
+    assert _bracket_raw(got) == _bracket_raw(_radius(tree, s, ctx))
 
 
 def test_float_start_landing_on_the_root():
