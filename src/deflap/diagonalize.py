@@ -8,24 +8,24 @@ Everything else in this package (radius brackets, caterpillar
 generation, error certificates) reduces to this sweep or to its closed
 caterpillar form; no library path forms a dense matrix.
 
-A tree sweep starts from a per-degree table. The probe kernel,
-:func:`_sweep`, runs it on raw libmp tuples for the tree radius probes
-and stops at the first nonnegative pivot. The surgery kernel,
-:func:`_surgery_sweep`, sweeps every vertex with the zero-pivot surgery
-in the arithmetic its caller hands it: rounded libmp for
+The surgery kernel, :func:`_surgery_sweep`, sweeps every vertex of a
+tree from a per-degree table with the zero-pivot surgery in the
+arithmetic its caller hands it: rounded libmp for
 :func:`diagonalize_tree`, outward-rounded intervals and exact rationals
-for the count ladder. The caterpillar form is one recurrence along the
-backbone, :func:`_backbone`, read only by the caterpillar radius probe
-(behind the radii and the eps_k certificate of :mod:`deflap.shearer`),
-which stops at its first nonnegative value. It runs on Python integers
-counting 2^-g, g = prec + 64 or finer, each operation rounded by hand
+for the count ladder. The radius probe of a tree and of a caterpillar
+is one leaf-folded recurrence, :func:`_pivots`: :func:`_fold` turns
+either into nodes that absorb their pendant leaves, whose pivots are
+all 1 - c, and the probe (:func:`_radius_probe`, behind the radii and
+the eps_k certificate of :mod:`deflap.shearer`) stops at the first
+nonnegative node pivot. It runs on Python integers counting 2^-g, g =
+prec + 64 or finer, each operation rounded by hand
 (:func:`deflap.scalar._round`); a value that falls below the grid
 reruns the probe on a finer one. Rounded sweeps round every operation
 as Scalar arithmetic would; Scalars appear only at the API edge, in
 returned values and in the Newton step of the probes, which share one
 bracket search. A tree's search starts from a float Laguerre estimate
-(:func:`_laguerre_start`); floats only place that start, and every sign
-a radius rests on comes from the kernel.
+(:func:`_laguerre_start`, on the same fold); floats only place that
+start, and every sign a radius rests on comes from the kernel.
 
 :func:`count_eigenvalues` proves each triple it returns, by the count
 ladder :class:`_Ladder`: most are decided by a pair of double-precision
@@ -110,67 +110,6 @@ def _base(tree, s2, prec):
     one = from_int(1, prec, _RND)
     return {deg: mpf_add(one, mpf_mul(s2, from_int(deg - 1, prec, _RND), prec, _RND), prec, _RND)
             for deg in set(tree.degree)}
-
-
-def _sweep(tree, start, s2, prec, slope):
-    """The probe sweep on raw libmp tuples: returns (stop, dlog).
-
-    d[v] starts at the caller's pivot ``start[deg v]`` (:func:`_base` plus x
-    for M(s) + x*I) and, in postorder, each vertex absorbs -s2/d_c from
-    every child c. Every operation rounds to ``prec`` to nearest,
-    children are summed in ``tree.children`` order, and values are
-    shared only where the operands are identical: the starting pivot per
-    distinct degree, and the childless vertices' terms, since they all
-    start at the same pivot and none is rewritten before its parent
-    reads it.
-
-    The sweep stops at the first vertex whose pivot is nonnegative and
-    returns it as ``stop``; children are then negative when their parent
-    reads them, so the zero-pivot surgery never arises. With ``slope`` and
-    no stop, dlog is L = sum of d_v'/d_v with d_v' = -1 + s2 sum_c
-    d_c'/d_c^2, the derivative of log|det| in c, every start moving as -c;
-    else None.
-    """
-    children = tree.children
-    postorder = tree.postorder
-    one = from_int(1, prec, _RND)
-    d = [start[deg] for deg in tree.degree]
-    # every childless vertex has the first postorder vertex's degree
-    leaf = d[postorder[0]]
-    if _sign(leaf) >= 0:
-        return postorder[0], None
-    leaf_r = mpf_div(one, leaf, prec, _RND)
-    if slope:
-        dd = [None] * tree.n
-        leaf_dd = mpf_neg(one)
-        leaf_term = mpf_div(leaf_dd, leaf, prec, _RND)
-        leaf_dterm = mpf_div(leaf_dd, mpf_mul(leaf, leaf, prec, _RND), prec, _RND)
-        dlog = fzero
-    for v in postorder:
-        kids = children[v]
-        if not kids:
-            if slope:
-                dlog = mpf_add(dlog, leaf_term, prec, _RND)
-            continue
-        acc = None
-        for c in kids:
-            r = mpf_div(one, d[c], prec, _RND) if children[c] else leaf_r
-            acc = r if acc is None else mpf_add(acc, r, prec, _RND)
-        dv = d[v] = mpf_sub(d[v], mpf_mul(s2, acc, prec, _RND), prec, _RND)
-        if _sign(dv) >= 0:
-            return v, None
-        if slope:
-            dacc = None
-            for c in kids:
-                if children[c]:
-                    dc = d[c]
-                    t = mpf_div(dd[c], mpf_mul(dc, dc, prec, _RND), prec, _RND)
-                else:
-                    t = leaf_dterm
-                dacc = t if dacc is None else mpf_add(dacc, t, prec, _RND)
-            ddv = dd[v] = mpf_sub(mpf_mul(s2, dacc, prec, _RND), one, prec, _RND)
-            dlog = mpf_add(dlog, mpf_div(ddv, dv, prec, _RND), prec, _RND)
-    return None, (dlog if slope else None)
 
 
 def _surgery_sweep(arrays, children, start, s2, arith):
@@ -574,80 +513,127 @@ def _adjacency_inertia(tree, t):
     return _Ladder(tree).prove(t)
 
 
-def _backbone(counts, s2, c, prec, slope, g):
-    """Yield (b_j, b_j') for j = 1..k: the leaf-folded sweep at point c.
+def _fold(obj):
+    """A Tree or a Caterpillar as (nodes, leaves, lifted), the input of its
+    leaf-folded sweep (:func:`_pivots`), built once per radius search.
 
-    Every pendant leaf pivot is 1 - c, so each leaf adds delta =
-    s2*c/(c - 1) to its backbone node: b_1 = 1 - c + r_1 delta and
-    b_j = 1 + s2 - c - s2/b_{j-1} + r_j delta, less s2 at node k only
-    (never at a point where a caller stops early). With ``slope``,
-    b_j' = -1 + s2 b_{j-1}'/b_{j-1}^2 + r_j delta' is the derivative in c,
-    delta' = -s2/(c - 1)^2; otherwise b_j' is None.
+    Each node is (m, r, inner): r counts its childless children, the
+    folded leaves, and inner lists the indices of its other children in
+    the tree's children order. Nodes come in sweep order, the root last,
+    so inner indices point back; ``leaves`` is the sum of r. A node
+    starts at 1 + s^2 (m - 1) - c, and ``lifted`` says where each leaf's
+    own s^2 goes. A tree's nodes are its root and every vertex with
+    children, in postorder, and m is the degree, so the start carries
+    every s^2 and c cancels there as in the unfolded sweep. A
+    caterpillar's are its backbone, v_1 a node even with no leaf and v_k
+    the root; m counts its inner children plus one, each leaf's s^2 rides
+    in delta, and the root, which has no parent, subtracts s^2 last.
+    """
+    if isinstance(obj, Caterpillar):
+        counts = obj.counts
+        nodes = [(1, counts[0], ())] + [(2, r, (j,)) for j, r in enumerate(counts[1:])]
+        return nodes, sum(counts), True
+    children = obj.children
+    root = obj.postorder[-1]
+    slot = [0] * obj.n
+    nodes = []
+    for v in obj.postorder:
+        kids = children[v]
+        if kids or v == root:
+            inner = [slot[w] for w in kids if children[w]]
+            slot[v] = len(nodes)
+            nodes.append((obj.degree[v], len(kids) - len(inner), inner))
+    return nodes, obj.n - len(nodes), False
+
+
+def _pivots(fold, s2, c, prec, slope, g):
+    """Yield (b_v, b_v') for the nodes of ``fold``: the leaf-folded sweep
+    of M(s) - cI.
+
+    Every pendant leaf pivot is 1 - c, so each leaf adds delta to its
+    node: b_v = 1 + s2 (m - 1) - c - sum of s2/b_w over its inner
+    children w + r delta. A tree's delta is s2/(c - 1). A lifted fold's
+    (:func:`_fold`) is s2*c/(c - 1), and its root subtracts s2 last.
+    With ``slope``, b_v' = -1 + sum of s2 b_w'/b_w^2 + r delta' is the
+    derivative in c, delta' = -s2/(c - 1)^2; otherwise b_v' is None.
 
     ``s2``, ``c`` and every value yielded are Python integers counting
     2^-g. Every operation rounds to ``prec`` bits by hand, to nearest,
-    in the order the formulas read left to right, bit for bit as libmp
-    and Scalar arithmetic would (:func:`deflap.scalar._round`); a value
-    that would fall below the grid raises _OffGrid. 1 + s2 - c is formed
-    once per point. c = 1 is a pole of delta, and the next value divides
-    by b_j, so the caller (:func:`_caterpillar_probe`) never passes c = 1
-    and stops at the first nonnegative b_j.
+    in the order the formulas read left to right, the inner children's
+    terms summed first and in list order, bit for bit as libmp and
+    Scalar arithmetic would (:func:`deflap.scalar._round`); a value that
+    would fall below the grid raises _OffGrid. 1 + s2 (m - 1) - c is
+    formed once per m and point, and delta once per point, only when the
+    fold has leaves. c = 1 is a pole of delta, and a parent divides by
+    its children's b_w, so the caller (:func:`_radius_probe`) passes c = 1
+    only to a fold with no leaves and stops at the first nonnegative b_v.
     """
+    nodes, leaves, lifted = fold
     one = 1 << g
-    cm1 = _round(c - one, prec)
-    delta = _div(_mul(s2, c, prec, g), cm1, prec, g)
-    base = _round(_round(one + s2, prec) - c, prec)
-    r = counts[0]
-    b = _round(_round(one - c, prec) + _round(delta * r, prec), prec)
-    db = None
-    if slope:
-        ddelta = _div(-s2, _mul(cm1, cm1, prec, g), prec, g)
-        db = _round(_round(ddelta * r, prec) - one, prec)
-    yield b, db
-    last = len(counts) - 1
-    for j in range(1, last + 1):
-        r = counts[j]
-        q = _div(s2, b, prec, g)
-        nb = _round(_round(base - q, prec) + _round(delta * r, prec), prec)
-        if j == last:
-            nb = _round(nb - s2, prec)
+    if leaves:
+        cm1 = _round(c - one, prec)
+        delta = _div(_mul(s2, c, prec, g) if lifted else s2, cm1, prec, g)
         if slope:
-            db = _div(_mul(q, db, prec, g), b, prec, g)
-            db = _round(_round(db + _round(ddelta * r, prec), prec) - one, prec)
-        b = nb
-        yield b, db
+            ddelta = _div(-s2, _mul(cm1, cm1, prec, g), prec, g)
+    # the node that subtracts s2 last
+    root = len(nodes) - 1 if lifted else None
+    starts = {}
+    b = [0] * len(nodes)
+    db = [None] * len(nodes)
+    for j, (m, r, inner) in enumerate(nodes):
+        v = starts.get(m)
+        if v is None:
+            v = starts[m] = _round(_round(one + _round(s2 * (m - 1), prec), prec) - c, prec)
+        acc = dacc = None
+        for w in inner:
+            bw = b[w]
+            q = _div(s2, bw, prec, g)
+            acc = q if acc is None else _round(acc + q, prec)
+            if slope:
+                t = _div(_mul(q, db[w], prec, g), bw, prec, g)
+                dacc = t if dacc is None else _round(dacc + t, prec)
+        if acc is not None:
+            v = _round(v - acc, prec)
+        if r:
+            v = _round(v + _round(delta * r, prec), prec)
+            if slope:
+                t = _round(ddelta * r, prec)
+                dacc = t if dacc is None else _round(dacc + t, prec)
+        if j == root:
+            v = _round(v - s2, prec)
+        if slope:
+            dacc = db[j] = _round((dacc or 0) - one, prec)
+        b[j] = v
+        yield v, dacc
 
 
-def _caterpillar_probe(cat, s2, ctx):
-    """The radius probe of a caterpillar at s^2 = ``s2`` (raw): returns
-    probe(c, slope) -> (all_negative, early, step) on the folded backbone.
+def _radius_probe(fold, s2, ctx):
+    """The radius probe of M(s) at s^2 = ``s2`` (raw) on a :func:`_fold`:
+    returns probe(c, slope) -> (all_negative, early, step).
 
-    The probe runs :func:`_backbone` on integers counting 2^-g, g = prec
+    The probe runs :func:`_pivots` on integers counting 2^-g, g = prec
     + 64 or finer, so that c and s2 lift exactly; a value that falls
     below the grid reruns the probe on a finer one
     (:func:`deflap.scalar._on_grid`). Signs are read off the integers.
     The probe stops at its first nonnegative pivot, so it never divides
-    by a zero one. The leaf pivot 1 - c is checked first, so the c = 1
-    pole is never evaluated: a nonnegative or zero leaf pivot already
+    by a zero one. With leaves, the leaf pivot 1 - c is checked first, so
+    the c = 1 pole is never evaluated: a nonnegative leaf pivot already
     decides the probe. ``early`` reports a verdict reached before the
-    last backbone node. With ``slope`` and every pivot negative, step is
-    the Newton step -1/L toward the largest eigenvalue, where L =
-    d/dc log|det(M - cI)| sums b_j'/b_j over the backbone and 1/(c - 1)
-    per leaf; L alone becomes a raw tuple, and step a Scalar; otherwise
-    step is None.
+    root. With ``slope`` and every pivot negative, step is the Newton
+    step -1/L toward the largest eigenvalue, where L = d/dc log|det(M -
+    cI)| sums b_v'/b_v over the nodes and 1/(c - 1) per leaf; L alone
+    becomes a raw tuple, and step a Scalar; otherwise step is None.
     """
     prec = ctx.prec
-    counts = cat.counts
-    last = cat.k - 1
-    leaves = sum(counts)
+    nodes, leaves, _ = fold
+    last = len(nodes) - 1
 
     def sweep(g, s2, c, slope):
         one = 1 << g
-        if (leaves and c <= one) or c == one:
-            # with no leaves anywhere the backbone pivots start at zero
+        if leaves and c <= one:
             return False, True, None
         total = None
-        for j, (b, db) in enumerate(_backbone(counts, s2, c, prec, slope, g)):
+        for j, (b, db) in enumerate(_pivots(fold, s2, c, prec, slope, g)):
             if b >= 0:
                 return False, j < last, None
             if slope:
@@ -660,37 +646,6 @@ def _caterpillar_probe(cat, s2, ctx):
         return True, False, _newton_step(_drop(total, -g, ctx))
 
     return lambda c, slope: _on_grid(sweep, prec, (s2, c.raw()), slope)
-
-
-def _tree_probe(tree, base, s2, ctx):
-    """The radius probe of M(s) on a tree: returns probe(c, slope) ->
-    (all_negative, early, step), one kernel sweep from ``base[deg] - c``
-    that stops at the first nonnegative pivot.
-
-    ``base`` is :func:`_base` and ``s2`` is s^2 (raw). ``early`` reports
-    a stop before the root. With
-    ``slope`` and every pivot negative, step is the Newton step -1/L,
-    L = sum of d_v'/d_v with d_v' = -1 + s2 sum_c d_c'/d_c^2; otherwise
-    None.
-    """
-    prec = ctx.prec
-    root = tree.postorder[-1]
-    if s2 == fzero:
-        # M(0) = I: every pivot is 1 - c
-        one = from_int(1, prec, _RND)
-        return lambda c, slope: (_sign(mpf_sub(one, c.raw(), prec, _RND)) < 0, False, None)
-
-    def probe(c, slope):
-        c = c.raw()
-        start = {deg: mpf_sub(b, c, prec, _RND) for deg, b in base.items()}
-        stop, dlog = _sweep(tree, start, s2, prec, slope)
-        if stop is not None:
-            return False, stop != root, None
-        if not slope:
-            return True, False, None
-        return True, False, _newton_step(Scalar(dlog, ctx))
-
-    return probe
 
 
 def _newton_step(dlog):
@@ -748,12 +703,13 @@ class RadiusEstimate:
 def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     """Bracket the largest eigenvalue of M(s) as bisecting [lo, hi] would.
 
-    ``obj`` is a Tree or a Caterpillar (the latter probed by the folded
-    backbone recurrence). The bracket must satisfy rho >= lo and
-    rho < hi; both ends are probed and a bad bracket raises
-    BracketingError. When ``iterations`` is omitted it is derived from
-    ``target_digits`` (default: the context's digits) as the count needed
-    to shrink the bracket below 10^-target_digits. The result is that of
+    ``obj`` is a Tree or a Caterpillar, both probed by the leaf-folded
+    recurrence (:func:`_fold`, :func:`_radius_probe`). The bracket must
+    satisfy rho >= lo and rho < hi; both ends are probed and a bad
+    bracket raises BracketingError. When ``iterations`` is omitted it is
+    derived from ``target_digits`` (default: the context's digits) as the
+    count needed to shrink the bracket below 10^-target_digits. The
+    result is that of
     ``iterations`` halvings, found by :func:`deflap.scalar.find_root`:
     Newton steps down to the root, a certified bracket, and a replay of
     the halvings that probes only the midpoints inside it. On a Tree the
@@ -768,7 +724,10 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     halvings; :func:`deflap.shearer.epsilon_k` refuses such widths. A
     target ceil(log10 |hi|) + 3 digits below the context's keeps the
     width above 2^11 ulp of hi: on 40 caterpillar radii at 50-250 digits
-    no halving then stalled or took another side than at 400 digits.
+    no halving then stalled or took another side than at 400 digits. A
+    caterpillar and the tree it expands to round their leaves apart
+    (:func:`_fold`), so their brackets agree at such a target and may
+    part in the last halvings of the default one.
     """
     if not isinstance(obj, (Tree, Caterpillar)):
         raise DomainError("expected a Tree or a Caterpillar")
@@ -779,13 +738,11 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     s_raw = s.raw()
     s2 = mpf_mul(s_raw, s_raw, prec, _RND)
     root = ctx.scalar(1) if s2 == fzero else None
+    fold = _fold(obj)
     estimate = None
-    if isinstance(obj, Caterpillar):
-        probe = _caterpillar_probe(obj, s2, ctx)
-    else:
-        probe = _tree_probe(obj, _base(obj, s2, prec), s2, ctx)
-        if root is None:
-            estimate = _float_start(obj, s)
+    if isinstance(obj, Tree) and root is None:
+        estimate = _float_start(obj, s, fold)
+    probe = _radius_probe(fold, s2, ctx)
     return _bracket(probe, ctx.scalar(lo), ctx.scalar(hi), iterations, target_digits, estimate, root)
 
 
@@ -799,27 +756,29 @@ _LAGUERRE_SWEEPS = 200
 _LAGUERRE_TOL = 1e-14
 
 
-def _float_start(tree, s):
-    """:func:`_laguerre_start` for M(s) on ``tree``, as a callable of hi."""
+def _float_start(tree, s, fold):
+    """:func:`_laguerre_start` for M(s) on ``tree``, whose :func:`_fold` is
+    ``fold``, as a callable of hi."""
     _, s2, table = _float_table(tree, s)
-    return partial(_laguerre_start, tree, table, s2)
+    return partial(_laguerre_start, fold, table, s2)
 
 
-def _laguerre_start(tree, base, s2, hi):
+def _laguerre_start(fold, base, s2, hi):
     """A float at or just above the largest root of det(P - cI), or None.
 
-    P is M(s), whose pivot sweep at c starts each vertex at
-    ``base[deg] - c``, base 1 + s^2 (deg - 1), and subtracts ``s2``/d_c
-    per child. Its determinant is a
+    P is M(s) on the tree whose :func:`_fold` is ``fold``. Its pivot
+    sweep at c starts each vertex at ``base[deg] - c``, base 1 + s^2 (deg
+    - 1), and subtracts ``s2``/d_w per child w. Its determinant is a
     real-rooted polynomial of degree n, so Laguerre's steps
     c <- c - n/(G + sqrt((n - 1)(nH - G^2))), run from ``hi`` above the
     roots, fall monotonically onto the largest (B. Parlett, Math. Comp.
     18 (1964) 464-485). G = sum d'/d and H = sum (d'/d)^2 - d''/d come
-    from one float sweep per step, with d_v' = -1 + s2 sum_c d_c'/d_c^2
-    and d_v'' = s2 sum_c (d_c''/d_c^2 - 2 d_c'^2/d_c^3).
+    from one float sweep per step, with d_v' = -1 + s2 sum_w d_w'/d_w^2
+    and d_v'' = s2 sum_w (d_w''/d_w^2 - 2 d_w'^2/d_w^3).
 
-    The sweep follows :func:`_sweep`'s order and stops at the first
-    nonnegative pivot, which marks an iterate on or below the root. The
+    The sweep follows the fold's node order, the leaves sharing one
+    pivot, and stops at the first nonnegative pivot, which marks an
+    iterate on or below the root. The
     steps stop there, when one stops shrinking or drops below
     _LAGUERRE_TOL of the iterate, or after _LAGUERRE_SWEEPS sweeps. The
     result is the last iterate the sweep found above the root, or the
@@ -829,39 +788,25 @@ def _laguerre_start(tree, base, s2, hi):
     """
     if not math.isfinite(hi):
         return None
-    children = tree.children
-    degree = tree.degree
-    postorder = tree.postorder
-    # childless vertices share one pivot (see _sweep) and are folded into
-    # their parents' sums; the rest are swept in postorder, each with its
-    # base, its childless children's count and its swept children's slots
-    leaf_base = base[degree[postorder[0]]]
-    leaves = 0
-    slot = [0] * tree.n
-    nodes = []
-    for v in postorder:
-        kids = children[v]
-        if not kids:
-            leaves += 1
-            continue
-        inner = [slot[c] for c in kids if children[c]]
-        slot[v] = len(nodes)
-        nodes.append((base[degree[v]], len(kids) - len(inner), inner))
+    nodes, leaves, _ = fold
+    starts = [base[m] for m, _, _ in nodes]
     d = [0.0] * len(nodes)
     d1 = [0.0] * len(nodes)
     d2 = [0.0] * len(nodes)
 
     def sweep(c):
         # (G, H) at c, or None at the first nonnegative pivot
-        leaf = leaf_base - c
-        if leaf >= 0:
-            return None
-        r = 1.0 / leaf
-        lr1 = -r * r
-        lr2 = 2.0 * lr1 * r
+        r = lr1 = lr2 = 0.0
+        if leaves:
+            leaf = base[1] - c
+            if leaf >= 0:
+                return None
+            r = 1.0 / leaf
+            lr1 = -r * r
+            lr2 = 2.0 * lr1 * r
         g_sum = -leaves * r
         h_sum = -leaves * lr1
-        for i, (b, k, inner) in enumerate(nodes):
+        for i, (_, k, inner) in enumerate(nodes):
             acc = k * r
             acc1 = k * lr1
             acc2 = k * lr2
@@ -871,7 +816,7 @@ def _laguerre_start(tree, base, s2, hi):
                 acc += q
                 acc1 += p * q
                 acc2 += (d2[j] - 2.0 * p * d1[j]) * q * q
-            a = b - c - s2 * acc
+            a = starts[i] - c - s2 * acc
             if a >= 0:
                 return None
             a1 = s2 * acc1 - 1.0
@@ -884,7 +829,7 @@ def _laguerre_start(tree, base, s2, hi):
             d2[i] = a2
         return g_sum, h_sum
 
-    n = tree.n
+    n = len(nodes) + leaves
     c = hi
     gh = sweep(c)
     if gh is None:

@@ -1,10 +1,14 @@
 """Inertia counting against a dense eigensolver, plus the fast paths."""
 
+import random
+
 import pytest
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_mul, round_nearest
 
 from deflap.diagonalize import (
-    _backbone,
+    _fold,
+    _pivots,
+    _radius_probe,
     approximate_radius,
     count_eigenvalues,
     diagonalize_tree,
@@ -91,7 +95,7 @@ def test_backbone_matches_tree_sweep():
     tree = caterpillar_to_tree(cat)
     s2 = (s * s).raw()
     outs = [Scalar(from_man_exp(b, -g), CTX) for g in (CTX.prec + 64,)
-            for b, _ in _backbone(cat.counts, _lift(s2, -g), _lift(c.raw(), -g), CTX.prec, False, g)]
+            for b, _ in _pivots(_fold(cat), _lift(s2, -g), _lift(c.raw(), -g), CTX.prec, False, g)]
     assert len(outs) == cat.k
     # backbone negativity pattern pins the same inertia as the full sweep
     neg_backbone = sum(1 for b in outs if b.sign() < 0)
@@ -123,6 +127,81 @@ def test_radius_fast_path_agrees_with_tree_sweep():
         est_tree = approximate_radius(tree, s, lo, hi, target_digits=18)
         assert est_cat.value() == est_tree.value()
         assert est_cat.width() <= CTX.power_of_ten(-18) * 9
+
+
+def _probe_raw(fold, s, c, slope):
+    s2 = mpf_mul(s.raw(), s.raw(), s.ctx.prec, round_nearest)
+    below, early, step = _radius_probe(fold, s2, s.ctx)(c, slope)
+    return below, early, None if step is None else step.raw()
+
+
+def _bracket(est):
+    return est.low.raw(), est.high.raw(), est.iterations
+
+
+def test_tree_and_caterpillar_folds_share_one_kernel():
+    # a caterpillar with leaves at v_1 expands to a tree whose fold has the
+    # caterpillar's nodes; only where each leaf's s^2 goes differs (_fold).
+    # In the caterpillar's lifted form the tree probes bit for bit as the
+    # caterpillar; in its own they agree off rho and on brackets at the
+    # target the search promises, digits - 5
+    rng = random.Random(24)
+    for digits in (20, 120):
+        ctx = PrecisionContext(digits)
+        for _ in range(8):
+            counts = [rng.randrange(1, 6)] + [rng.randrange(0, 6) for _ in range(rng.randrange(1, 8))]
+            cat = Caterpillar(counts)
+            tree = caterpillar_to_tree(cat)
+            folded, own = _fold(cat), _fold(tree)
+            assert [(r, list(inner)) for _, r, inner in folded[0]] == [
+                (r, inner) for _, r, inner in own[0]]
+            backbone = range(sum(counts), tree.n)
+            assert [m for m, _, _ in own[0]] == [tree.degree[v] for v in backbone]
+            lifted = [(len(inner) + 1, r, inner) for _, r, inner in own[0]], own[1], True
+            s = ctx.scalar("%.6g" % rng.uniform(-2, 2))
+            hi = gershgorin_cap(s, tree.max_degree())
+            est = approximate_radius(cat, s, ctx.zero(), hi, target_digits=digits - 5)
+            assert _bracket(est) == _bracket(approximate_radius(
+                tree, s, ctx.zero(), hi, target_digits=digits - 5))
+            pad = ctx.power_of_ten(8 - digits)
+            for c in (ctx.scalar("0.5"), ctx.scalar(1), est.low - pad, est.high + pad, hi):
+                for slope in (False, True):
+                    got = _probe_raw(lifted, s, c, slope)
+                    assert got == _probe_raw(folded, s, c, slope)
+                    assert _probe_raw(own, s, c, slope)[0] == got[0]
+
+
+def test_one_vertex_probe_has_no_leaf_pivot():
+    # K1 has no leaves, so nothing checks 1 - c or forms delta: at c = 1
+    # its one pivot is 1 - s^2 - c = -s^2
+    k1 = Tree.single_vertex()
+    s = CTX.scalar("0.5")
+    assert _fold(k1) == ([(0, 0, [])], 0, False)
+    assert _probe_raw(_fold(k1), s, CTX.scalar(1), False) == (True, False, None)
+    assert _probe_raw(_fold(k1), s, CTX.scalar("0.75"), False) == (False, False, None)
+    est = approximate_radius(k1, s, 0, 2)
+    assert est.low <= CTX.scalar("0.75") <= est.high
+
+
+def test_caterpillar_fold_keeps_a_leafless_first_node():
+    # v_1 with no leaves stays a node of the caterpillar's fold, where the
+    # tree it expands to folds it as a leaf of v_2; the probes still agree
+    # with the frozen Scalar backbone loop bit for bit
+    from test_root_finder import _frozen_caterpillar_all_negative
+
+    ctx = PrecisionContext(30)
+    s = ctx.scalar("0.8")
+    for counts in ([0, 2, 1], [0, 0, 3, 0], [0, 4]):
+        cat = Caterpillar(counts)
+        fold = _fold(cat)
+        assert fold[0][0] == (1, 0, ()) and len(fold[0]) == cat.k
+        assert len(_fold(caterpillar_to_tree(cat))[0]) == cat.k - 1
+        for c_text in ("0.5", "1", "1.7", "2.9", "4.1"):
+            c = ctx.scalar(c_text)
+            for slope in (False, True):
+                below, early, step = _frozen_caterpillar_all_negative(cat, s, c, slope)
+                want = below, early, None if step is None else step.raw()
+                assert _probe_raw(fold, s, c, slope) == want
 
 
 def test_radius_known_values():

@@ -29,7 +29,7 @@ from mpmath.libmp import (
 import deflap.diagonalize
 import deflap.limits
 import deflap.scalar
-from deflap.diagonalize import _backbone, approximate_radius
+from deflap.diagonalize import _fold, _pivots, approximate_radius
 from deflap.limits import s_star, tau0
 from deflap.scalar import (
     PrecisionContext,
@@ -232,13 +232,13 @@ def test_random_probes_match_frozen_copy_at_120_and_250_digits():
 
 def _record_grids(monkeypatch):
     grids = []
-    kernel = deflap.diagonalize._backbone
+    kernel = deflap.diagonalize._pivots
 
-    def recording(counts, s2, c, prec, slope, g):
+    def recording(fold, s2, c, prec, slope, g):
         grids.append(g)
-        return kernel(counts, s2, c, prec, slope, g)
+        return kernel(fold, s2, c, prec, slope, g)
 
-    monkeypatch.setattr(deflap.diagonalize, "_backbone", recording)
+    monkeypatch.setattr(deflap.diagonalize, "_pivots", recording)
     return grids
 
 
@@ -266,7 +266,7 @@ def test_backbone_on_a_coarse_grid_raises():
     s2, c = ctx.scalar("0.49").raw(), ctx.scalar("3.3").raw()
     g = max(-c[2], -s2[2])
     with pytest.raises(_OffGrid):
-        list(_backbone([2, 3, 1], _lift(s2, -g), _lift(c, -g), ctx.prec, False, g))
+        list(_pivots(_fold(Caterpillar([2, 3, 1])), _lift(s2, -g), _lift(c, -g), ctx.prec, False, g))
 
 
 def _frozen_h(s):

@@ -8,9 +8,10 @@ search; the nested chain of bisections it replaced is kept frozen as its
 reference, which its bound must match to 1e-20 relative.
 
 The caterpillar probes those bisections call are frozen copies of the
-backbone loops that preceded the shared ``_backbone`` recurrence, so the
-references do not run the code under test; a grid test checks the live
-loops against the copies directly. The Shearer generation pass
+backbone loops that preceded the leaf-folded recurrence that trees and
+caterpillars now share (``diagonalize._pivots``), so the references do
+not run the code under test; a grid test checks the live probe against
+the copies directly. The Shearer generation pass
 and its beta recurrence have frozen Scalar copies too, checked value for
 value against the raw-tuple versions.
 
@@ -31,9 +32,8 @@ import deflap.diagonalize
 import deflap.limits
 import deflap.scalar
 from deflap.diagonalize import (
-    _base,
-    _caterpillar_probe,
-    _tree_probe,
+    _fold,
+    _radius_probe,
     approximate_radius,
     diagonalize_tree,
     gershgorin_cap,
@@ -79,7 +79,7 @@ def _raw_s2(s):
 
 def _caterpillar_all_negative(cat, s, c, slope):
     # one probe of the factory approximate_radius builds for a caterpillar
-    return _caterpillar_probe(cat, _raw_s2(s), s.ctx)(c, slope)
+    return _radius_probe(_fold(cat), _raw_s2(s), s.ctx)(c, slope)
 
 
 def _probe(obj, s, c, slope):
@@ -87,7 +87,7 @@ def _probe(obj, s, c, slope):
     if isinstance(obj, Caterpillar):
         return _caterpillar_all_negative(obj, s, c, slope)
     s2 = _raw_s2(s)
-    return _tree_probe(obj, _base(obj, s2, s.ctx.prec), s2, s.ctx)(c, slope)
+    return _radius_probe(_fold(obj), s2, s.ctx)(c, slope)
 
 
 # -- frozen backbone loops --------------------------------------------------

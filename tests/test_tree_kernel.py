@@ -1,12 +1,15 @@
-"""The raw-tuple tree sweep against the Scalar sweeps it replaces.
+"""The raw-tuple and integer tree sweeps against Scalar loops of the same
+recurrences.
 
 ``diagonalize._surgery_sweep`` in rounded libmp arithmetic (behind
-``diagonalize_tree``) and ``diagonalize._sweep`` (behind the radius
-probe) promise the pivots of the two Scalar loops below, bit for bit:
-``_reference_diagonalize_tree`` and ``_reference_tree_all_negative`` are
-the sweeps that ``diagonalize_tree`` and the radius probe ran before the
-kernels. Each test runs both on the same inputs and asserts identical
-raw values, not merely close ones.
+``diagonalize_tree``) promises the pivots of ``_reference_diagonalize_tree``,
+the Scalar sweep ``diagonalize_tree`` ran before the kernel, bit for bit.
+The radius probe, ``diagonalize._radius_probe`` over the leaf-folded
+nodes of ``diagonalize._fold``, promises those of
+``_reference_probe_at``, a Scalar loop of the folded recurrence. Each
+test runs both on the same inputs and asserts identical raw values, not
+merely close ones. The child-by-child Scalar loop the probe ran before
+the fold checks its verdicts wherever c is not an eigenvalue.
 The float Laguerre start of the tree radii is checked the same way,
 against the radii it skips, which start their Newton steps from hi.
 
@@ -28,16 +31,16 @@ from mpmath.libmp import mpf_mul, round_nearest
 
 from deflap import diagonalize
 from deflap.diagonalize import (
-    _base,
+    _fold,
     _newton_step,
-    _tree_probe,
+    _radius_probe,
     approximate_radius,
     count_eigenvalues,
     diagonalize_tree,
     gershgorin_cap,
 )
 from deflap.scalar import PrecisionContext, Scalar
-from deflap.trees import Tree, free_trees
+from deflap.trees import DENSE_CAP, Tree, dense_deformed_laplacian, free_trees
 
 S_VALUES = ("-1.5", "-1", "-0.9", "-0.3", "0.3", "0.9", "1", "1.5", "0")
 C_VALUES = ("-3", "-1", "0", "0.5", "1", "1.25", "2", "3.5", "7", "0.999999")
@@ -126,17 +129,61 @@ def _reference_diagonalize_tree(tree, s, x):
 
 
 def _reference_tree_all_negative(tree, s, c, slope):
-    return _reference_probe_at(tree, s * s, c, slope)
+    return _reference_probe_at(_fold(tree), s * s, c, slope)
 
 
-def _reference_tree_probe(tree, base, s2, ctx):
-    # the reference behind _tree_probe's signature for M(s): it builds its
-    # own start table from s^2 and never reads the kernel's ``base``
+def _reference_tree_probe(fold, s2, ctx):
+    # the reference behind _radius_probe's signature
     s2 = Scalar(s2, ctx)
-    return lambda c, slope: _reference_probe_at(tree, s2, c, slope)
+    return lambda c, slope: _reference_probe_at(fold, s2, c, slope)
 
 
-def _reference_probe_at(tree, s2, c, slope):
+def _reference_probe_at(fold, s2, c, slope):
+    # the folded recurrence on Scalars: each node starts at
+    # 1 + s2 (m - 1) - c, less the sum of s2/d_w over its inner children,
+    # plus r delta; a lifted fold's delta carries s2 c, and its root
+    # subtracts s2 last
+    ctx = s2.ctx
+    nodes, leaves, lifted = fold
+    last = len(nodes) - 1
+    if leaves:
+        if (1 - c).sign() >= 0:
+            return False, True, None
+        delta = (s2 * c if lifted else s2) / (c - 1)
+        ddelta = -s2 / ((c - 1) * (c - 1))
+    d = []
+    dd = []
+    total = None
+    for j, (m, r, inner) in enumerate(nodes):
+        v = 1 + s2 * (m - 1) - c
+        acc = dacc = None
+        for w in inner:
+            q = s2 / d[w]
+            acc = q if acc is None else acc + q
+            t = q * dd[w] / d[w]
+            dacc = t if dacc is None else dacc + t
+        if acc is not None:
+            v = v - acc
+        if r:
+            v = v + delta * r
+            dacc = ddelta * r if dacc is None else dacc + ddelta * r
+        if lifted and j == last:
+            v = v - s2
+        if v.sign() >= 0:
+            return False, j < last, None
+        dv = ctx.scalar(-1) if dacc is None else dacc - 1
+        d.append(v)
+        dd.append(dv)
+        total = dv / v if total is None else total + dv / v
+    if not slope:
+        return True, False, None
+    if leaves:
+        total = total + leaves / (c - 1)
+    return True, False, _newton_step(total)
+
+
+def _child_by_child_probe_at(tree, s2, c, slope):
+    # the unfolded probe: every vertex absorbs s2/d_c from each child
     ctx = s2.ctx
     x = -c
     if s2.is_zero:
@@ -170,7 +217,7 @@ def _tree_all_negative(tree, s, c, slope):
     # one probe of the factory approximate_radius builds for M(s)
     ctx = s.ctx
     s2 = mpf_mul(s.raw(), s.raw(), ctx.prec, round_nearest)
-    return _tree_probe(tree, _base(tree, s2, ctx.prec), s2, ctx)(c, slope)
+    return _radius_probe(_fold(tree), s2, ctx)(c, slope)
 
 
 def _raw_probe(result):
@@ -215,6 +262,38 @@ def test_probe_matches_reference(digits):
     assert outcomes >= {(False, False, False), (False, True, False), (True, False, True)}
 
 
+_SPECTRA = {}
+
+
+def _near_eigenvalue(tree, s, c):
+    """Whether c lies within 1e-12 of an eigenvalue of M(s), by the dense
+    oracle at 20 digits, once per tree and |s| (trees are bipartite, so
+    s and -s share the spectrum)."""
+    key = id(tree), abs(s).to_decimal_string(25)
+    if key not in _SPECTRA:
+        ctx = PrecisionContext(20)
+        m = dense_deformed_laplacian(tree, ctx.scalar(key[1]))
+        _SPECTRA[key] = [e.to_float() for e in m.eigenvalues(ctx)]
+    return any(abs(e - c.to_float()) <= 1e-12 for e in _SPECTRA[key])
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_probe_verdicts_match_child_by_child_sweep(digits):
+    # folding the leaves moves the rounding, so verdicts may differ only
+    # where rounding decides them, at an eigenvalue
+    checked = skipped = 0
+    for tree, s, c in _grid(digits):
+        if tree.n > DENSE_CAP:
+            continue
+        if _near_eigenvalue(tree, s, c):
+            skipped += 1
+            continue
+        got = _tree_all_negative(tree, s, c, False)[0]
+        assert got == _child_by_child_probe_at(tree, s * s, c, False)[0], (tree.degree, s, c)
+        checked += 1
+    assert checked > 5 * skipped > 0
+
+
 @pytest.mark.parametrize("digits", DIGITS)
 def test_radius_matches_reference_probe(digits, monkeypatch):
     ctx = PrecisionContext(digits)
@@ -237,7 +316,7 @@ def test_radius_matches_reference_probe(digits, monkeypatch):
         return out
 
     got = brackets()
-    monkeypatch.setattr(diagonalize, "_tree_probe", _reference_tree_probe)
+    monkeypatch.setattr(diagonalize, "_radius_probe", _reference_tree_probe)
     assert got == brackets()
 
 
@@ -319,7 +398,7 @@ def test_float_start_capped_keeps_brackets(monkeypatch):
     got = _radius(tree, s, ctx)
     hi = 1 + 0.81 * (tree.max_degree() - 1) + 0.9 * tree.max_degree() + 1
     base = {deg: 1 + 0.81 * (deg - 1) for deg in set(tree.degree)}
-    start = diagonalize._laguerre_start(tree, base, 0.81, hi)
+    start = diagonalize._laguerre_start(_fold(tree), base, 0.81, hi)
     assert got.high.to_float() + 1e-3 < start < hi
     _from_hi(monkeypatch)
     assert _bracket_raw(got) == _bracket_raw(_radius(tree, s, ctx))
@@ -329,12 +408,12 @@ def test_float_start_landing_on_the_root():
     # the start lands exactly: on 1 for one vertex at s = 0, and on
     # 1 + |s| in one step for the path P2, whose determinant is quadratic
     single = Tree.single_vertex()
-    assert diagonalize._laguerre_start(single, {0: 1.0}, 0.0, 2.0) == 1.0
+    assert diagonalize._laguerre_start(_fold(single), {0: 1.0}, 0.0, 2.0) == 1.0
     p2 = Tree.from_edges([(0, 1)])
     for s_text in S_VALUES:
         s = float(s_text)
         rho = 1 + abs(s)
-        guess = diagonalize._laguerre_start(p2, {1: 1.0}, s * s, rho + 1)
+        guess = diagonalize._laguerre_start(_fold(p2), {1: 1.0}, s * s, rho + 1)
         assert abs(guess - rho) <= 4 * math.ulp(rho)
 
 
@@ -379,5 +458,5 @@ def test_float_count_and_float_start_share_one_table(monkeypatch):
         del tables[:]
         count_eigenvalues(tree, s, ctx.scalar(2))
         assert tables == [want, want]
-        start = diagonalize._float_start(tree, s)
+        start = diagonalize._float_start(tree, s, _fold(tree))
         assert start.args[1:] == want
