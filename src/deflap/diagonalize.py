@@ -13,14 +13,14 @@ tree from a per-degree table with the zero-pivot surgery in the
 arithmetic its caller hands it: rounded libmp for
 :func:`diagonalize_tree`, outward-rounded intervals and exact rationals
 for the count ladder. The radius probe of a tree and of a caterpillar
-is one leaf-folded recurrence, :func:`_pivots`: :func:`_fold` turns
-either into nodes that absorb their pendant leaves, whose pivots are
-all 1 - c, and the probe (:func:`_radius_probe`, behind the radii and
-the eps_k certificate of :mod:`deflap.shearer`) stops at the first
-nonnegative node pivot. It runs on Python integers counting 2^-g, g =
-prec + 64 or finer, each operation rounded by hand
-(:func:`deflap.scalar._round`); a value that falls below the grid
-reruns the probe on a finer one. Rounded sweeps round every operation
+is one leaf-folded recurrence, :func:`_pivots`: :func:`_fold` turns a
+tree, or a caterpillar as the tree it expands to, into nodes that
+absorb their pendant leaves, whose pivots are all 1 - c, and the probe
+(:func:`_radius_probe`, behind the radii and the eps_k certificate of
+:mod:`deflap.shearer`) stops at the first nonnegative node pivot. It
+runs on Python integers counting 2^-g, g = prec + 64 or finer, each
+operation rounded by hand (:func:`deflap.scalar._round`); a value that
+falls below the grid reruns the probe on a finer one. Rounded sweeps round every operation
 as Scalar arithmetic would; Scalars appear only at the API edge, in
 returned values and in the Newton step of the probes, which share one
 bracket search. A tree's search starts from a float Laguerre estimate
@@ -514,25 +514,28 @@ def _adjacency_inertia(tree, t):
 
 
 def _fold(obj):
-    """A Tree or a Caterpillar as (nodes, leaves, lifted), the input of its
+    """A Tree or a Caterpillar as (nodes, leaves), the input of its
     leaf-folded sweep (:func:`_pivots`), built once per radius search.
 
-    Each node is (m, r, inner): r counts its childless children, the
-    folded leaves, and inner lists the indices of its other children in
-    the tree's children order. Nodes come in sweep order, the root last,
-    so inner indices point back; ``leaves`` is the sum of r. A node
-    starts at 1 + s^2 (m - 1) - c, and ``lifted`` says where each leaf's
-    own s^2 goes. A tree's nodes are its root and every vertex with
-    children, in postorder, and m is the degree, so the start carries
-    every s^2 and c cancels there as in the unfolded sweep. A
-    caterpillar's are its backbone, v_1 a node even with no leaf and v_k
-    the root; m counts its inner children plus one, each leaf's s^2 rides
-    in delta, and the root, which has no parent, subtracts s^2 last.
+    Each node is (m, r, inner): m is its degree, r counts its childless
+    children, the folded leaves, and inner lists the indices of its other
+    children in the tree's children order. Nodes are the root and every
+    vertex with children, in postorder, the root last, so inner indices
+    point back; ``leaves`` is the sum of r. A node starts at
+    1 + s^2 (m - 1) - c, which carries every leaf's s^2, so c cancels
+    there as in the unfolded sweep. A caterpillar folds as the tree it
+    expands to (:func:`deflap.trees.caterpillar_to_tree`), built from its
+    counts: v_j has degree r_j plus its backbone neighbours, and a v_1
+    with no leaves is a leaf of v_2.
     """
     if isinstance(obj, Caterpillar):
         counts = obj.counts
-        nodes = [(1, counts[0], ())] + [(2, r, (j,)) for j, r in enumerate(counts[1:])]
-        return nodes, sum(counts), True
+        k = len(counts)
+        # the first node is v_1, or v_2 with a leafless v_1 among its leaves
+        first = 0 if counts[0] else 1
+        nodes = [(counts[j] + (j > 0) + (j < k - 1), counts[j] + (j == first == 1),
+                  [j - first - 1] if j > first else []) for j in range(first, k)]
+        return nodes, k + sum(counts) - len(nodes)
     children = obj.children
     root = obj.postorder[-1]
     slot = [0] * obj.n
@@ -543,19 +546,20 @@ def _fold(obj):
             inner = [slot[w] for w in kids if children[w]]
             slot[v] = len(nodes)
             nodes.append((obj.degree[v], len(kids) - len(inner), inner))
-    return nodes, obj.n - len(nodes), False
+    return nodes, obj.n - len(nodes)
 
 
 def _pivots(fold, s2, c, prec, slope, g):
     """Yield (b_v, b_v') for the nodes of ``fold``: the leaf-folded sweep
     of M(s) - cI.
 
-    Every pendant leaf pivot is 1 - c, so each leaf adds delta to its
-    node: b_v = 1 + s2 (m - 1) - c - sum of s2/b_w over its inner
-    children w + r delta. A tree's delta is s2/(c - 1). A lifted fold's
-    (:func:`_fold`) is s2*c/(c - 1), and its root subtracts s2 last.
-    With ``slope``, b_v' = -1 + sum of s2 b_w'/b_w^2 + r delta' is the
-    derivative in c, delta' = -s2/(c - 1)^2; otherwise b_v' is None.
+    Every pendant leaf pivot is 1 - c, so each leaf adds delta =
+    s2/(c - 1) to its node: b_v = 1 + s2 (m - 1) - c - sum of s2/b_w
+    over its inner children w + r delta. A caterpillar's fold is that of
+    the tree it expands to (:func:`_fold`), so it sweeps bit for bit as
+    that tree. With ``slope``, b_v' = -1 + sum of s2 b_w'/b_w^2 +
+    r delta' is the derivative in c, delta' = -s2/(c - 1)^2; otherwise
+    b_v' is None.
 
     ``s2``, ``c`` and every value yielded are Python integers counting
     2^-g. Every operation rounds to ``prec`` bits by hand, to nearest,
@@ -568,15 +572,13 @@ def _pivots(fold, s2, c, prec, slope, g):
     its children's b_w, so the caller (:func:`_radius_probe`) passes c = 1
     only to a fold with no leaves and stops at the first nonnegative b_v.
     """
-    nodes, leaves, lifted = fold
+    nodes, leaves = fold
     one = 1 << g
     if leaves:
         cm1 = _round(c - one, prec)
-        delta = _div(_mul(s2, c, prec, g) if lifted else s2, cm1, prec, g)
+        delta = _div(s2, cm1, prec, g)
         if slope:
             ddelta = _div(-s2, _mul(cm1, cm1, prec, g), prec, g)
-    # the node that subtracts s2 last
-    root = len(nodes) - 1 if lifted else None
     starts = {}
     b = [0] * len(nodes)
     db = [None] * len(nodes)
@@ -599,8 +601,6 @@ def _pivots(fold, s2, c, prec, slope, g):
             if slope:
                 t = _round(ddelta * r, prec)
                 dacc = t if dacc is None else _round(dacc + t, prec)
-        if j == root:
-            v = _round(v - s2, prec)
         if slope:
             dacc = db[j] = _round((dacc or 0) - one, prec)
         b[j] = v
@@ -625,7 +625,7 @@ def _radius_probe(fold, s2, ctx):
     becomes a raw tuple, and step a Scalar; otherwise step is None.
     """
     prec = ctx.prec
-    nodes, leaves, _ = fold
+    nodes, leaves = fold
     last = len(nodes) - 1
 
     def sweep(g, s2, c, slope):
@@ -725,9 +725,8 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     target ceil(log10 |hi|) + 3 digits below the context's keeps the
     width above 2^11 ulp of hi: on 40 caterpillar radii at 50-250 digits
     no halving then stalled or took another side than at 400 digits. A
-    caterpillar and the tree it expands to round their leaves apart
-    (:func:`_fold`), so their brackets agree at such a target and may
-    part in the last halvings of the default one.
+    caterpillar probes bit for bit as the tree it expands to
+    (:func:`_fold`), so the two brackets agree at every target.
     """
     if not isinstance(obj, (Tree, Caterpillar)):
         raise DomainError("expected a Tree or a Caterpillar")
@@ -788,7 +787,7 @@ def _laguerre_start(fold, base, s2, hi):
     """
     if not math.isfinite(hi):
         return None
-    nodes, leaves, _ = fold
+    nodes, leaves = fold
     starts = [base[m] for m, _, _ in nodes]
     d = [0.0] * len(nodes)
     d1 = [0.0] * len(nodes)

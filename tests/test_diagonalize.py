@@ -15,7 +15,7 @@ from deflap.diagonalize import (
     gershgorin_cap,
 )
 from deflap.limits import s_star
-from deflap.scalar import BracketingError, DomainError, PrecisionContext, Scalar, _lift
+from deflap.scalar import BracketingError, DomainError, PrecisionContext, Scalar, _lift, find_root, halvings
 from deflap.trees import (
     Caterpillar,
     Tree,
@@ -23,6 +23,8 @@ from deflap.trees import (
     dense_deformed_laplacian,
     free_trees,
 )
+
+from test_tree_kernel import _reference_probe_at
 
 CTX = PrecisionContext(50)
 
@@ -116,7 +118,9 @@ def test_gershgorin_cap_is_the_largest_row():
 
 
 def test_radius_fast_path_agrees_with_tree_sweep():
-    # bisection decisions are identical, so the estimates match exactly
+    # a caterpillar probes bit for bit as its tree, so every bisection
+    # decision is the same and the brackets match exactly, also at the
+    # default target, where rounding decides the last halvings
     s = CTX.scalar("0.62")
     lo, hi = CTX.scalar(0), CTX.scalar(9)
     for counts in ([0, 0], [2, 0, 3], [5, 1, 4, 2], [1, 1, 1, 1, 1, 1]):
@@ -124,51 +128,75 @@ def test_radius_fast_path_agrees_with_tree_sweep():
         assert cat.vertex_count <= 30
         tree = caterpillar_to_tree(cat)
         est_cat = approximate_radius(cat, s, lo, hi, target_digits=18)
-        est_tree = approximate_radius(tree, s, lo, hi, target_digits=18)
-        assert est_cat.value() == est_tree.value()
+        assert _bracket(est_cat) == _bracket(approximate_radius(tree, s, lo, hi, target_digits=18))
         assert est_cat.width() <= CTX.power_of_ten(-18) * 9
+        est_cat = approximate_radius(cat, s, lo, hi)
+        assert _bracket(est_cat) == _bracket(approximate_radius(tree, s, lo, hi))
+
+
+def _raw_outcome(result):
+    below, early, step = result
+    return below, early, None if step is None else step.raw()
 
 
 def _probe_raw(fold, s, c, slope):
     s2 = mpf_mul(s.raw(), s.raw(), s.ctx.prec, round_nearest)
-    below, early, step = _radius_probe(fold, s2, s.ctx)(c, slope)
-    return below, early, None if step is None else step.raw()
+    return _raw_outcome(_radius_probe(fold, s2, s.ctx)(c, slope))
 
 
 def _bracket(est):
     return est.low.raw(), est.high.raw(), est.iterations
 
 
+def _assert_probes_match_reference(fold, s, points):
+    for c in points:
+        for slope in (False, True):
+            want = _raw_outcome(_reference_probe_at(fold, s * s, c, slope))
+            assert _probe_raw(fold, s, c, slope) == want, c
+
+
+def _random_caterpillars(rng, count):
+    # k = 2..8, often with a leafless v_1 and with leafless inner nodes
+    cats = [Caterpillar([0, 0]), Caterpillar([0, 3]), Caterpillar([4, 0])]
+    for _ in range(count):
+        cats.append(Caterpillar([rng.choice((0, 0, 1, rng.randrange(0, 9)))
+                                 for _ in range(rng.randrange(2, 9))]))
+    return cats
+
+
+def test_caterpillar_fold_is_the_fold_of_its_tree():
+    rng = random.Random(27)
+    cats = _random_caterpillars(rng, 600)
+    assert sum(cat.counts[0] == 0 for cat in cats) > 100
+    for cat in cats:
+        assert _fold(cat) == _fold(caterpillar_to_tree(cat)), cat.counts
+
+
 def test_tree_and_caterpillar_folds_share_one_kernel():
-    # a caterpillar with leaves at v_1 expands to a tree whose fold has the
-    # caterpillar's nodes; only where each leaf's s^2 goes differs (_fold).
-    # In the caterpillar's lifted form the tree probes bit for bit as the
-    # caterpillar; in its own they agree off rho and on brackets at the
-    # target the search promises, digits - 5
+    # a caterpillar folds as the tree it expands to: one node per backbone
+    # vertex with leaves or a backbone child, m its degree; the one kernel
+    # then probes it bit for bit as the Scalar loop of that fold, and its
+    # bracket is the tree's at the target the search promises, digits - 5,
+    # and at the default one
     rng = random.Random(24)
     for digits in (20, 120):
         ctx = PrecisionContext(digits)
-        for _ in range(8):
-            counts = [rng.randrange(1, 6)] + [rng.randrange(0, 6) for _ in range(rng.randrange(1, 8))]
-            cat = Caterpillar(counts)
+        for cat in _random_caterpillars(rng, 8):
             tree = caterpillar_to_tree(cat)
-            folded, own = _fold(cat), _fold(tree)
-            assert [(r, list(inner)) for _, r, inner in folded[0]] == [
-                (r, inner) for _, r, inner in own[0]]
-            backbone = range(sum(counts), tree.n)
-            assert [m for m, _, _ in own[0]] == [tree.degree[v] for v in backbone]
-            lifted = [(len(inner) + 1, r, inner) for _, r, inner in own[0]], own[1], True
+            fold = _fold(cat)
+            assert fold == _fold(tree)
+            backbone = [v for v in range(sum(cat.counts), tree.n) if tree.children[v] or v == tree.root]
+            assert [m for m, _, _ in fold[0]] == [tree.degree[v] for v in backbone]
+            assert fold[1] == tree.n - len(backbone)
             s = ctx.scalar("%.6g" % rng.uniform(-2, 2))
             hi = gershgorin_cap(s, tree.max_degree())
-            est = approximate_radius(cat, s, ctx.zero(), hi, target_digits=digits - 5)
-            assert _bracket(est) == _bracket(approximate_radius(
-                tree, s, ctx.zero(), hi, target_digits=digits - 5))
+            for target in (digits - 5, None):
+                est = approximate_radius(cat, s, ctx.zero(), hi, target_digits=target)
+                assert _bracket(est) == _bracket(approximate_radius(
+                    tree, s, ctx.zero(), hi, target_digits=target))
             pad = ctx.power_of_ten(8 - digits)
-            for c in (ctx.scalar("0.5"), ctx.scalar(1), est.low - pad, est.high + pad, hi):
-                for slope in (False, True):
-                    got = _probe_raw(lifted, s, c, slope)
-                    assert got == _probe_raw(folded, s, c, slope)
-                    assert _probe_raw(own, s, c, slope)[0] == got[0]
+            points = (ctx.scalar("0.5"), ctx.scalar(1), est.low, est.high, est.low - pad, est.high + pad, hi)
+            _assert_probes_match_reference(fold, s, points)
 
 
 def test_one_vertex_probe_has_no_leaf_pivot():
@@ -176,32 +204,52 @@ def test_one_vertex_probe_has_no_leaf_pivot():
     # its one pivot is 1 - s^2 - c = -s^2
     k1 = Tree.single_vertex()
     s = CTX.scalar("0.5")
-    assert _fold(k1) == ([(0, 0, [])], 0, False)
+    assert _fold(k1) == ([(0, 0, [])], 0)
     assert _probe_raw(_fold(k1), s, CTX.scalar(1), False) == (True, False, None)
     assert _probe_raw(_fold(k1), s, CTX.scalar("0.75"), False) == (False, False, None)
     est = approximate_radius(k1, s, 0, 2)
     assert est.low <= CTX.scalar("0.75") <= est.high
 
 
-def test_caterpillar_fold_keeps_a_leafless_first_node():
-    # v_1 with no leaves stays a node of the caterpillar's fold, where the
-    # tree it expands to folds it as a leaf of v_2; the probes still agree
-    # with the frozen Scalar backbone loop bit for bit
-    from test_root_finder import _frozen_caterpillar_all_negative
-
+def test_caterpillar_fold_makes_a_leafless_first_node_a_leaf():
+    # v_1 with no leaves is a childless child of v_2, so it folds as one of
+    # v_2's leaves, as in the tree the caterpillar expands to; the probes
+    # agree with the Scalar loop of that fold bit for bit
     ctx = PrecisionContext(30)
     s = ctx.scalar("0.8")
-    for counts in ([0, 2, 1], [0, 0, 3, 0], [0, 4]):
+    points = [ctx.scalar(c_text) for c_text in ("0.5", "1", "1.7", "2.9", "4.1")]
+    for counts in ([0, 2, 1], [0, 0, 3, 0], [0, 4], [0, 0]):
         cat = Caterpillar(counts)
         fold = _fold(cat)
-        assert fold[0][0] == (1, 0, ()) and len(fold[0]) == cat.k
-        assert len(_fold(caterpillar_to_tree(cat))[0]) == cat.k - 1
-        for c_text in ("0.5", "1", "1.7", "2.9", "4.1"):
-            c = ctx.scalar(c_text)
-            for slope in (False, True):
-                below, early, step = _frozen_caterpillar_all_negative(cat, s, c, slope)
-                want = below, early, None if step is None else step.raw()
-                assert _probe_raw(fold, s, c, slope) == want
+        assert fold == _fold(caterpillar_to_tree(cat))
+        assert len(fold[0]) == cat.k - 1
+        assert fold[0][0] == (counts[1] + 1 + (cat.k > 2), counts[1] + 1, [])
+        _assert_probes_match_reference(fold, s, points)
+
+
+# (counts, s, digits): searches whose default-target bracket left plain
+# bisection's while a caterpillar's probe had a leaf form of its own, with
+# each leaf's s^2 in delta = s^2 c/(c - 1) and the root less s^2 last
+_BISECTION_CASES = [([9, 0], "1.1", 50), ([1, 36, 1], "2.5", 20), ([1, 26, 1], "1.5", 50)]
+
+
+@pytest.mark.parametrize("counts, s_text, digits", _BISECTION_CASES)
+def test_caterpillar_radius_is_plain_bisection_of_its_probe(counts, s_text, digits):
+    ctx = PrecisionContext(digits)
+    s = ctx.scalar(s_text)
+    cat = Caterpillar(counts)
+    lo, hi = ctx.zero(), gershgorin_cap(s, max(counts) + 2)
+    s2 = mpf_mul(s.raw(), s.raw(), ctx.prec, round_nearest)
+    probe = _radius_probe(_fold(cat), s2, ctx)
+
+    def side(c, slope):
+        below, _, step = probe(c, slope)
+        return (1 if below else -1), step
+
+    est = approximate_radius(cat, s, lo, hi)
+    plain = find_root(side, lo, hi, halvings(hi - lo, digits), hi, None)
+    assert _bracket(est)[:2] == (plain.low.raw(), plain.high.raw())
+    assert _bracket(est) == _bracket(approximate_radius(caterpillar_to_tree(cat), s, lo, hi))
 
 
 def test_radius_known_values():

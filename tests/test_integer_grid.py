@@ -5,9 +5,12 @@ nearest with ties to even; ``_mul`` and ``_div`` form products and
 quotients on the same grid, and ``_on_grid`` reruns a kernel on a finer
 grid when a rounded value falls below it. Each is fuzzed here against the
 libmp operation it stands for, bit for bit. The live probes built on them
-are checked against the frozen Scalar copy of the backbone loops in
-``test_root_finder`` and against the Scalar form of tau0's h, also on
-grids coarse enough that every probe has to be rerun.
+are checked against Scalar loops of the same formulas, also on grids
+coarse enough that every probe has to be rerun: a caterpillar probes bit
+for bit as the tree it expands to, so its probe is checked against the
+Scalar loop of the leaf-folded recurrence on its fold
+(``test_tree_kernel._reference_probe_at``), and tau0's probe against the
+Scalar form of its h.
 """
 
 import random
@@ -45,7 +48,7 @@ from deflap.shearer import generate
 from deflap.trees import Caterpillar
 
 from test_limits import TABLE as TAU0_TABLE
-from test_root_finder import _caterpillar_all_negative, _frozen_caterpillar_all_negative, _outcome
+from test_root_finder import _assert_backbone_loops_match, _probe
 
 RND = round_nearest
 
@@ -177,12 +180,6 @@ def test_round_refuses_values_below_the_grid():
 # -- the live probes ------------------------------------------------------
 
 
-def _assert_probe_matches_frozen(cat, s, c):
-    for slope in (False, True):
-        live = _outcome(_caterpillar_all_negative, cat, s, c, slope)
-        assert live == _outcome(_frozen_caterpillar_all_negative, cat, s, c, slope), (cat.counts, c)
-
-
 def _points_around(est, lam, ctx):
     ulp = est.high - est.low
     out = [est.low, est.high, lam, (est.low + est.high).halved()]
@@ -206,10 +203,10 @@ def test_flagship_probe_matches_frozen_copy(flagship):
     cat, s, est, lam = flagship
     ctx = s.ctx
     for c in _points_around(est, lam, ctx):
-        _assert_probe_matches_frozen(cat, s, c)
+        _assert_backbone_loops_match(cat, s, c)
     # the bracket's ends straddle rho: below it a pivot turns nonnegative
-    assert _caterpillar_all_negative(cat, s, est.low, False)[0] is False
-    assert _caterpillar_all_negative(cat, s, est.high, False)[0] is True
+    assert _probe(cat, s, est.low, False)[0] is False
+    assert _probe(cat, s, est.high, False)[0] is True
 
 
 def test_random_probes_match_frozen_copy_at_120_and_250_digits():
@@ -222,12 +219,12 @@ def test_random_probes_match_frozen_copy_at_120_and_250_digits():
             run = generate(lam, s, rng.randrange(2, 25), ctx=ctx)
             est = approximate_radius(run.caterpillar(), s, 1, lam)
             for c in _points_around(est, lam, ctx):
-                _assert_probe_matches_frozen(run.caterpillar(), s, c)
+                _assert_backbone_loops_match(run.caterpillar(), s, c)
         for _ in range(10):
             cat = Caterpillar([rng.randrange(0, 60) for _ in range(rng.randrange(2, 30))])
             s = ctx.scalar("%.12g" % rng.uniform(-3, 3))
             for _ in range(4):
-                _assert_probe_matches_frozen(cat, s, ctx.scalar("%.20g" % rng.uniform(-1, 40)))
+                _assert_backbone_loops_match(cat, s, ctx.scalar("%.20g" % rng.uniform(-1, 40)))
 
 
 def _record_grids(monkeypatch):
@@ -255,7 +252,7 @@ def test_coarse_grid_reruns_the_probe_bit_for_bit(monkeypatch, flagship):
     grids = _record_grids(monkeypatch)
     for cat, s, c in cases:
         monkeypatch.setattr(deflap.scalar, "_GUARD", 8 - s.ctx.prec)
-        _assert_probe_matches_frozen(cat, s, c)
+        _assert_backbone_loops_match(cat, s, c)
     # some probe ran on more than one grid, the first one coarser than prec
     assert any(a < b for a, b in zip(grids, grids[1:]))
     assert min(grids) < ctx.prec

@@ -7,13 +7,14 @@ identical values, not merely close ones. ``epsilon_k`` is now one radius
 search; the nested chain of bisections it replaced is kept frozen as its
 reference, which its bound must match to 1e-20 relative.
 
-The caterpillar probes those bisections call are frozen copies of the
-backbone loops that preceded the leaf-folded recurrence that trees and
-caterpillars now share (``diagonalize._pivots``), so the references do
-not run the code under test; a grid test checks the live probe against
-the copies directly. The Shearer generation pass
-and its beta recurrence have frozen Scalar copies too, checked value for
-value against the raw-tuple versions.
+A caterpillar probes bit for bit as the tree it expands to, so the
+probe those bisections call for a caterpillar is the Scalar loop of the
+leaf-folded recurrence (``test_tree_kernel._reference_probe_at``) on its
+fold; the references do not run the integer kernel under test
+(``diagonalize._pivots``), and a grid test checks the live probe against
+that loop directly. The Shearer generation pass and its beta recurrence
+have frozen Scalar copies, checked value for value against the
+raw-tuple versions.
 
 ``find_root`` itself has a frozen copy from when its replay walked raw
 tuples with ``mpf_add``; every root the package finds, on live probes,
@@ -66,6 +67,7 @@ from deflap.shearer import (
 from deflap.trees import Caterpillar, caterpillar_to_tree, free_trees
 
 from test_limits import TABLE as TAU0_TABLE
+from test_tree_kernel import _reference_probe_at
 
 S_GRID = ("-1.5", "-1", "-0.9", "-0.3", "0.3", "0.9", "1", "1.5")
 
@@ -77,60 +79,20 @@ def _raw_s2(s):
     return mpf_mul(s.raw(), s.raw(), s.ctx.prec, round_nearest)
 
 
-def _caterpillar_all_negative(cat, s, c, slope):
-    # one probe of the factory approximate_radius builds for a caterpillar
-    return _radius_probe(_fold(cat), _raw_s2(s), s.ctx)(c, slope)
-
-
 def _probe(obj, s, c, slope):
-    # one probe of the factory approximate_radius builds for obj
-    if isinstance(obj, Caterpillar):
-        return _caterpillar_all_negative(obj, s, c, slope)
-    s2 = _raw_s2(s)
-    return _radius_probe(_fold(obj), s2, s.ctx)(c, slope)
+    # one probe of the factory approximate_radius builds for a Tree or a
+    # Caterpillar
+    return _radius_probe(_fold(obj), _raw_s2(s), s.ctx)(c, slope)
 
 
-# -- frozen backbone loops --------------------------------------------------
-
-
-def _frozen_caterpillar_all_negative(cat, s, c, slope):
-    leaf_pivot = 1 - c
-    counts = cat.counts
-    k = cat.k
-    leaves = sum(counts)
-    if leaves > 0 and leaf_pivot.sign() >= 0:
-        return False, True, None
-    if leaf_pivot.is_zero:
-        return False, True, None
-    s2 = s * s
-    delta = s2 * c / (c - 1)
-    b = 1 - c + counts[0] * delta
-    if b.sign() >= 0:
-        return False, k > 1, None
-    if slope:
-        ddelta = -s2 / ((c - 1) * (c - 1))
-        db = counts[0] * ddelta - 1
-        total = db / b
-    for j in range(1, k):
-        q = s2 / b
-        nb = 1 + s2 - c - q + counts[j] * delta
-        if j == k - 1:
-            nb = nb - s2
-        if nb.sign() >= 0:
-            return False, j < k - 1, None
-        if slope:
-            db = q * db / b + counts[j] * ddelta - 1
-            total = total + db / nb
-        b = nb
-    if not slope:
-        return True, False, None
-    if leaves:
-        total = total + leaves / (c - 1)
-    return True, False, (-1 / total if total.sign() > 0 else None)
+# -- frozen eps_k level probe -----------------------------------------------
 
 
 def _frozen_prefix_value(counts, s2, m, delta, j, k):
-    # b_j of the full T_k run at the point m: the eps_k chain's level probe
+    # b_j of the full T_k run at the point m: the eps_k chain's level probe,
+    # in the backbone form it ran on, delta = s2 m/(m - 1) and the root
+    # less s2 last; it rounds apart from the live fold, so the chain is
+    # matched to 1e-20, not bit for bit
     b = 1 - m + counts[0] * delta
     for i in range(1, j):
         if b.is_zero:
@@ -277,9 +239,14 @@ def _frozen_find_root(probe, lo, hi, iters, start, step):
 # -- reference bisections ---------------------------------------------------
 
 
+def _reference_caterpillar_probe(cat, s, c, slope):
+    # the Scalar loop of the folded recurrence on the caterpillar's fold
+    return _reference_probe_at(_fold(cat), s * s, c, slope)
+
+
 def _reference_probe(obj, s, c):
     if isinstance(obj, Caterpillar):
-        return _frozen_caterpillar_all_negative(obj, s, c, False)[0]
+        return _reference_caterpillar_probe(obj, s, c, False)[0]
     return _probe(obj, s, c, False)[0]
 
 
@@ -427,8 +394,8 @@ def _outcome(fn, *args):
 
 def _assert_backbone_loops_match(cat, s, c):
     for slope in (False, True):
-        live = _outcome(_caterpillar_all_negative, cat, s, c, slope)
-        assert live == _outcome(_frozen_caterpillar_all_negative, cat, s, c, slope)
+        live = _outcome(_probe, cat, s, c, slope)
+        assert live == _outcome(_reference_caterpillar_probe, cat, s, c, slope), (cat.counts, c)
 
 
 def test_backbone_loops_match_frozen_copies():
@@ -441,14 +408,14 @@ def test_backbone_loops_match_frozen_copies():
             s = ctx.scalar(rng.choice(("-1.3", "-0.4", "0.25", "0.5", "0.9", "1.1")))
             for c_text in points:
                 _assert_backbone_loops_match(cat, s, ctx.scalar(c_text))
-    # b_1 = -1 + 2 * 0.5 is exactly zero: with or without a slope, the
-    # radius probe stops there, before it could divide by the zero: not
-    # all-negative, decided early
+    # b_1 = 1 + 2 s^2 - 2 + 2 s^2/(2 - 1) is exactly zero at s = 0.5: with
+    # or without a slope, the radius probe stops there, before it could
+    # divide by the zero: not all-negative, decided early
     ctx = PrecisionContext(30)
     cat, s, c = Caterpillar([2, 1, 3]), ctx.scalar("0.5"), ctx.scalar(2)
     _assert_backbone_loops_match(cat, s, c)
     for slope in (False, True):
-        assert _outcome(_caterpillar_all_negative, cat, s, c, slope) == (False, True, None)
+        assert _outcome(_probe, cat, s, c, slope) == (False, True, None)
 
 
 def _generation_outcome(generate_at, p, k, wctx):

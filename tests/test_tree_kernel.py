@@ -141,15 +141,14 @@ def _reference_tree_probe(fold, s2, ctx):
 def _reference_probe_at(fold, s2, c, slope):
     # the folded recurrence on Scalars: each node starts at
     # 1 + s2 (m - 1) - c, less the sum of s2/d_w over its inner children,
-    # plus r delta; a lifted fold's delta carries s2 c, and its root
-    # subtracts s2 last
+    # plus r delta, delta = s2/(c - 1)
     ctx = s2.ctx
-    nodes, leaves, lifted = fold
+    nodes, leaves = fold
     last = len(nodes) - 1
     if leaves:
         if (1 - c).sign() >= 0:
             return False, True, None
-        delta = (s2 * c if lifted else s2) / (c - 1)
+        delta = s2 / (c - 1)
         ddelta = -s2 / ((c - 1) * (c - 1))
     d = []
     dd = []
@@ -167,8 +166,6 @@ def _reference_probe_at(fold, s2, c, slope):
         if r:
             v = v + delta * r
             dacc = ddelta * r if dacc is None else dacc + ddelta * r
-        if lifted and j == last:
-            v = v - s2
         if v.sign() >= 0:
             return False, j < last, None
         dv = ctx.scalar(-1) if dacc is None else dacc - 1
