@@ -20,12 +20,13 @@ absorb their pendant leaves, whose pivots are all 1 - c, and the probe
 :mod:`deflap.shearer`) stops at the first nonnegative node pivot. It
 runs on Python integers counting 2^-g, g = prec + 64 or finer, each
 operation rounded by hand (:func:`deflap.scalar._round`); a value that
-falls below the grid reruns the probe on a finer one. Rounded sweeps round every operation
-as Scalar arithmetic would; Scalars appear only at the API edge, in
-returned values and in the Newton step of the probes, which share one
-bracket search. A tree's search starts from a float Laguerre estimate
-(:func:`_laguerre_start`, on the same fold); floats only place that
-start, and every sign a radius rests on comes from the kernel.
+falls below the grid reruns the probe on a finer one. Rounded sweeps
+round every operation as Scalar arithmetic would; Scalars appear only at
+the API edge, in returned values and in the Newton step of the probes,
+which share one bracket search, :func:`approximate_radius`. A tree's
+search starts from a float Laguerre estimate (:func:`_laguerre_start`,
+on the same fold); floats only place that start, and every sign a
+radius rests on comes from the kernel.
 
 :func:`count_eigenvalues` proves each triple it returns, by the count
 ladder :class:`_Ladder`: most are decided by a pair of double-precision
@@ -37,7 +38,6 @@ T's own arrays, and A - tI.
 
 import math
 import operator
-from functools import partial
 
 from mpmath.libmp import (
     fone,
@@ -103,13 +103,6 @@ def _sign(v):
     if v[1]:
         return -1 if v[0] else 1
     return mpf_cmp(v, fzero)
-
-
-def _base(tree, s2, prec):
-    """The start table of M(s): degree -> 1 + s2*(deg - 1), before any shift."""
-    one = from_int(1, prec, _RND)
-    return {deg: mpf_add(one, mpf_mul(s2, from_int(deg - 1, prec, _RND), prec, _RND), prec, _RND)
-            for deg in set(tree.degree)}
 
 
 def _surgery_sweep(arrays, children, start, s2, arith):
@@ -186,7 +179,12 @@ def diagonalize_tree(tree, s, x):
     s_raw = s.raw()
     s2 = mpf_mul(s_raw, s_raw, prec, _RND)
     x = ctx.scalar(x).raw()
-    start = {deg: mpf_add(b, x, prec, _RND) for deg, b in _base(tree, s2, prec).items()}
+    one = from_int(1, prec, _RND)
+    start = {}
+    for deg in set(tree.degree):
+        # 1 + s^2 (deg - 1), then the shift
+        b = mpf_add(one, mpf_mul(s2, from_int(deg - 1, prec, _RND), prec, _RND), prec, _RND)
+        start[deg] = mpf_add(b, x, prec, _RND)
     ops = [lambda a, b, op=op: op(a, b, prec, _RND) for op in (mpf_add, mpf_sub, mpf_mul, mpf_div)]
     arrays = tree.postorder, tree.degree, tree.parent
     d, inertia = _surgery_sweep(arrays, tree.children, start, s2, (fone, *ops, _sign))
@@ -205,11 +203,11 @@ def count_eigenvalues(tree, s, c):
        1 + s^2 (deg - 1) at every degree 0..D. When both meet no zero or
        non-finite pivot and give the same positive count p, the triple
        is (p, n - p, 0).
-    2. :func:`_interval_inertia`: :func:`_surgery_sweep` in interval
+    2. :meth:`_Ladder.interval`: :func:`_surgery_sweep` in interval
        arithmetic at the context's precision from the exact start table.
        It decides when every pivot's interval excludes zero or is the
        point zero, as at c = 1 on a tree with two sibling leaves.
-    3. :func:`_exact_inertia`: :func:`_surgery_sweep` in exact rational
+    3. :meth:`_Ladder.exact`: :func:`_surgery_sweep` in exact rational
        arithmetic, which decides every input within its work budget
        and raises PrecisionError beyond it.
 
@@ -230,9 +228,9 @@ def count_eigenvalues(tree, s, c):
     m = max(D - 1, 1), so by u (2 + 6 s^2 m + |x|). In all, ||E|| <=
     u (2 + 6 s^2 m + |c| + |s| D (D + 5)) to first order, and rounding c
     and c +- 2 eta to the sweep's format moves the shift by at most
-    3u|c| more. eta is u times :func:`_half_width`, twice the sum with
-    5|c| in place of |c|, which covers those, every second-order term and
-    the rounding of |s|, |c| and the sum itself to floats.
+    3u|c| more. eta (:meth:`_Ladder._positive`) is u times twice the sum
+    with 5|c| in place of |c|, which covers those, every second-order term
+    and the rounding of |s|, |c| and the sum itself to floats.
 
     By Weyl's inequality each eigenvalue of M(s) + E lies within ||E|| of
     one of M(s). The shifts x+ and x- the two sweeps run at lie more than
@@ -265,13 +263,6 @@ def count_eigenvalues(tree, s, c):
     if not isinstance(s, Scalar):
         raise DomainError("s must be a Scalar")
     return _Ladder(tree, s).prove(s.ctx.scalar(c))
-
-
-def _half_width(s, c, max_degree):
-    """eta/u for a sweep with unit roundoff u (see :func:`count_eigenvalues`),
-    from the floats |s| = ``s`` and |c| = ``c``; inf beyond float range."""
-    m = max(max_degree - 1, 1)
-    return 2 * (2 + 6 * s * s * m + 5 * c + s * max_degree * (max_degree + 5))
 
 
 def _float_positive(order, degree, parent, table, s2, x):
@@ -317,15 +308,10 @@ def _float_table(tree, s):
     return fs, s2, [1.0 + s2 * (deg - 1) for deg in range(tree.max_degree() + 1)]
 
 
-def _float_shifts(zero, fs, c, top):
-    """(c - 2 eta, c + 2 eta): rung 1's shifts for the Scalar ``c``, from
-    the float |s| = ``fs`` (``zero`` when s is exactly 0) and the largest
-    degree ``top``; None outside the range its bound covers."""
-    fc = to_float(c.raw(), rnd=_RND)
-    if not ((zero or 2.0 ** -200 <= fs <= 2.0 ** 200) and abs(fc) <= 2.0 ** 400):
-        return None
-    eta = _half_width(fs, abs(fc), top) * 2.0 ** -53 + (top + 1) * 2.0 ** -600
-    return fc - 2 * eta, fc + 2 * eta
+# the largest sum, over the pivots that :meth:`_Ladder.exact`'s sweep
+# forms, of their bit lengths: 0.4-0.6 s of Fraction arithmetic on a
+# shared 2-core Intel Xeon host
+_EXACT_BITS = 1 << 26
 
 
 class _Ladder:
@@ -372,10 +358,18 @@ class _Ladder:
 
     def _positive(self, c, up):
         """The positive count of the float sweep at c + 2 eta (``up``) or
-        c - 2 eta, or None."""
+        c - 2 eta, or None, also outside the range eta's bound covers
+        (see :func:`count_eigenvalues`)."""
         zero, fs, s2, table = self.floats
-        shifts = _float_shifts(zero, fs, c, len(table) - 1)
-        return shifts and _float_positive(*self.arrays, table, s2, shifts[up])
+        fc = to_float(c.raw(), rnd=_RND)
+        if not ((zero or 2.0 ** -200 <= fs <= 2.0 ** 200) and abs(fc) <= 2.0 ** 400):
+            return None
+        top = len(table) - 1
+        m = max(top - 1, 1)
+        # eta/u: twice the sum that bounds ||E||/u, with 5|c| for |c|
+        half_width = 2 * (2 + 6 * fs * fs * m + 5 * abs(fc) + fs * top * (top + 5))
+        eta = half_width * 2.0 ** -53 + (top + 1) * 2.0 ** -600
+        return _float_positive(*self.arrays, table, s2, fc + 2 * eta if up else fc - 2 * eta)
 
     def side(self, c, above):
         """True when one half of rung 1's pair proves that some eigenvalue
@@ -406,12 +400,64 @@ class _Ladder:
         return {deg: mpf_add(one_c, mpf_mul(s2, from_int(deg - 1))) for deg in degrees}, s2
 
     def interval(self, c):
-        """Rung 2: :func:`_interval_inertia` at c's precision, or None."""
-        return _interval_inertia(self.arrays, self.children, *self._start(c), c.ctx.prec)
+        """Rung 2: the triple of :func:`_surgery_sweep` from the exact
+        :meth:`_start` in intervals at c's precision, or None when a
+        pivot's interval holds zero and more.
+
+        Every operation rounds outward, so each interval holds the exact
+        pivot: one that excludes zero gives its sign, and one that is the
+        point zero is an exact zero (a leaf at c = 1, say), on which the
+        surgery runs as in exact arithmetic. A straddling child ends the
+        sweep, since whether it takes the surgery is then unknown.
+        """
+        start, s2 = self._start(c)
+        prec = c.ctx.prec
+
+        def point(x):
+            return mpf_pos(x, prec, round_floor), mpf_pos(x, prec, round_ceiling)
+
+        def sign(x):
+            lo = _sign(x[0])
+            return lo if lo == _sign(x[1]) else None
+
+        start = {deg: point(b) for deg, b in start.items()}
+        ops = [lambda a, b, op=op: op(a, b, prec) for op in (mpi_add, mpi_sub, mpi_mul, mpi_div)]
+        swept = _surgery_sweep(self.arrays, self.children, start, point(s2), ((fone, fone), *ops, sign))
+        return swept and swept[1]
 
     def exact(self, c):
-        """Rung 3: :func:`_exact_inertia`."""
-        return _exact_inertia(self.arrays, self.children, *self._start(c), c)
+        """Rung 3: the inertia triple of :func:`_surgery_sweep` in rational
+        arithmetic from the exact :meth:`_start`; c names the point in the
+        error.
+
+        A pivot's bit length grows with its subtree (about 2 prec bits per
+        vertex along a path), so the sweep's cost grows as the square of the
+        tree's height; past a work budget of :data:`_EXACT_BITS` bits it
+        raises PrecisionError. The budget is metered in the subtraction,
+        which forms every pivot the sweep takes on.
+        """
+        from fractions import Fraction
+
+        start, s2 = self._start(c)
+        work = 0
+
+        def sub(a, b):
+            nonlocal work
+            d = a - b
+            work += d.numerator.bit_length() + d.denominator.bit_length()
+            if work > _EXACT_BITS:
+                raise PrecisionError(
+                    "counting eigenvalues at c = %s exactly needs more than %d bits of "
+                    "pivots: c is an eigenvalue, or within the working precision "
+                    "of one, on a tree this deep" % (c, _EXACT_BITS))
+            return d
+
+        def sign(x):
+            return (x > 0) - (x < 0)
+
+        start = {deg: Fraction(*to_rational(b)) for deg, b in start.items()}
+        arith = (Fraction(1), operator.add, sub, operator.mul, operator.truediv, sign)
+        return _surgery_sweep(self.arrays, self.children, start, Fraction(*to_rational(s2)), arith)[1]
 
     def prove(self, c):
         """The proved triple (above, below, at) c from the first rung that
@@ -438,79 +484,6 @@ class _Ladder:
             return True
         pos, _, zero = self.count(c)
         return pos == 0 and zero == 0
-
-
-def _interval_inertia(arrays, children, start, s2, prec):
-    """Rung 2 of :func:`count_eigenvalues`: the triple of
-    :func:`_surgery_sweep` of ``arrays`` and ``children`` from exact raw
-    ``start`` and ``s2`` in intervals at ``prec``, or None when a pivot's
-    interval holds zero and more.
-
-    Every operation rounds outward, so each interval holds the exact
-    pivot: one that excludes zero gives its sign, and one that is the
-    point zero is an exact zero (a leaf at c = 1, say), on which the
-    surgery runs as in exact arithmetic. A straddling child ends the
-    sweep, since whether it takes the surgery is then unknown.
-    """
-    def point(x):
-        return mpf_pos(x, prec, round_floor), mpf_pos(x, prec, round_ceiling)
-
-    def sign(x):
-        lo = _sign(x[0])
-        return lo if lo == _sign(x[1]) else None
-
-    start = {deg: point(b) for deg, b in start.items()}
-    ops = [lambda a, b, op=op: op(a, b, prec) for op in (mpi_add, mpi_sub, mpi_mul, mpi_div)]
-    swept = _surgery_sweep(arrays, children, start, point(s2), ((fone, fone), *ops, sign))
-    return swept and swept[1]
-
-
-# the largest sum, over the pivots that :func:`_exact_inertia`'s sweep
-# forms, of their bit lengths: 0.4-0.6 s of Fraction arithmetic on a
-# shared 2-core Intel Xeon host
-_EXACT_BITS = 1 << 26
-
-
-def _exact_inertia(arrays, children, start, s2, c):
-    """Rung 3 of :func:`count_eigenvalues`: the inertia triple of
-    :func:`_surgery_sweep` of ``arrays`` and ``children`` in rational
-    arithmetic from the exact raw ``start`` and ``s2``; the Scalar ``c``
-    names the point in the error.
-
-    A pivot's bit length grows with its subtree (about 2 prec bits per
-    vertex along a path), so the sweep's cost grows as the square of the
-    tree's height; past a work budget of :data:`_EXACT_BITS` bits it
-    raises PrecisionError. The budget is metered in the subtraction,
-    which forms every pivot the sweep takes on.
-    """
-    from fractions import Fraction
-
-    work = 0
-
-    def sub(a, b):
-        nonlocal work
-        d = a - b
-        work += d.numerator.bit_length() + d.denominator.bit_length()
-        if work > _EXACT_BITS:
-            raise PrecisionError(
-                "counting eigenvalues at c = %s exactly needs more than %d bits of "
-                "pivots: c is an eigenvalue, or within the working precision "
-                "of one, on a tree this deep" % (c, _EXACT_BITS))
-        return d
-
-    def sign(x):
-        return (x > 0) - (x < 0)
-
-    start = {deg: Fraction(*to_rational(b)) for deg, b in start.items()}
-    arith = (Fraction(1), operator.add, sub, operator.mul, operator.truediv, sign)
-    return _surgery_sweep(arrays, children, start, Fraction(*to_rational(s2)), arith)[1]
-
-
-def _adjacency_inertia(tree, t):
-    """The proved inertia triple of A - tI at the Scalar t: the rungs of
-    :func:`count_eigenvalues` from start -t at every degree, s2 = 1
-    (:class:`_Ladder` with no s)."""
-    return _Ladder(tree).prove(t)
 
 
 def _fold(obj):
@@ -709,15 +682,16 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     bracket raises BracketingError. When ``iterations`` is omitted it is
     derived from ``target_digits`` (default: the context's digits) as the
     count needed to shrink the bracket below 10^-target_digits. The
-    result is that of
-    ``iterations`` halvings, found by :func:`deflap.scalar.find_root`:
-    Newton steps down to the root, a certified bracket, and a replay of
-    the halvings that probes only the midpoints inside it. On a Tree the
-    Newton steps start from a float Laguerre estimate just above rho
-    (:func:`_laguerre_start`) once a probe confirms it lies above; a
-    caterpillar's, or an unconfirmed estimate's, start from hi. At s = 0,
-    M(0) = I: rho = 1 exactly and every pivot is 1 - c, so the search
-    skips the float start and probes only around 1, lo = 1 included.
+    result is that of ``iterations`` halvings, found by
+    :func:`deflap.scalar.find_root`: Newton steps down to the root, a
+    certified bracket, and a replay of the halvings that probes only the
+    midpoints inside it. On a Tree the Newton steps start from a float
+    Laguerre estimate just above rho (:func:`_float_start`), raised by a
+    small relative lift, once one probe with the slope confirms that it
+    lies above rho and strictly inside (lo, hi); a caterpillar's, or an
+    unconfirmed estimate's, start from hi. At s = 0, M(0) = I: rho = 1
+    exactly and every pivot is 1 - c, so the search skips the float start
+    and, from 1 with a zero step, probes only around 1, lo = 1 included.
 
     The default target reaches the ulp of hi (at 120 digits, [1, 5.4]
     ends one ulp, 7.75e-121, wide), so rounding decides the last
@@ -736,13 +710,55 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     prec = ctx.prec
     s_raw = s.raw()
     s2 = mpf_mul(s_raw, s_raw, prec, _RND)
-    root = ctx.scalar(1) if s2 == fzero else None
     fold = _fold(obj)
-    estimate = None
-    if isinstance(obj, Tree) and root is None:
-        estimate = _float_start(obj, s, fold)
-    probe = _radius_probe(fold, s2, ctx)
-    return _bracket(probe, ctx.scalar(lo), ctx.scalar(hi), iterations, target_digits, estimate, root)
+    all_negative = _radius_probe(fold, s2, ctx)
+    lo = ctx.scalar(lo)
+    hi = ctx.scalar(hi)
+    if not lo < hi:
+        raise BracketingError("bracket is empty: lo must be strictly below hi")
+    early_breaks = 0
+
+    def probe(c, slope):
+        nonlocal early_breaks
+        below, early, step = all_negative(c, slope)
+        if early:
+            early_breaks += 1
+        return (1 if below else -1), step
+
+    if probe(lo, False)[0] > 0:
+        raise BracketingError("largest eigenvalue lies below lo already")
+    side, step = probe(hi, True)
+    if side < 0:
+        raise BracketingError("largest eigenvalue is not below hi")
+    if iterations is None:
+        if target_digits is None:
+            target_digits = ctx.digits
+        iterations = halvings(hi - lo, target_digits)
+    probes = 2
+    start = hi
+    if s2 == fzero:
+        # every pivot is 1 - c, so the end probes passing puts rho = 1 in
+        # [lo, hi); with a zero step find_root runs only the probes within
+        # a final width of it, also when it is lo itself
+        start, step = ctx.scalar(1), ctx.zero()
+    elif isinstance(obj, Tree):
+        guess = _float_start(obj, s, fold, hi.to_float())
+        if guess is not None:
+            # the lift is 2^-40, or 2^-(prec/3) below 120 bits: the first
+            # Newton step from the start then leaves the iterate about
+            # 2^-(2 prec/3) above the root, clear of the rounding noise, so
+            # the finder's error model sees a converging step before the
+            # noise decides a side
+            guess = ctx.scalar(guess + abs(guess) * 2.0 ** -min(40, prec // 3))
+            if lo < guess < hi:
+                probes += 1
+                above, guess_step = probe(guess, True)
+                if above > 0 and guess_step is not None:
+                    start, step = guess, guess_step
+    # from any start the replay walks the midpoints of [lo, hi], so the
+    # bracket is the one bisecting [lo, hi] gives
+    found = find_root(probe, lo, hi, iterations, start, step)
+    return RadiusEstimate(found.low, found.high, int(iterations), early_breaks, found.probes + probes)
 
 
 # Laguerre's float pre-solve runs at most this many sweeps, and a step
@@ -755,11 +771,11 @@ _LAGUERRE_SWEEPS = 200
 _LAGUERRE_TOL = 1e-14
 
 
-def _float_start(tree, s, fold):
+def _float_start(tree, s, fold, hi):
     """:func:`_laguerre_start` for M(s) on ``tree``, whose :func:`_fold` is
-    ``fold``, as a callable of hi."""
+    ``fold``, from the float ``hi``."""
     _, s2, table = _float_table(tree, s)
-    return partial(_laguerre_start, fold, table, s2)
+    return _laguerre_start(fold, table, s2, hi)
 
 
 def _laguerre_start(fold, base, s2, hi):
@@ -853,62 +869,3 @@ def _laguerre_start(fold, base, s2, hi):
             break
         prev = step
     return c
-
-
-def _bracket(all_negative, lo, hi, iterations, target_digits, estimate=None, root=None):
-    """The search behind both radius brackets.
-
-    ``all_negative(c, slope)`` is a probe returning (all_negative, early,
-    step). After both ends, a ``root`` known exactly in [lo, hi) is
-    handed to :func:`deflap.scalar.find_root` as its start with a zero
-    step, so only the probes within a final width of it run, also when
-    it is lo itself.
-    Otherwise ``estimate(hi)``, when given, names a float at or just
-    above the root (or None). Raised by a relative lift, one
-    probe with the slope confirms it, and :func:`deflap.scalar.find_root`
-    takes its Newton steps from there when it lies strictly inside
-    (lo, hi), on hi's side and with a step, else from hi. Either way the
-    replay walks the midpoints of [lo, hi], so the bracket is the one
-    bisecting [lo, hi] gives.
-
-    The lift is 2^-40, or 2^-(prec/3) below 120 bits: the first Newton
-    step from the start then leaves the iterate about 2^-(2 prec/3)
-    above the root, clear of the rounding noise, so the finder's error
-    model sees a converging step before the noise decides a side.
-    """
-    ctx = lo.ctx
-    if not lo < hi:
-        raise BracketingError("bracket is empty: lo must be strictly below hi")
-    early_breaks = 0
-
-    def probe(c, slope):
-        nonlocal early_breaks
-        below, early, step = all_negative(c, slope)
-        if early:
-            early_breaks += 1
-        return (1 if below else -1), step
-
-    if probe(lo, False)[0] > 0:
-        raise BracketingError("largest eigenvalue lies below lo already")
-    side, step = probe(hi, True)
-    if side < 0:
-        raise BracketingError("largest eigenvalue is not below hi")
-    if iterations is None:
-        if target_digits is None:
-            target_digits = ctx.digits
-        iterations = halvings(hi - lo, target_digits)
-    probes = 2
-    start = hi
-    if root is not None and lo <= root < hi:
-        start, step = root, ctx.zero()
-    elif estimate is not None:
-        guess = estimate(hi.to_float())
-        if guess is not None:
-            guess = ctx.scalar(guess + abs(guess) * 2.0 ** -min(40, ctx.prec // 3))
-            if lo < guess < hi:
-                probes += 1
-                above, guess_step = probe(guess, True)
-                if above > 0 and guess_step is not None:
-                    start, step = guess, guess_step
-    found = find_root(probe, lo, hi, iterations, start, step)
-    return RadiusEstimate(found.low, found.high, int(iterations), early_breaks, found.probes + probes)

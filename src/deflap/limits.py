@@ -149,17 +149,17 @@ def s_star(lam):
     """The root of the convergence margin in s, by the cubic formula.
 
     Returns a Scalar at the digits of lam when it is a Scalar, else at
-    the environment's. Works at an elevated internal precision (the
-    radical expression cancels roughly log10(lam^3) digits), then
-    verifies three ways before returning: the margin vanishes at the
-    result, the result's own quartic vanishes, and the value lies in
-    (0, sqrt(lam) - 1).
+    the environment's. The radical expression cancels roughly
+    log10(lam^3) digits, so it works at that many digits more, and at
+    least 15 more, than the result's, then verifies three ways before
+    returning: the margin vanishes at the result, the result's own
+    quartic vanishes, and the value lies in (0, sqrt(lam) - 1).
     """
     ctx = infer_context(lam)
     lam_user = materialize(lam, ctx)
     if not lam_user > 1:
         raise DomainError("lam must be strictly greater than 1")
-    wctx = PrecisionContext(ctx.digits + 15)
+    wctx = PrecisionContext(ctx.digits + max(15, 3 * lam_user.decimal_magnitude()))
     w = materialize(lam, wctx)
     inner = (3 * w ** 3 + 4 * w * w + 20 * w - 4) / w
     rad = 12 * wctx.scalar(3).sqrt() * inner.sqrt() * w * w - 28 * w ** 3 + 24 * w * w - 48 * w + 8

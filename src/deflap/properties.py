@@ -133,7 +133,7 @@ class _Shared:
     @cached_property
     def placed(self):
         tree, s = self.tree, self.s
-        g = _float_start(tree, s, _fold(tree))(self.cap.to_float())
+        g = _float_start(tree, s, _fold(tree), self.cap.to_float())
         # the padded floats must stay finite
         if g is None or not math.isfinite(2 * g):
             return None

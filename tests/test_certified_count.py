@@ -18,7 +18,6 @@ from mpmath.libmp import from_man_exp, to_rational
 
 from deflap import diagonalize
 from deflap.diagonalize import (
-    _adjacency_inertia,
     _Ladder,
     count_eigenvalues,
     diagonalize_tree,
@@ -160,7 +159,7 @@ def test_interval_rung_counts_an_exact_eigenvalue_on_a_long_broom(monkeypatch):
     def refused(*args):
         raise AssertionError("exact rung reached")
 
-    monkeypatch.setattr(diagonalize, "_exact_inertia", refused)
+    monkeypatch.setattr(diagonalize._Ladder, "exact", refused)
     start = time.perf_counter()
     assert count_eigenvalues(_broom(1000), s, c) == (547, 452, 1)
     assert time.perf_counter() - start < 1.0
@@ -202,14 +201,14 @@ def test_adjacency_rungs_agree_with_the_dense_spectrum(monkeypatch):
     tol = ctx.power_of_ten(-20)
     trees = [tree for n in range(2, 10) for tree in free_trees(n)]
     trees += [Tree.from_edges([(0, v) for v in range(1, k + 1)]) for k in (4, 9)]
-    interval = diagonalize._interval_inertia
+    interval = diagonalize._Ladder.interval
     later = []
 
     def recorded(*args):
         later.append(args)
         return interval(*args)
 
-    monkeypatch.setattr(diagonalize, "_interval_inertia", recorded)
+    monkeypatch.setattr(diagonalize._Ladder, "interval", recorded)
     hit = set()
     first = 0
     for tree in trees:
@@ -220,7 +219,7 @@ def test_adjacency_rungs_agree_with_the_dense_spectrum(monkeypatch):
             above = sum(1 for lam in spectrum if lam > t + tol)
             at = sum(1 for lam in spectrum if abs(lam - t) <= tol)
             del later[:]
-            assert _adjacency_inertia(tree, t) == (above, tree.n - above - at, at), (tree.to_text(), t)
+            assert _Ladder(tree).prove(t) == (above, tree.n - above - at, at), (tree.to_text(), t)
             assert bool(later) == bool(at)
             first += not later
             if at:
@@ -237,17 +236,17 @@ def test_adjacency_float_rung_decides_off_the_spectrum(monkeypatch):
     def refused(*args):
         raise AssertionError("interval rung reached")
 
-    monkeypatch.setattr(diagonalize, "_interval_inertia", refused)
+    monkeypatch.setattr(diagonalize._Ladder, "interval", refused)
     star = Tree.from_edges([(0, v) for v in range(1, 5)])
     path = Tree.from_edges([(0, 1), (1, 2)])
     # K_{1,4}: -2, 0, 0, 0, 2; P3: -sqrt 2, 0, sqrt 2
-    assert _adjacency_inertia(star, ctx.scalar("1.999999")) == (1, 4, 0)
-    assert _adjacency_inertia(star, ctx.scalar("-0.5")) == (4, 1, 0)
-    assert _adjacency_inertia(path, ctx.scalar("1.41421356")) == (1, 2, 0)
-    assert _adjacency_inertia(path, ctx.scalar("1.41421357")) == (0, 3, 0)
+    assert _Ladder(star).prove(ctx.scalar("1.999999")) == (1, 4, 0)
+    assert _Ladder(star).prove(ctx.scalar("-0.5")) == (4, 1, 0)
+    assert _Ladder(path).prove(ctx.scalar("1.41421356")) == (1, 2, 0)
+    assert _Ladder(path).prove(ctx.scalar("1.41421357")) == (0, 3, 0)
     for tree, t in ((star, 2), (star, 0), (path, 0)):
         with pytest.raises(AssertionError, match="interval rung"):
-            _adjacency_inertia(tree, ctx.scalar(t))
+            _Ladder(tree).prove(ctx.scalar(t))
 
 
 def test_one_sided_sweeps_of_a_deleted_leaf_agree_with_its_count():

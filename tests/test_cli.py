@@ -137,6 +137,12 @@ def test_sstar():
     assert payload["sstar"].startswith("0.17869088")
 
 
+def test_sstar_at_large_lambda():
+    cp = run_cli("sstar", "--lambda", "1e30")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "1.0"
+
+
 def test_digits_env_var_equivalence(tmp_path):
     env = dict(os.environ, DEFLAP_DIGITS="64")
     a = run_cli("tau0", "--s", "0.9", env=env)

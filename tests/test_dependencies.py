@@ -1,7 +1,9 @@
-"""The package keeps mpmath as its only dependency.
+"""The package keeps mpmath as its only dependency, and no dead helpers.
 
 Every import in ``src/deflap``, function-local ones included, names a
-standard-library module, mpmath, or the package itself (relative).
+standard-library module, mpmath, or the package itself (relative). Every
+module-level private function or class is named by library code outside
+its own definition.
 """
 
 import ast
@@ -39,3 +41,31 @@ def test_import_leaves_fractions_unloaded():
     code = "import sys, deflap; print('fractions' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_private_helpers_have_a_library_caller():
+    # a name counts as a Name, an Attribute or an import alias anywhere in
+    # the package but inside the private definition itself, so a helper
+    # that only tests call, or only calls itself, is reported
+    defined = []
+    named = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if top.name.startswith("_") and not top.name.startswith("__"):
+                    owner = top.name
+                    defined.append((path.name, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != owner:
+                    named.add(name)
+    assert ("diagonalize.py", "_Ladder") in defined
+    assert [pair for pair in defined if pair[1] not in named] == []

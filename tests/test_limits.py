@@ -90,6 +90,15 @@ def test_margin_is_signed_around_s_star():
     assert convergence_margin(s - step, lam).sign() != convergence_margin(s + step, lam).sign()
 
 
+def test_s_star_at_large_lambda():
+    # the cubic formula cancels about 3 log10(lam) digits, which the
+    # working precision adds back: s* = 1 - 2/lam + O(lam^-2)
+    for lam_text in ("1e25", "1e30"):
+        lam = CTX.scalar(lam_text)
+        assert abs((1 - s_star(lam)) * lam - 2) < CTX.power_of_ten(-15)
+    assert 0 < s_star(CTX.scalar("1e100")) <= 1
+
+
 def test_s_star_rejects_small_lambda():
     with pytest.raises(DomainError):
         s_star(CTX.scalar(1))

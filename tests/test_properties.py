@@ -221,7 +221,7 @@ def test_property_sweep_brackets_only_the_edge(monkeypatch, digits):
 
     monkeypatch.setattr(properties, "approximate_radius", counted)
     monkeypatch.setattr(diagonalize._Ladder, "prove", count)
-    monkeypatch.setattr(diagonalize, "_interval_inertia", tallied("interval", diagonalize._interval_inertia))
+    monkeypatch.setattr(diagonalize._Ladder, "interval", tallied("interval", diagonalize._Ladder.interval))
     monkeypatch.setattr(Tree, "delete_leaf", tallied("delete_leaf", Tree.delete_leaf))
     trees = [tree for n in range(1, 9) for tree in free_trees(n)]
     grid = cli.DEFAULT_S_GRID.split(",")

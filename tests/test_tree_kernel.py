@@ -441,19 +441,26 @@ def test_float_count_and_float_start_share_one_table(monkeypatch):
     tree = Tree.from_edges([(0, 1), (1, 2), (1, 3), (1, 4), (4, 5)])
     assert sorted(set(tree.degree)) == [1, 2, 4]
     tables = []
+    starts = []
     positive = diagonalize._float_positive
+    laguerre = diagonalize._laguerre_start
 
     def recorded(order, degree, parent, table, s2, x):
         tables.append((table, s2))
         return positive(order, degree, parent, table, s2, x)
 
+    def recorded_start(fold, base, s2, hi):
+        starts.append((base, s2))
+        return laguerre(fold, base, s2, hi)
+
     monkeypatch.setattr(diagonalize, "_float_positive", recorded)
+    monkeypatch.setattr(diagonalize, "_laguerre_start", recorded_start)
     for s_text in ("-0.9", "0.3", "1.5", "0.05"):
         s = ctx.scalar(s_text)
         f = abs(float(s_text))
         want = ([1.0 - f * f, 1.0, 1.0 + f * f, 1.0 + 2 * f * f, 1.0 + 3 * f * f], f * f)
-        del tables[:]
+        del tables[:], starts[:]
         count_eigenvalues(tree, s, ctx.scalar(2))
         assert tables == [want, want]
-        start = diagonalize._float_start(tree, s, _fold(tree))
-        assert start.args[1:] == want
+        diagonalize._float_start(tree, s, _fold(tree), 10.0)
+        assert starts == [want]
