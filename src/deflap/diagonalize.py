@@ -38,6 +38,7 @@ T's own arrays, and A - tI.
 
 import math
 import operator
+from itertools import islice
 
 from mpmath.libmp import (
     fone,
@@ -105,23 +106,22 @@ def _sign(v):
     return mpf_cmp(v, fzero)
 
 
-def _surgery_sweep(arrays, children, start, s2, arith):
+def _surgery_sweep(order, degree, children, start, s2, arith):
     """Sweep every vertex with the zero-pivot surgery in the arithmetic
     ``arith``: returns (d, inertia), or None when a sign is unknown.
 
-    ``arrays`` is (order, degree, parent), the lists the float rung
-    reads (:func:`_float_positive`); ``children`` are the children lists
-    that go with them, T's own, or T's with a deleted leaf left out of
-    its parent's (:class:`_Ladder`). ``arith`` is (one, add, sub, mul,
-    div, sign); sign(x) is -1, 0, 1, or None when unknown. d[v] starts
-    at ``start[deg v]`` and, in ``order``, becomes d_v - s2 * acc, acc
-    the sum of 1/d_c over its children in list order. A zero child c
+    ``order`` visits each vertex after its ``children``; with ``degree``
+    these are T's postorder, children lists and degrees, or those of
+    T - v on T's (:meth:`_Ladder._surgery_arrays`). ``arith`` is (one,
+    add, sub, mul, div, sign); sign(x) is -1, 0, 1, or None when
+    unknown. d[v] starts at ``start[deg v]`` and, in ``order``, becomes
+    d_v - s2 * acc, acc the sum of 1/d_c over its children in list
+    order. A zero child c
     instead forces (d_v, d_c) := (-s2/2, 2), d_v formed as d_c - s2/2,
     and detaches v from its parent. At s2 = 0 the pivots are the start.
     inertia is (positive, negative, zero) over the pivots of ``order``.
     A child, or a final pivot, of unknown sign gives None.
     """
-    order, degree, _ = arrays
     one, add, sub, mul, div, sign = arith
     d = [start[deg] for deg in degree]
     if sign(s2):
@@ -186,8 +186,7 @@ def diagonalize_tree(tree, s, x):
         b = mpf_add(one, mpf_mul(s2, from_int(deg - 1, prec, _RND), prec, _RND), prec, _RND)
         start[deg] = mpf_add(b, x, prec, _RND)
     ops = [lambda a, b, op=op: op(a, b, prec, _RND) for op in (mpf_add, mpf_sub, mpf_mul, mpf_div)]
-    arrays = tree.postorder, tree.degree, tree.parent
-    d, inertia = _surgery_sweep(arrays, tree.children, start, s2, (fone, *ops, _sign))
+    d, inertia = _surgery_sweep(tree.postorder, tree.degree, tree.children, start, s2, (fone, *ops, _sign))
     return DiagOutcome(d, ctx, inertia)
 
 
@@ -200,9 +199,11 @@ def count_eigenvalues(tree, s, c):
 
     1. :meth:`_Ladder.pair`: two double-precision sweeps, at c - 2 eta
        and at c + 2 eta, from :func:`_float_table`, which holds
-       1 + s^2 (deg - 1) at every degree 0..D. When both meet no zero or
-       non-finite pivot and give the same positive count p, the triple
-       is (p, n - p, 0).
+       1 + s^2 (deg - 1) at every degree 0..D, over the tree's inner
+       vertices with its pendant leaves folded in
+       (:func:`_float_positive`). When both meet no zero or non-finite
+       pivot and give the same positive count p, the triple is
+       (p, n - p, 0).
     2. :meth:`_Ladder.interval`: :func:`_surgery_sweep` in interval
        arithmetic at the context's precision from the exact start table.
        It decides when every pivot's interval excludes zero or is the
@@ -220,7 +221,18 @@ def count_eigenvalues(tree, s, c):
     its last subtraction leaves beta_v - sum_w s~^2/d~_w exactly, where
     s~^2 = s^2 (1 + rho) gathers, per edge, the rounding of s and of s^2
     (3u), of the reciprocal (u), of the sum (k - 1 times u), of the
-    product (u) and the child's own nu_w (u): |rho| <= (k + 5)u. So an
+    product (u) and the child's own nu_w (u): |rho| <= (k + 5)u. The
+    float rung folds v's r pendant leaves, whose pivots all equal
+    a_leaf = beta_leaf (a leaf subtracts nothing, so its nu is 0), into
+    one summand fl(r fl(1/a_leaf)) of acc_v, summed first, and its i
+    inner children add theirs. For r = 1 the product is exact; for
+    r >= 2 its one rounding stands for r equal terms. The sum then has
+    i + 1 summands where the unfolded sweep has k = i + r, so a leaf's
+    edge takes the reciprocal, at most one product and at most i sum
+    roundings, (i + 2)u <= ku for r >= 2 and (i + 1)u = ku for r = 1,
+    and an inner child's edge the reciprocal and at most i roundings:
+    within the ku of the reciprocal and the sum above, so |rho| <=
+    (k + 5)u holds for the folded sweep too, edge by edge. So an
     edge moves by at most |s| (D + 5) u, D the largest degree, and the
     edges of E together by at most that times D in norm. The diagonal
     entry beta_v = fl(fl(1 + fl(s2 (deg - 1))) - x) is off 1 + s^2 (deg
@@ -250,11 +262,11 @@ def count_eigenvalues(tree, s, c):
     why the table holds every degree up to D.
 
     The first rung runs only for |s| in [2^-200, 2^200] (or s = 0) and
-    |c| <= 2^400. There an overflow in a reciprocal or a sum leaves an
-    infinity or a NaN in the sums, which ends the sweep undecided. A
-    pivot that overflows keeps its sign, and its reciprocal, read as
-    zero, is off by less than 2^-1022; that and every underflow move a
-    pivot by less than (D + 1) 2^-600, which eta adds. J. Demmel, I.
+    |c| <= 2^400. There an overflow in a reciprocal, a folded product or
+    a sum leaves an infinity or a NaN in the sums, which ends the sweep
+    undecided. A pivot that overflows keeps its sign, and its
+    reciprocal, read as zero, is off by less than 2^-1022; that and every
+    underflow move a pivot by less than (D + 1) 2^-600, which eta adds. J. Demmel, I.
     Dhillon and H. Ren (ETNA 3 (1995) 116-149) bound Sturm counts in
     floating point the same way.
     """
@@ -265,27 +277,33 @@ def count_eigenvalues(tree, s, c):
     return _Ladder(tree, s).prove(s.ctx.scalar(c))
 
 
-def _float_positive(order, degree, parent, table, s2, x):
+def _float_positive(order, last, fold, degree, parent, size, table, s2, x):
     """The positive count of the float sweep at shift ``x``, or None when
     a pivot is zero or the sweep leaves float range.
 
-    Push form over the arrays it is handed: in ``order``, whose last
-    vertex is the root, each vertex takes a = table[degree] - x - s2 * acc
-    and adds 1/a to its ``parent``'s acc. A tree hands its own postorder,
-    degrees and parents; :class:`_Ladder` hands T - v on T's.
+    Push form over the leaf-folded arrays it is handed (see
+    :class:`_Ladder`). Every pendant leaf's pivot is a_leaf = table[1] -
+    x, so a vertex's acc starts at its count k of pendant leaves times
+    1/a_leaf, which ``fold`` picks out of those products for k = 0..D,
+    and the ``size`` - ``last`` - 1 leaves are counted by its sign. The
+    first ``last`` vertices of ``order``, then its root ``order[last]``,
+    each take a = table[degree] - x - s2 * acc, and all but the root add
+    1/a to their ``parent``'s acc. With no leaves a_leaf is not formed.
     """
     start = [b - x for b in table]
-    acc = [0.0] * len(degree)
+    leaves = size - last - 1
     neg = 0
     try:
-        for v in order[:-1]:
+        r = 1.0 / start[1] if leaves else 0.0
+        acc = list(fold([k * r for k in range(len(table))]))
+        for v in islice(order, last):
             a = start[degree[v]] - s2 * acc[v]
             if a < 0.0:
                 neg += 1
             acc[parent[v]] += 1.0 / a
     except ZeroDivisionError:
         return None
-    root = order[-1]
+    root = order[last]
     a = start[degree[root]] - s2 * acc[root]
     # an overflow leaves an infinity or a NaN in acc, at the latest in
     # the root's, whose pivot reads it
@@ -293,7 +311,9 @@ def _float_positive(order, degree, parent, table, s2, x):
         return None
     if a < 0.0:
         neg += 1
-    return len(order) - neg
+    if r < 0.0:
+        neg += leaves
+    return size - neg
 
 
 def _float_table(tree, s):
@@ -321,55 +341,78 @@ class _Ladder:
     the counts per point. :meth:`above` and :meth:`below` take one float
     sweep (:meth:`side`) where it proves the answer, else the count.
 
-    ``arrays`` is (order, degree, parent) of :func:`_float_positive` and
-    ``children`` the lists :func:`_surgery_sweep` reads with them. T - v
-    is T's postorder less v, T's degrees with v's neighbour one lower,
-    and T's children lists with v left out of its parent's; when v is
-    T's root its one child comes last in that order and is T - v's root.
-    ``floats`` is (zero, |s|, s^2, table) of rung 1: T's
-    :func:`_float_table`, whose eta bounds T - v's sweep too, with zero
-    when s is exactly 0. A - tI's is a zero table with s^2 = 1 and
-    M(s)'s eta at |s| = 1. That bound holds for it: the diagonal -x is
-    exact, since each start is 0 - x, and s^2 = 1 is exact, so the matrix
-    the rounded sweep diagonalizes moves by no more than M(s)'s at
-    |s| = 1, whose diagonal and s^2 carry rounding that A - tI's do not.
+    ``arrays`` is (order, last, fold, degree, parent, size) of
+    :func:`_float_positive`, on T's leaf-folded arrays
+    (:meth:`deflap.trees.Tree._peeled`): its inner order, the index of
+    the sweep's root in it, an itemgetter of the pendant-leaf counts,
+    the degrees, the parents and the number of vertices counted. The
+    getter takes one more index, 0, so that it returns a tuple also on
+    K1; the sweep's acc then has one unused slot. T - v lowers the
+    pendant count and the degree of v's parent; when v is T's root, its
+    one child, last but one in the inner order, becomes the sweep's root
+    with its degree lowered, and on K2 the lone other vertex is. No
+    order is copied. ``floats`` is (table, s^2) of rung 1: T's
+    :func:`_float_table`, whose eta bounds T - v's sweep too. A - tI's
+    is a zero table with s^2 = 1 and M(s)'s eta at |s| = 1. That bound
+    holds for it: the diagonal -x is exact, since each start is 0 - x,
+    and s^2 = 1 is exact, so the matrix the rounded sweep diagonalizes
+    moves by no more than M(s)'s at |s| = 1, whose diagonal and s^2
+    carry rounding that A - tI's do not. ``_eta`` keeps the parts of
+    eta that do not depend on c.
+
+    The interval and exact rungs sweep T's postorder and children lists,
+    derived when one of them first runs (:meth:`_surgery_arrays`).
     """
 
-    __slots__ = ("s", "arrays", "children", "floats", "_counts")
+    __slots__ = ("s", "arrays", "floats", "_eta", "_tree", "_leaf", "_surgery", "_counts")
 
     def __init__(self, tree, s=None, leaf=None):
         self.s = s
         if s is None:
-            self.floats = False, 1.0, 1.0, [0.0] * (tree.max_degree() + 1)
+            zero, fs, s2, table = False, 1.0, 1.0, [0.0] * (tree.max_degree() + 1)
         else:
-            self.floats = (s.is_zero, *_float_table(tree, s))
+            zero = s.is_zero
+            fs, s2, table = _float_table(tree, s)
+        self.floats = table, s2
+        top = len(table) - 1
+        m = max(top - 1, 1)
+        # eta/u is twice the sum that bounds ||E||/u, with 5|c| for |c|
+        # (see _positive); these are its terms free of c
+        self._eta = ((zero or 2.0 ** -200 <= fs <= 2.0 ** 200), 2 + 6 * fs * fs * m,
+                     fs * top * (top + 5), (top + 1) * 2.0 ** -600)
         self._counts = {}
-        order, degree, children = tree.postorder, tree.degree, tree.children
+        self._tree, self._leaf, self._surgery = tree, leaf, None
+        order, pendant = tree._peeled()
+        degree = tree.degree
+        last = len(order) - 1
+        size = tree.n
         if leaf is not None:
-            u = tree.neighbors(leaf)[0]
-            order = [w for w in order if w != leaf]
+            size -= 1
+            u = tree.parent[leaf]
+            if u is None:
+                if last:
+                    last -= 1
+                    u = order[last]
+                else:
+                    u = 1 - leaf
+                    order = [u]
+            else:
+                pendant = list(pendant)
+                pendant[u] -= 1
             degree = list(degree)
             degree[u] -= 1
-            if tree.parent[leaf] == u:
-                children = list(children)
-                children[u] = [w for w in children[u] if w != leaf]
-        self.arrays = order, degree, tree.parent
-        self.children = children
+        self.arrays = order, last, operator.itemgetter(*pendant, 0), degree, tree.parent, size
 
     def _positive(self, c, up):
         """The positive count of the float sweep at c + 2 eta (``up``) or
         c - 2 eta, or None, also outside the range eta's bound covers
         (see :func:`count_eigenvalues`)."""
-        zero, fs, s2, table = self.floats
+        in_range, head, tail, floor = self._eta
         fc = to_float(c.raw(), rnd=_RND)
-        if not ((zero or 2.0 ** -200 <= fs <= 2.0 ** 200) and abs(fc) <= 2.0 ** 400):
+        if not (in_range and abs(fc) <= 2.0 ** 400):
             return None
-        top = len(table) - 1
-        m = max(top - 1, 1)
-        # eta/u: twice the sum that bounds ||E||/u, with 5|c| for |c|
-        half_width = 2 * (2 + 6 * fs * fs * m + 5 * abs(fc) + fs * top * (top + 5))
-        eta = half_width * 2.0 ** -53 + (top + 1) * 2.0 ** -600
-        return _float_positive(*self.arrays, table, s2, fc + 2 * eta if up else fc - 2 * eta)
+        eta = 2 * (head + 5 * abs(fc) + tail) * 2.0 ** -53 + floor
+        return _float_positive(*self.arrays, *self.floats, fc + 2 * eta if up else fc - 2 * eta)
 
     def side(self, c, above):
         """True when one half of rung 1's pair proves that some eigenvalue
@@ -389,10 +432,28 @@ class _Ladder:
             return None
         return pos
 
+    def _surgery_arrays(self):
+        """(order, degree, children) of :func:`_surgery_sweep`, made on
+        first use: T's postorder and children lists, for T - v the
+        postorder less v and v left out of its parent's list; when v is
+        T's root its one child comes last in that order and is T - v's
+        root."""
+        if self._surgery is None:
+            tree, leaf = self._tree, self._leaf
+            order, children = tree.postorder, tree.children
+            if leaf is not None:
+                order = [w for w in order if w != leaf]
+                u = tree.parent[leaf]
+                if u is not None:
+                    children = list(children)
+                    children[u] = [w for w in children[u] if w != leaf]
+            self._surgery = order, self.arrays[3], children
+        return self._surgery
+
     def _start(self, c):
         """(start, s2): P - cI's start table by degree, 1 + s^2 (deg - 1) - c
         or -c, and s^2, exact raw tuples."""
-        degrees = set(self.arrays[1])
+        degrees = set(self.arrays[3])
         if self.s is None:
             return dict.fromkeys(degrees, mpf_neg(c.raw())), fone
         s2 = mpf_mul(self.s.raw(), self.s.raw())
@@ -422,7 +483,7 @@ class _Ladder:
 
         start = {deg: point(b) for deg, b in start.items()}
         ops = [lambda a, b, op=op: op(a, b, prec) for op in (mpi_add, mpi_sub, mpi_mul, mpi_div)]
-        swept = _surgery_sweep(self.arrays, self.children, start, point(s2), ((fone, fone), *ops, sign))
+        swept = _surgery_sweep(*self._surgery_arrays(), start, point(s2), ((fone, fone), *ops, sign))
         return swept and swept[1]
 
     def exact(self, c):
@@ -457,14 +518,14 @@ class _Ladder:
 
         start = {deg: Fraction(*to_rational(b)) for deg, b in start.items()}
         arith = (Fraction(1), operator.add, sub, operator.mul, operator.truediv, sign)
-        return _surgery_sweep(self.arrays, self.children, start, Fraction(*to_rational(s2)), arith)[1]
+        return _surgery_sweep(*self._surgery_arrays(), start, Fraction(*to_rational(s2)), arith)[1]
 
     def prove(self, c):
         """The proved triple (above, below, at) c from the first rung that
         decides it."""
         pos = self.pair(c)
         if pos is not None:
-            return pos, len(self.arrays[0]) - pos, 0
+            return pos, self.arrays[5] - pos, 0
         return self.interval(c) or self.exact(c)
 
     def count(self, c):

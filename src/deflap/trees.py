@@ -1,10 +1,10 @@
 """Rooted trees, caterpillars, and small dense matrices.
 
-Trees are stored with contiguous indices 0..n-1, an explicit root, parent
-and children arrays, and a precomputed bottom-up (children before parent)
-traversal order. The text format is one ``edge u v`` line per edge with an
-optional ``root=R`` header; without the header the highest-numbered vertex
-is the root. Vertex labels in files may be arbitrary non-negative integers;
+Trees are stored with contiguous indices 0..n-1, an explicit root, and
+parent and degree arrays; children lists and a bottom-up (children before
+parent) traversal order are derived when first read. The text format is
+one ``edge u v`` line per edge with an optional ``root=R`` header;
+without the header the highest-numbered vertex is the root. Vertex labels in files may be arbitrary non-negative integers;
 they are compacted internally and remembered for display.
 """
 
@@ -18,25 +18,34 @@ class Tree:
     """A finite tree with a distinguished root.
 
     parent[root] is None; degree counts all neighbors, not just children.
-    ``postorder`` visits every child before its parent, which is the order
-    the diagonalization sweep consumes. A caller that already has it (as
-    :meth:`from_edges` does, from its own traversal) may pass it in; it
-    must equal what :meth:`_compute_postorder` returns.
+    ``n``, ``root``, ``parent``, ``degree``, ``labels`` and the largest
+    degree (:meth:`max_degree`) are set when the tree is built.
+    ``children`` and ``postorder`` are derived on first use and then
+    kept; ``postorder`` visits every child before its parent, which is
+    the order the surgery sweep consumes. :meth:`_peeled` gives the
+    count ladder's first rung its arrays: eager from :meth:`from_edges`,
+    which builds by peeling leaves and keeps its edge pairs to derive
+    ``children`` from, and derived on first use for a tree built from
+    its children lists.
     """
 
-    __slots__ = ("n", "root", "parent", "children", "degree", "postorder", "labels")
+    __slots__ = ("n", "root", "parent", "degree", "labels", "_top",
+                 "_children", "_postorder", "_pairs", "_peel")
 
-    def __init__(self, n, root, parent, children, labels=None, postorder=None):
+    def __init__(self, n, root, parent, children, labels=None):
+        degree = [len(kids) + 1 for kids in children]
+        degree[root] -= 1
+        self._set(n, root, parent, degree, labels)
+        self._children = children
+
+    def _set(self, n, root, parent, degree, labels):
         self.n = n
         self.root = root
         self.parent = parent
-        self.children = children
-        self.degree = [len(kids) + 1 for kids in children]
-        self.degree[root] -= 1
-        if postorder is None:
-            postorder = self._compute_postorder()
-        self.postorder = postorder
+        self.degree = degree
         self.labels = list(labels) if labels is not None else list(range(n))
+        self._top = max(degree)
+        self._children = self._postorder = self._pairs = self._peel = None
 
     @classmethod
     def from_edges(cls, edges, root=None):
@@ -47,6 +56,11 @@ class Tree:
         ``root`` refers to an original label and defaults to the highest
         one. A single vertex with no edges is not expressible here; use
         :meth:`single_vertex`.
+
+        One pass over the edges gives each vertex's degree and the XOR of
+        its neighbours; peeling leaves toward the root, which is never
+        peeled, then reads a peeled vertex's one remaining neighbour off
+        that XOR as its parent. No per-vertex list is made.
         """
         edges = list(edges)
         if not edges:
@@ -73,10 +87,6 @@ class Tree:
         else:
             index = {lab: i for i, lab in enumerate(order)}
             pairs = [(index[u], index[v]) for u, v in edges]
-        adj = [[] for _ in range(n)]
-        for a, b in pairs:
-            adj[a].append(b)
-            adj[b].append(a)
         # n - 1 edges with a repeat cannot connect n vertices, so repeats
         # are looked for only where the build is failing anyway
         if root is None:
@@ -86,39 +96,86 @@ class Tree:
                 _reject_duplicate(edges, pairs)
                 raise DomainError("root %r is not a vertex of the tree" % (root,))
             r = int(root) if index is None else index[root]
-        # preorder with each vertex's children taken first to last; its
-        # reverse is the postorder (see _compute_postorder). A vertex's
-        # adjacency list less its parent is its children list
+        degree = [0] * n
+        link = [0] * n
+        for a, b in pairs:
+            degree[a] += 1
+            degree[b] += 1
+            link[a] ^= b
+            link[b] ^= a
+        # rem counts a vertex's unpeeled neighbours and link XORs them, so
+        # at rem 1 link is the one left. The leaves go first, each a
+        # pendant leaf of its neighbour; a vertex whose rem falls to 1 has
+        # lost all its children and goes on the stack, so ``inner`` lists
+        # the vertices with children, children first. A vertex found with no
+        # neighbour left ends a part without the root, and a cycle is
+        # never peeled: either way fewer than n - 1 vertices are peeled
         parent = [None] * n
-        visited = [False] * n
-        visited[r] = True
-        preorder = []
-        stack = [r]
-        while stack:
-            v = stack.pop()
-            preorder.append(v)
-            kids = adj[v]
-            if v != r:
-                kids.remove(parent[v])
-            for w in kids:
-                if visited[w]:
-                    # a cycle, which n - 1 edges close only when some
-                    # vertex is cut off: the preorder stays short
-                    stack.clear()
+        pendant = [0] * n
+        rem = degree[:]
+        inner = []
+        stack = []
+        peeled = 0
+        for v in [v for v in range(n) if degree[v] == 1]:
+            if v == r:
+                continue
+            if not rem[v]:
+                break
+            p = parent[v] = link[v]
+            pendant[p] += 1
+            link[p] ^= v
+            rem[p] -= 1
+            peeled += 1
+            if rem[p] == 1 and p != r:
+                stack.append(p)
+        else:
+            while stack:
+                v = stack.pop()
+                if not rem[v]:
                     break
-                visited[w] = True
-                parent[w] = v
-            else:
-                stack.extend(reversed(kids))
-        if len(preorder) != n:
+                p = parent[v] = link[v]
+                inner.append(v)
+                link[p] ^= v
+                rem[p] -= 1
+                if rem[p] == 1 and p != r:
+                    stack.append(p)
+        if peeled + len(inner) != n - 1:
             _reject_duplicate(edges, pairs)
             raise DomainError("edge list is not connected")
-        preorder.reverse()
-        return cls(n, r, parent, adj, order, preorder)
+        inner.append(r)
+        tree = cls.__new__(cls)
+        tree._set(n, r, parent, degree, order)
+        tree._pairs = pairs
+        tree._peel = inner, pendant
+        return tree
 
     @classmethod
     def single_vertex(cls):
         return cls(1, 0, [None], [[]])
+
+    @property
+    def children(self):
+        """Each vertex's children. A :meth:`from_edges` tree derives them
+        from its edge pairs: each pair in order adds the child to its
+        parent's list, as dropping the parent from each vertex's
+        neighbours in edge order would."""
+        if self._children is None:
+            parent = self.parent
+            children = [[] for _ in range(self.n)]
+            for a, b in self._pairs:
+                if parent[b] == a:
+                    children[a].append(b)
+                else:
+                    children[b].append(a)
+            self._children = children
+            self._pairs = None
+        return self._children
+
+    @property
+    def postorder(self):
+        if self._postorder is None:
+            self._postorder = self._compute_postorder()
+        return self._postorder
 
     def _compute_postorder(self):
         # the reverse of a preorder that takes each vertex's children first
@@ -132,6 +189,17 @@ class Tree:
             stack.extend(reversed(children[v]))
         out.reverse()
         return out
+
+    def _peeled(self):
+        """(inner, pendant): the vertices with children, each after its
+        children and the root last, and each vertex's count of childless
+        children, its pendant leaves."""
+        if self._peel is None:
+            children = self.children
+            inner = [v for v in self.postorder if children[v] or v == self.root]
+            pendant = [sum(not children[w] for w in kids) for kids in children]
+            self._peel = inner, pendant
+        return self._peel
 
     # -- structure queries --------------------------------------------------
 
@@ -147,7 +215,7 @@ class Tree:
         return [v for v in range(self.n) if self.degree[v] == 1]
 
     def max_degree(self):
-        return max(self.degree)
+        return self._top
 
     def edges(self):
         """Edges as (child, parent) index pairs, postorder of the child."""
@@ -157,9 +225,16 @@ class Tree:
         return self.n <= 2 or self.max_degree() <= 2
 
     def rerooted(self, new_root):
-        return Tree.from_edges(
-            [(min(u, v), max(u, v)) for u, v in self.edges()], root=new_root
+        """The same tree rooted at index ``new_root``; indices and labels
+        are kept."""
+        parent = self.parent
+        # the pairs of edges(), with no list of edges() beside them
+        tree = Tree.from_edges(
+            [(min(v, parent[v]), max(v, parent[v])) for v in self.postorder if v != self.root],
+            root=new_root,
         )
+        tree.labels = list(self.labels)
+        return tree
 
     def delete_leaf(self, v):
         """The tree with leaf ``v`` removed, reindexed; root defaults anew."""

@@ -317,3 +317,116 @@ def test_upper_rungs_of_a_deleted_leaf_agree_with_its_count():
                     points += 1
                     interval += got is not None
     assert (points, interval) == (3028, 1574)
+
+
+def _peeled_trees(rng):
+    """from_edges trees with shuffled labels and edges, roots at random:
+    some at a leaf, some inner, K2 and K3 included."""
+    trees = []
+    for n in (2, 3, 4, 7, 12, 30, 80, 200):
+        for _ in range(2 if n < 200 else 1):
+            base = _random_tree(rng, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            edges = [(perm[u], perm[v]) for u, v in base.edges()]
+            rng.shuffle(edges)
+            tree = Tree.from_edges(edges)
+            leaves = tree.leaves()
+            root = rng.choice(leaves) if rng.random() < 0.5 else rng.randrange(n)
+            trees.append(Tree.from_edges(edges, root=tree.labels[root]))
+    return trees
+
+
+def _points(ctx, eigs, rng, exact):
+    """c at exact eigenvalues, at eigenvalues rounded to the context, a
+    hair off them, and halfway between neighbours."""
+    eigs = sorted(eigs)
+    picks = sorted({0, len(eigs) - 1} | {rng.randrange(len(eigs)) for _ in range(2)})
+    out = [ctx.scalar(x) for x in exact]
+    hair = ctx.scalar("1e-9")
+    for i in picks:
+        lam = float(eigs[i])
+        out += [ctx.scalar(lam), ctx.scalar(lam) + hair, ctx.scalar(lam) - hair]
+        if i + 1 < len(eigs):
+            out.append(ctx.scalar((lam + float(eigs[i + 1])) / 2))
+    return out
+
+
+def test_folded_float_rung_agrees_with_the_exact_rung():
+    # rung 1 sweeps the inner order and folds each vertex's pendant leaves
+    # into one term; wherever its pair decides, the exact rung's triple is
+    # the same, for T, for T less a leaf (the root when it is one) and for
+    # A - tI, at exact eigenvalues (c = 1 beside sibling leaves, c = 0 at
+    # |s| = 1), next to eigenvalues and far from them
+    np = pytest.importorskip("numpy")
+    rng = random.Random(2027)
+    ctx = PrecisionContext(20)
+    trees = _peeled_trees(rng)
+    assert any(t.degree[t.root] == 1 for t in trees) and any(t.degree[t.root] > 1 for t in trees)
+    decided = undecided = 0
+
+    def check(ladder, points):
+        nonlocal decided, undecided
+        size = ladder.arrays[-1]
+        for c in points:
+            pos = ladder.pair(c)
+            if pos is None:
+                undecided += 1
+                continue
+            decided += 1
+            assert (pos, size - pos, 0) == ladder.exact(c), (c, ladder.s)
+
+    for tree in trees:
+        n = tree.n
+        adj = np.zeros((n, n))
+        for u, v in tree.edges():
+            adj[u, v] = adj[v, u] = 1.0
+        zero = [0] if n % 2 or np.linalg.matrix_rank(adj) < n else []
+        check(_Ladder(tree), _points(ctx, np.linalg.eigvalsh(adj), rng, zero))
+        leaves = tree.leaves()
+        less = set(rng.sample(leaves, min(2, len(leaves))))
+        if tree.degree[tree.root] == 1:
+            less.add(tree.root)
+        for s_text in ("0", "0.3", "-0.3", "1", "-1", "1.5"):
+            s = ctx.scalar(s_text)
+            f = float(s_text)
+            m = np.diag([1 + f * f * (d - 1) for d in tree.degree]) - f * adj
+            exact = [1] + ([0] if abs(f) == 1 else [])
+            check(_Ladder(tree, s), _points(ctx, np.linalg.eigvalsh(m), rng, exact))
+            for v in sorted(less):
+                keep = [w for w in range(n) if w != v]
+                sub = np.diag([1 + f * f * (tree.degree[w] - 1 - (w == tree.neighbors(v)[0])) for w in keep])
+                sub -= f * adj[np.ix_(keep, keep)]
+                if n > 2:
+                    check(_Ladder(tree, s, v), _points(ctx, np.linalg.eigvalsh(sub), rng, exact))
+                else:
+                    check(_Ladder(tree, s, v), [ctx.scalar(x) for x in (1 - f * f, 0, 1, 2)])
+    assert decided > 2000 and undecided > 100, (decided, undecided)
+
+
+def test_count_derives_no_children_when_the_float_rung_decides(monkeypatch):
+    # a from_edges tree keeps no children lists and no postorder until a
+    # rung that sweeps them runs: counts the float pair decides, of T and
+    # of T less a leaf, derive neither; c = 1 beside sibling leaves, which
+    # the interval rung decides, derives both
+    derived = []
+    for name in ("children", "postorder"):
+        get = getattr(Tree, name).fget
+        monkeypatch.setattr(Tree, name, property(lambda self, get=get, name=name: derived.append(name) or get(self)))
+    ctx = PrecisionContext(30)
+    rng = random.Random(5)
+    edges = _random_tree(random.Random(3), 2000).edges()
+    tree = Tree.from_edges(edges)
+    derived.clear()
+    s = ctx.scalar("0.7")
+    leaf = next(v for v in range(tree.n) if tree.degree[v] == 1)
+    for _ in range(6):
+        c = ctx.scalar(rng.uniform(0.2, 3.0))
+        assert _Ladder(tree, s).pair(c) is not None
+        assert sum(count_eigenvalues(tree, s, c)) == tree.n
+        _Ladder(tree, s, leaf).side(c, True)
+    assert derived == []
+    one = ctx.scalar(1)
+    assert _Ladder(tree, s).pair(one) is None
+    above, below, at = count_eigenvalues(tree, s, one)
+    assert at > 0 and set(derived) == {"children", "postorder"}

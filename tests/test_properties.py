@@ -216,7 +216,7 @@ def test_property_sweep_brackets_only_the_edge(monkeypatch, digits):
         if ladder.s is None:  # A - tI
             return prove(ladder, c)
         if c.is_zero:
-            at_zero.append((id(ladder.arrays[0]), ladder.s.raw()))  # T's postorder
+            at_zero.append((id(ladder.arrays[0]), ladder.s.raw()))  # T's inner order
         return tallied("counts", prove)(ladder, c)
 
     monkeypatch.setattr(properties, "approximate_radius", counted)

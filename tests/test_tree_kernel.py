@@ -445,9 +445,10 @@ def test_float_count_and_float_start_share_one_table(monkeypatch):
     positive = diagonalize._float_positive
     laguerre = diagonalize._laguerre_start
 
-    def recorded(order, degree, parent, table, s2, x):
-        tables.append((table, s2))
-        return positive(order, degree, parent, table, s2, x)
+    def recorded(*args):
+        # the leaf-folded arrays, then table, s2 and the shift
+        tables.append(args[-3:-1])
+        return positive(*args)
 
     def recorded_start(fold, base, s2, hi):
         starts.append((base, s2))

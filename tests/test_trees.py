@@ -161,6 +161,27 @@ def test_from_edges_errors_match_reference_build():
         assert str(got.value) == str(expected.value)
 
 
+def test_peeled_build_rejects_what_the_reference_build_rejects():
+    # parts without the root peel down to a vertex with no neighbour left
+    # (a path part, a K2 beside a cycle), and a cycle or a repeated edge
+    # never peels; the messages and their order are the reference build's
+    bad = [
+        ([(0, 1), (2, 3), (3, 4), (4, 2)], None),
+        ([(0, 1), (2, 3), (3, 4), (4, 2)], 0),
+        ([(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)], 4),
+        ([(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)], 1),
+        ([(0, 1), (1, 2), (2, 3), (3, 1), (4, 5), (5, 6)], 0),
+        ([(0, 1), (1, 2), (1, 2), (3, 4)], 0),
+        ([(7, 9), (9, 11), (11, 7), (20, 21), (21, 22)], 20),
+    ]
+    for edges, root in bad:
+        with pytest.raises(DomainError) as expected:
+            _reference_from_edges(edges, root)
+        with pytest.raises(DomainError) as got:
+            Tree.from_edges(edges, root=root)
+        assert str(got.value) == str(expected.value)
+
+
 def test_postorder_children_before_parents():
     t = Tree.from_edges([(0, 1), (0, 2), (2, 3), (2, 4)])
     seen = set()
@@ -210,6 +231,14 @@ def test_rerooted_keeps_structure():
     assert r.n == t.n
     assert sorted(map(sorted, r.edges())) == sorted(map(sorted, t.edges()))
     assert r.postorder[-1] == r.root
+
+
+def test_rerooted_keeps_labels():
+    t = Tree.from_edges([(5, 7), (7, 9), (7, 11)])
+    r = t.rerooted(0)
+    assert r.to_text() == "root=5\nedge 5 7\nedge 7 9\nedge 7 11\n"
+    assert (r.labels, r.degree) == (t.labels, t.degree)
+    assert Tree.from_text(r.to_text()).parent == r.parent
 
 
 def test_caterpillar_parse_styles():
