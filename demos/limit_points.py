@@ -2,7 +2,7 @@
 """Walk the limit curve tau0(s) and the coupling thresholds s*(lam).
 
 tau0(s) is the largest root of the quartic
-    x^4 - (3s^2+2)x^3 + (3s^4+s^2+1)x^2 - (s^6-s^4-2s^2)x - s^6 + s^4
+    x^4 - (2s^2+4)x^3 + (2s^2+6)x^2 - (2s^4-2s^2+4)x + (s^2-1)^2
 and s*(lam) is the coupling where that curve passes through lam, i.e.
 the threshold below which lam can be approached from caterpillar
 spectra. Everything prints from one precision context.
@@ -27,7 +27,7 @@ def main():
     print()
 
     closed = laplacian_closed_form(ctx)
-    print("s = 1 in closed form (largest root of x^3 - 5x^2 + 6x - 3):")
+    print("s = 1 in closed form (largest root of x^3 - 6x^2 + 8x - 4):")
     print("  %s" % closed.to_decimal_string(30))
     print("  quartic route agrees to %s" % abs(closed - tau0(ctx.scalar(1))).to_decimal_string(3))
     print()

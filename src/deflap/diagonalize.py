@@ -12,21 +12,24 @@ The surgery kernel, :func:`_surgery_sweep`, sweeps every vertex of a
 tree from a per-degree table with the zero-pivot surgery in the
 arithmetic its caller hands it: rounded libmp for
 :func:`diagonalize_tree`, outward-rounded intervals and exact rationals
-for the count ladder. The radius probe of a tree and of a caterpillar
-is one leaf-folded recurrence, :func:`_pivots`: :func:`_fold` turns a
-tree, or a caterpillar as the tree it expands to, into nodes that
-absorb their pendant leaves, whose pivots are all 1 - c, and the probe
-(:func:`_radius_probe`, behind the radii and the eps_k certificate of
-:mod:`deflap.shearer`) stops at the first nonnegative node pivot. It
-runs on Python integers counting 2^-g, g = prec + 64 or finer, each
+for the count ladder. Every other sweep runs in push form over one leaf
+fold, the arrays of :meth:`deflap.trees.Tree._peeled`: the vertices
+with children, children first and the root last, each with its count
+of pendant leaves, whose pivots are all 1 - c, its degree and its
+parent. A :class:`deflap.trees.Caterpillar` gives the same arrays from
+its counts, as the tree it expands to. On them run the float count
+(:func:`_float_positive`), the float Laguerre start of a tree's radius
+search (:func:`_laguerre_start`; floats only place that start) and the
+radius probe, :func:`_pivots`, behind the radii and the eps_k
+certificate of :mod:`deflap.shearer`. The probe
+(:func:`_radius_probe`) stops at the first nonnegative pivot. It runs
+on Python integers counting 2^-g, g = prec + 64 or finer, each
 operation rounded by hand (:func:`deflap.scalar._round`); a value that
 falls below the grid reruns the probe on a finer one. Rounded sweeps
 round every operation as Scalar arithmetic would; Scalars appear only at
 the API edge, in returned values and in the Newton step of the probes,
-which share one bracket search, :func:`approximate_radius`. A tree's
-search starts from a float Laguerre estimate (:func:`_laguerre_start`,
-on the same fold); floats only place that start, and every sign a
-radius rests on comes from the kernel.
+which share one bracket search, :func:`approximate_radius`. Every sign
+a radius rests on comes from the probe.
 
 :func:`count_eigenvalues` proves each triple it returns, by the count
 ladder :class:`_Ladder`: most are decided by a pair of double-precision
@@ -277,25 +280,28 @@ def count_eigenvalues(tree, s, c):
     return _Ladder(tree, s).prove(s.ctx.scalar(c))
 
 
-def _float_positive(order, last, fold, degree, parent, size, table, s2, x):
+def _float_positive(order, pendant, degree, parent, size, table, s2, x):
     """The positive count of the float sweep at shift ``x``, or None when
     a pivot is zero or the sweep leaves float range.
 
-    Push form over the leaf-folded arrays it is handed (see
-    :class:`_Ladder`). Every pendant leaf's pivot is a_leaf = table[1] -
-    x, so a vertex's acc starts at its count k of pendant leaves times
-    1/a_leaf, which ``fold`` picks out of those products for k = 0..D,
-    and the ``size`` - ``last`` - 1 leaves are counted by its sign. The
-    first ``last`` vertices of ``order``, then its root ``order[last]``,
-    each take a = table[degree] - x - s2 * acc, and all but the root add
-    1/a to their ``parent``'s acc. With no leaves a_leaf is not formed.
+    Push form over leaf-folded arrays (:meth:`deflap.trees.Tree._peeled`).
+    Every pendant leaf's pivot is a_leaf = table[1] - x, so a vertex's
+    acc starts at its ``pendant`` count k times 1/a_leaf, picked out of
+    those products for k = 0..D by one itemgetter, which takes one more
+    index, 0, so that it returns a tuple also on K1 (acc then has one
+    unused slot), and the ``size`` - len(``order``) leaves are counted by
+    its sign. The vertices of
+    ``order``, its last one the root, each take a = table[degree] - x -
+    s2 * acc, and all but the root add 1/a to their ``parent``'s acc.
+    With no leaves a_leaf is not formed.
     """
     start = [b - x for b in table]
+    last = len(order) - 1
     leaves = size - last - 1
     neg = 0
     try:
         r = 1.0 / start[1] if leaves else 0.0
-        acc = list(fold([k * r for k in range(len(table))]))
+        acc = list(operator.itemgetter(*pendant, 0)([k * r for k in range(len(table))]))
         for v in islice(order, last):
             a = start[degree[v]] - s2 * acc[v]
             if a < 0.0:
@@ -316,16 +322,16 @@ def _float_positive(order, last, fold, degree, parent, size, table, s2, x):
     return size - neg
 
 
-def _float_table(tree, s):
+def _float_table(top, s):
     """(|s|, s^2, table): s rounded to the nearest float, and M(s)'s
-    float start table at every degree 0..D: table[deg] = 1 + s^2 (deg - 1).
-    Degrees absent from the tree are filled too, for the sweeps of T - v
-    (:class:`_Ladder`), whose lowered degree may be absent from T, and 0
-    on K1. |s| and s^2 are inf past float range.
+    float start table at every degree 0..``top``: table[deg] = 1 + s^2
+    (deg - 1). Degrees absent from the tree are filled too, for the
+    sweeps of T - v (:class:`_Ladder`), whose lowered degree may be
+    absent from T, and 0 on K1. |s| and s^2 are inf past float range.
     """
     fs = abs(to_float(s.raw(), rnd=_RND))
     s2 = fs * fs
-    return fs, s2, [1.0 + s2 * (deg - 1) for deg in range(tree.max_degree() + 1)]
+    return fs, s2, [1.0 + s2 * (deg - 1) for deg in range(top + 1)]
 
 
 # the largest sum, over the pivots that :meth:`_Ladder.exact`'s sweep
@@ -341,78 +347,75 @@ class _Ladder:
     the counts per point. :meth:`above` and :meth:`below` take one float
     sweep (:meth:`side`) where it proves the answer, else the count.
 
-    ``arrays`` is (order, last, fold, degree, parent, size) of
-    :func:`_float_positive`, on T's leaf-folded arrays
-    (:meth:`deflap.trees.Tree._peeled`): its inner order, the index of
-    the sweep's root in it, an itemgetter of the pendant-leaf counts,
-    the degrees, the parents and the number of vertices counted. The
-    getter takes one more index, 0, so that it returns a tuple also on
-    K1; the sweep's acc then has one unused slot. T - v lowers the
-    pendant count and the degree of v's parent; when v is T's root, its
-    one child, last but one in the inner order, becomes the sweep's root
-    with its degree lowered, and on K2 the lone other vertex is. No
-    order is copied. ``floats`` is (table, s^2) of rung 1: T's
-    :func:`_float_table`, whose eta bounds T - v's sweep too. A - tI's
-    is a zero table with s^2 = 1 and M(s)'s eta at |s| = 1. That bound
-    holds for it: the diagonal -x is exact, since each start is 0 - x,
-    and s^2 = 1 is exact, so the matrix the rounded sweep diagonalizes
-    moves by no more than M(s)'s at |s| = 1, whose diagonal and s^2
-    carry rounding that A - tI's do not. ``_eta`` keeps the parts of
-    eta that do not depend on c.
+    ``arrays`` are T's leaf-folded arrays (order, pendant, degree,
+    parent, size) of :func:`_float_positive`
+    (:meth:`deflap.trees.Tree._peeled`), or T - v's on them. T - v
+    lowers the pendant count and the degree of v's parent; when v is T's
+    root, its one child, last but one in the inner order, becomes the
+    sweep's root with its degree lowered, and on K2 the lone other
+    vertex is. Only then is the order copied, less its root. ``floats``
+    is (table, s^2) of rung 1: T's :func:`_float_table`, whose eta bounds
+    T - v's sweep too. A - tI's is a zero table with s^2 = 1 and M(s)'s
+    eta at |s| = 1. That bound holds for it: the diagonal -x is exact,
+    since each start is 0 - x, and s^2 = 1 is exact, so the matrix the
+    rounded sweep diagonalizes moves by no more than M(s)'s at |s| = 1,
+    whose diagonal and s^2 carry rounding that A - tI's do not. ``_eta``
+    keeps the parts of eta that do not depend on c. Each float sweep's
+    count is kept per point and direction, so a count that follows a
+    side question reruns no sweep.
 
     The interval and exact rungs sweep T's postorder and children lists,
     derived when one of them first runs (:meth:`_surgery_arrays`).
     """
 
-    __slots__ = ("s", "arrays", "floats", "_eta", "_tree", "_leaf", "_surgery", "_counts")
+    __slots__ = ("s", "arrays", "floats", "_eta", "_tree", "_leaf", "_surgery", "_sides", "_counts")
 
     def __init__(self, tree, s=None, leaf=None):
         self.s = s
+        top = tree.max_degree()
         if s is None:
-            zero, fs, s2, table = False, 1.0, 1.0, [0.0] * (tree.max_degree() + 1)
+            zero, fs, s2, table = False, 1.0, 1.0, [0.0] * (top + 1)
         else:
             zero = s.is_zero
-            fs, s2, table = _float_table(tree, s)
+            fs, s2, table = _float_table(top, s)
         self.floats = table, s2
-        top = len(table) - 1
         m = max(top - 1, 1)
         # eta/u is twice the sum that bounds ||E||/u, with 5|c| for |c|
         # (see _positive); these are its terms free of c
         self._eta = ((zero or 2.0 ** -200 <= fs <= 2.0 ** 200), 2 + 6 * fs * fs * m,
                      fs * top * (top + 5), (top + 1) * 2.0 ** -600)
+        self._sides = {}
         self._counts = {}
         self._tree, self._leaf, self._surgery = tree, leaf, None
-        order, pendant = tree._peeled()
-        degree = tree.degree
-        last = len(order) - 1
-        size = tree.n
+        order, pendant, degree, parent, size = tree._peeled()
         if leaf is not None:
             size -= 1
-            u = tree.parent[leaf]
+            u = parent[leaf]
             if u is None:
-                if last:
-                    last -= 1
-                    u = order[last]
-                else:
-                    u = 1 - leaf
-                    order = [u]
+                order = order[:-1] or [1 - leaf]
+                u = order[-1]
             else:
                 pendant = list(pendant)
                 pendant[u] -= 1
             degree = list(degree)
             degree[u] -= 1
-        self.arrays = order, last, operator.itemgetter(*pendant, 0), degree, tree.parent, size
+        self.arrays = order, pendant, degree, parent, size
 
     def _positive(self, c, up):
         """The positive count of the float sweep at c + 2 eta (``up``) or
         c - 2 eta, or None, also outside the range eta's bound covers
         (see :func:`count_eigenvalues`)."""
+        key = c.raw(), up
+        if key in self._sides:
+            return self._sides[key]
         in_range, head, tail, floor = self._eta
         fc = to_float(c.raw(), rnd=_RND)
-        if not (in_range and abs(fc) <= 2.0 ** 400):
-            return None
-        eta = 2 * (head + 5 * abs(fc) + tail) * 2.0 ** -53 + floor
-        return _float_positive(*self.arrays, *self.floats, fc + 2 * eta if up else fc - 2 * eta)
+        pos = None
+        if in_range and abs(fc) <= 2.0 ** 400:
+            eta = 2 * (head + 5 * abs(fc) + tail) * 2.0 ** -53 + floor
+            pos = _float_positive(*self.arrays, *self.floats, fc + 2 * eta if up else fc - 2 * eta)
+        self._sides[key] = pos
+        return pos
 
     def side(self, c, above):
         """True when one half of rung 1's pair proves that some eigenvalue
@@ -447,13 +450,13 @@ class _Ladder:
                 if u is not None:
                     children = list(children)
                     children[u] = [w for w in children[u] if w != leaf]
-            self._surgery = order, self.arrays[3], children
+            self._surgery = order, self.arrays[2], children
         return self._surgery
 
     def _start(self, c):
         """(start, s2): P - cI's start table by degree, 1 + s^2 (deg - 1) - c
         or -c, and s^2, exact raw tuples."""
-        degrees = set(self.arrays[3])
+        degrees = set(self.arrays[2])
         if self.s is None:
             return dict.fromkeys(degrees, mpf_neg(c.raw())), fone
         s2 = mpf_mul(self.s.raw(), self.s.raw())
@@ -525,7 +528,7 @@ class _Ladder:
         decides it."""
         pos = self.pair(c)
         if pos is not None:
-            return pos, self.arrays[5] - pos, 0
+            return pos, self.arrays[4] - pos, 0
         return self.interval(c) or self.exact(c)
 
     def count(self, c):
@@ -547,103 +550,75 @@ class _Ladder:
         return pos == 0 and zero == 0
 
 
-def _fold(obj):
-    """A Tree or a Caterpillar as (nodes, leaves), the input of its
-    leaf-folded sweep (:func:`_pivots`), built once per radius search.
-
-    Each node is (m, r, inner): m is its degree, r counts its childless
-    children, the folded leaves, and inner lists the indices of its other
-    children in the tree's children order. Nodes are the root and every
-    vertex with children, in postorder, the root last, so inner indices
-    point back; ``leaves`` is the sum of r. A node starts at
-    1 + s^2 (m - 1) - c, which carries every leaf's s^2, so c cancels
-    there as in the unfolded sweep. A caterpillar folds as the tree it
-    expands to (:func:`deflap.trees.caterpillar_to_tree`), built from its
-    counts: v_j has degree r_j plus its backbone neighbours, and a v_1
-    with no leaves is a leaf of v_2.
-    """
-    if isinstance(obj, Caterpillar):
-        counts = obj.counts
-        k = len(counts)
-        # the first node is v_1, or v_2 with a leafless v_1 among its leaves
-        first = 0 if counts[0] else 1
-        nodes = [(counts[j] + (j > 0) + (j < k - 1), counts[j] + (j == first == 1),
-                  [j - first - 1] if j > first else []) for j in range(first, k)]
-        return nodes, k + sum(counts) - len(nodes)
-    children = obj.children
-    root = obj.postorder[-1]
-    slot = [0] * obj.n
-    nodes = []
-    for v in obj.postorder:
-        kids = children[v]
-        if kids or v == root:
-            inner = [slot[w] for w in kids if children[w]]
-            slot[v] = len(nodes)
-            nodes.append((obj.degree[v], len(kids) - len(inner), inner))
-    return nodes, obj.n - len(nodes)
-
-
-def _pivots(fold, s2, c, prec, slope, g):
-    """Yield (b_v, b_v') for the nodes of ``fold``: the leaf-folded sweep
-    of M(s) - cI.
+def _pivots(arrays, s2, c, prec, slope, g):
+    """Yield (b_v, b_v') for the inner vertices of the leaf-folded
+    ``arrays`` (:meth:`deflap.trees.Tree._peeled`), in their order: the
+    sweep of M(s) - cI.
 
     Every pendant leaf pivot is 1 - c, so each leaf adds delta =
-    s2/(c - 1) to its node: b_v = 1 + s2 (m - 1) - c - sum of s2/b_w
-    over its inner children w + r delta. A caterpillar's fold is that of
-    the tree it expands to (:func:`_fold`), so it sweeps bit for bit as
-    that tree. With ``slope``, b_v' = -1 + sum of s2 b_w'/b_w^2 +
-    r delta' is the derivative in c, delta' = -s2/(c - 1)^2; otherwise
-    b_v' is None.
+    s2/(c - 1) to its vertex: b_v = 1 + s2 (m - 1) - c - the sum of
+    s2/b_w over its inner children w + r delta, m its degree and r its
+    pendant count. A caterpillar's arrays are those of the tree it
+    expands to, so it sweeps bit for bit as that tree. With ``slope``,
+    b_v' = -1 + sum of s2 b_w'/b_w^2 + r delta' is the derivative in c,
+    delta' = -s2/(c - 1)^2; otherwise b_v' is None. In push form, each
+    vertex but the root adds its terms to its parent's sums once it is
+    yielded.
 
     ``s2``, ``c`` and every value yielded are Python integers counting
     2^-g. Every operation rounds to ``prec`` bits by hand, to nearest,
     in the order the formulas read left to right, the inner children's
-    terms summed first and in list order, bit for bit as libmp and
-    Scalar arithmetic would (:func:`deflap.scalar._round`); a value that
-    would fall below the grid raises _OffGrid. 1 + s2 (m - 1) - c is
-    formed once per m and point, and delta once per point, only when the
-    fold has leaves. c = 1 is a pole of delta, and a parent divides by
-    its children's b_w, so the caller (:func:`_radius_probe`) passes c = 1
-    only to a fold with no leaves and stops at the first nonnegative b_v.
+    terms summed first and in the arrays' order, bit for bit as libmp
+    and Scalar arithmetic would (:func:`deflap.scalar._round`); a sum
+    starts at its first term, since rounding leaves a rounded value as
+    it is. A value that would fall below the grid raises _OffGrid. 1 +
+    s2 (m - 1) - c is formed once per m and point, and delta once per
+    point, only when there are leaves. c = 1 is a pole of delta, and a
+    parent divides by its children's b_w, so the caller
+    (:func:`_radius_probe`) passes c = 1 only to a tree with no leaves
+    and stops at the first nonnegative b_v.
     """
-    nodes, leaves = fold
+    order, pendant, degree, parent, size = arrays
+    last = len(order) - 1
     one = 1 << g
-    if leaves:
+    if size > last + 1:
         cm1 = _round(c - one, prec)
         delta = _div(s2, cm1, prec, g)
         if slope:
             ddelta = _div(-s2, _mul(cm1, cm1, prec, g), prec, g)
     starts = {}
-    b = [0] * len(nodes)
-    db = [None] * len(nodes)
-    for j, (m, r, inner) in enumerate(nodes):
-        v = starts.get(m)
-        if v is None:
-            v = starts[m] = _round(_round(one + _round(s2 * (m - 1), prec), prec) - c, prec)
-        acc = dacc = None
-        for w in inner:
-            bw = b[w]
-            q = _div(s2, bw, prec, g)
-            acc = q if acc is None else _round(acc + q, prec)
-            if slope:
-                t = _div(_mul(q, db[w], prec, g), bw, prec, g)
-                dacc = t if dacc is None else _round(dacc + t, prec)
-        if acc is not None:
-            v = _round(v - acc, prec)
+    acc = [0] * len(pendant)
+    dacc = [0] * len(pendant) if slope else None
+    db = None
+    for j, v in enumerate(order):
+        m = degree[v]
+        b = starts.get(m)
+        if b is None:
+            b = starts[m] = _round(_round(one + _round(s2 * (m - 1), prec), prec) - c, prec)
+        if acc[v]:
+            b = _round(b - acc[v], prec)
+        r = pendant[v]
         if r:
-            v = _round(v + _round(delta * r, prec), prec)
-            if slope:
-                t = _round(ddelta * r, prec)
-                dacc = t if dacc is None else _round(dacc + t, prec)
+            b = _round(b + _round(delta * r, prec), prec)
         if slope:
-            dacc = db[j] = _round((dacc or 0) - one, prec)
-        b[j] = v
-        yield v, dacc
+            db = dacc[v]
+            if r:
+                t = _round(ddelta * r, prec)
+                db = _round(db + t, prec) if db else t
+            db = _round(db - one, prec)
+        yield b, db
+        if j < last:
+            p = parent[v]
+            q = _div(s2, b, prec, g)
+            acc[p] = _round(acc[p] + q, prec) if acc[p] else q
+            if slope:
+                t = _div(_mul(q, db, prec, g), b, prec, g)
+                dacc[p] = _round(dacc[p] + t, prec) if dacc[p] else t
 
 
-def _radius_probe(fold, s2, ctx):
-    """The radius probe of M(s) at s^2 = ``s2`` (raw) on a :func:`_fold`:
-    returns probe(c, slope) -> (all_negative, early, step).
+def _radius_probe(arrays, s2, ctx):
+    """The radius probe of M(s) at s^2 = ``s2`` (raw) on leaf-folded
+    ``arrays``: returns probe(c, slope) -> (all_negative, early, step).
 
     The probe runs :func:`_pivots` on integers counting 2^-g, g = prec
     + 64 or finer, so that c and s2 lift exactly; a value that falls
@@ -655,19 +630,20 @@ def _radius_probe(fold, s2, ctx):
     decides the probe. ``early`` reports a verdict reached before the
     root. With ``slope`` and every pivot negative, step is the Newton
     step -1/L toward the largest eigenvalue, where L = d/dc log|det(M -
-    cI)| sums b_v'/b_v over the nodes and 1/(c - 1) per leaf; L alone
-    becomes a raw tuple, and step a Scalar; otherwise step is None.
+    cI)| sums b_v'/b_v over the inner vertices in order and 1/(c - 1)
+    per leaf; L alone becomes a raw tuple, and step a Scalar; otherwise
+    step is None.
     """
     prec = ctx.prec
-    nodes, leaves = fold
-    last = len(nodes) - 1
+    last = len(arrays[0]) - 1
+    leaves = arrays[4] - last - 1
 
     def sweep(g, s2, c, slope):
         one = 1 << g
         if leaves and c <= one:
             return False, True, None
         total = None
-        for j, (b, db) in enumerate(_pivots(fold, s2, c, prec, slope, g)):
+        for j, (b, db) in enumerate(_pivots(arrays, s2, c, prec, slope, g)):
             if b >= 0:
                 return False, j < last, None
             if slope:
@@ -738,7 +714,7 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     """Bracket the largest eigenvalue of M(s) as bisecting [lo, hi] would.
 
     ``obj`` is a Tree or a Caterpillar, both probed by the leaf-folded
-    recurrence (:func:`_fold`, :func:`_radius_probe`). The bracket must
+    recurrence on their arrays (:func:`_radius_probe`). The bracket must
     satisfy rho >= lo and rho < hi; both ends are probed and a bad
     bracket raises BracketingError. When ``iterations`` is omitted it is
     derived from ``target_digits`` (default: the context's digits) as the
@@ -760,8 +736,8 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     target ceil(log10 |hi|) + 3 digits below the context's keeps the
     width above 2^11 ulp of hi: on 40 caterpillar radii at 50-250 digits
     no halving then stalled or took another side than at 400 digits. A
-    caterpillar probes bit for bit as the tree it expands to
-    (:func:`_fold`), so the two brackets agree at every target.
+    caterpillar's arrays are those of the tree it expands to, so the two
+    probe bit for bit alike and their brackets agree at every target.
     """
     if not isinstance(obj, (Tree, Caterpillar)):
         raise DomainError("expected a Tree or a Caterpillar")
@@ -771,8 +747,8 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
     prec = ctx.prec
     s_raw = s.raw()
     s2 = mpf_mul(s_raw, s_raw, prec, _RND)
-    fold = _fold(obj)
-    all_negative = _radius_probe(fold, s2, ctx)
+    arrays = obj._peeled()
+    all_negative = _radius_probe(arrays, s2, ctx)
     lo = ctx.scalar(lo)
     hi = ctx.scalar(hi)
     if not lo < hi:
@@ -803,7 +779,7 @@ def approximate_radius(obj, s, lo, hi, iterations=None, target_digits=None):
         # a final width of it, also when it is lo itself
         start, step = ctx.scalar(1), ctx.zero()
     elif isinstance(obj, Tree):
-        guess = _float_start(obj, s, fold, hi.to_float())
+        guess = _float_start(arrays, s, hi.to_float())
         if guess is not None:
             # the lift is 2^-40, or 2^-(prec/3) below 120 bits: the first
             # Newton step from the start then leaves the iterate about
@@ -832,29 +808,31 @@ _LAGUERRE_SWEEPS = 200
 _LAGUERRE_TOL = 1e-14
 
 
-def _float_start(tree, s, fold, hi):
-    """:func:`_laguerre_start` for M(s) on ``tree``, whose :func:`_fold` is
-    ``fold``, from the float ``hi``."""
-    _, s2, table = _float_table(tree, s)
-    return _laguerre_start(fold, table, s2, hi)
+def _float_start(arrays, s, hi):
+    """:func:`_laguerre_start` for M(s) on leaf-folded ``arrays``, from
+    the float ``hi``."""
+    _, s2, table = _float_table(max(arrays[2]), s)
+    return _laguerre_start(arrays, table, s2, hi)
 
 
-def _laguerre_start(fold, base, s2, hi):
+def _laguerre_start(arrays, base, s2, hi):
     """A float at or just above the largest root of det(P - cI), or None.
 
-    P is M(s) on the tree whose :func:`_fold` is ``fold``. Its pivot
-    sweep at c starts each vertex at ``base[deg] - c``, base 1 + s^2 (deg
-    - 1), and subtracts ``s2``/d_w per child w. Its determinant is a
-    real-rooted polynomial of degree n, so Laguerre's steps
+    P is M(s) on the tree whose leaf-folded arrays are ``arrays``
+    (:meth:`deflap.trees.Tree._peeled`). Its pivot sweep at c starts
+    each vertex at ``base[deg] - c``, base 1 + s^2 (deg - 1), and
+    subtracts ``s2``/d_w per child w. Its determinant is a real-rooted
+    polynomial of degree n, so Laguerre's steps
     c <- c - n/(G + sqrt((n - 1)(nH - G^2))), run from ``hi`` above the
     roots, fall monotonically onto the largest (B. Parlett, Math. Comp.
     18 (1964) 464-485). G = sum d'/d and H = sum (d'/d)^2 - d''/d come
     from one float sweep per step, with d_v' = -1 + s2 sum_w d_w'/d_w^2
     and d_v'' = s2 sum_w (d_w''/d_w^2 - 2 d_w'^2/d_w^3).
 
-    The sweep follows the fold's node order, the leaves sharing one
-    pivot, and stops at the first nonnegative pivot, which marks an
-    iterate on or below the root. The
+    The sweep runs in push form over the inner order, the leaves sharing
+    one pivot: a vertex adds its pendant leaves' terms to the sums its
+    inner children pushed. It stops at the first nonnegative pivot,
+    which marks an iterate on or below the root. The
     steps stop there, when one stops shrinking or drops below
     _LAGUERRE_TOL of the iterate, or after _LAGUERRE_SWEEPS sweeps. The
     result is the last iterate the sweep found above the root, or the
@@ -864,11 +842,12 @@ def _laguerre_start(fold, base, s2, hi):
     """
     if not math.isfinite(hi):
         return None
-    nodes, leaves = fold
-    starts = [base[m] for m, _, _ in nodes]
-    d = [0.0] * len(nodes)
-    d1 = [0.0] * len(nodes)
-    d2 = [0.0] * len(nodes)
+    order, pendant, degree, parent, n = arrays
+    last = len(order) - 1
+    leaves = n - last - 1
+    # the root, last, pushes nothing
+    nodes = [(v, base[degree[v]], pendant[v], parent[v]) for v in order]
+    nodes[last] = nodes[last][:3] + (None,)
 
     def sweep(c):
         # (G, H) at c, or None at the first nonnegative pivot
@@ -882,30 +861,31 @@ def _laguerre_start(fold, base, s2, hi):
             lr2 = 2.0 * lr1 * r
         g_sum = -leaves * r
         h_sum = -leaves * lr1
-        for i, (_, k, inner) in enumerate(nodes):
-            acc = k * r
-            acc1 = k * lr1
-            acc2 = k * lr2
-            for j in inner:
-                q = 1.0 / d[j]
-                p = d1[j] * q
-                acc += q
-                acc1 += p * q
-                acc2 += (d2[j] - 2.0 * p * d1[j]) * q * q
-            a = starts[i] - c - s2 * acc
+        acc = [0.0] * n
+        acc1 = [0.0] * n
+        acc2 = [0.0] * n
+        for v, b, k, p in nodes:
+            x, x1, x2 = acc[v], acc1[v], acc2[v]
+            if k:
+                x += k * r
+                x1 += k * lr1
+                x2 += k * lr2
+            a = b - c - s2 * x
             if a >= 0:
                 return None
-            a1 = s2 * acc1 - 1.0
-            a2 = s2 * acc2
+            a1 = s2 * x1 - 1.0
+            a2 = s2 * x2
             g = a1 / a
             g_sum += g
             h_sum += g * g - a2 / a
-            d[i] = a
-            d1[i] = a1
-            d2[i] = a2
+            if p is not None:
+                q = 1.0 / a
+                t = a1 * q
+                acc[p] += q
+                acc1[p] += t * q
+                acc2[p] += (a2 - 2.0 * t * a1) * q * q
         return g_sum, h_sum
 
-    n = len(nodes) + leaves
     c = hi
     gh = sweep(c)
     if gh is None:

@@ -34,7 +34,7 @@ reported.
 import math
 from functools import cached_property
 
-from .diagonalize import _float_start, _fold, _Ladder, approximate_radius, gershgorin_cap
+from .diagonalize import _float_start, _Ladder, approximate_radius, gershgorin_cap
 from .scalar import DomainError, PrecisionError, Scalar, halvings, infer_context
 from .trees import Tree
 
@@ -133,7 +133,7 @@ class _Shared:
     @cached_property
     def placed(self):
         tree, s = self.tree, self.s
-        g = _float_start(tree, s, _fold(tree), self.cap.to_float())
+        g = _float_start(tree._peeled(), s, self.cap.to_float())
         # the padded floats must stay finite
         if g is None or not math.isfinite(2 * g):
             return None

@@ -23,10 +23,10 @@ class Tree:
     ``children`` and ``postorder`` are derived on first use and then
     kept; ``postorder`` visits every child before its parent, which is
     the order the surgery sweep consumes. :meth:`_peeled` gives the
-    count ladder's first rung its arrays: eager from :meth:`from_edges`,
-    which builds by peeling leaves and keeps its edge pairs to derive
-    ``children`` from, and derived on first use for a tree built from
-    its children lists.
+    leaf-folded arrays of the float count, the radius probe and the
+    Laguerre start: eager from :meth:`from_edges`, which builds by
+    peeling leaves and keeps its edge pairs to derive ``children`` from,
+    and derived on first use for a tree built from its children lists.
     """
 
     __slots__ = ("n", "root", "parent", "degree", "labels", "_top",
@@ -191,15 +191,16 @@ class Tree:
         return out
 
     def _peeled(self):
-        """(inner, pendant): the vertices with children, each after its
-        children and the root last, and each vertex's count of childless
-        children, its pendant leaves."""
+        """The leaf-folded arrays (inner, pendant, degree, parent, size):
+        the vertices with children, each after its children and the root
+        last; each vertex's count of childless children, its pendant
+        leaves; the degrees and parents; and the number of vertices."""
         if self._peel is None:
             children = self.children
             inner = [v for v in self.postorder if children[v] or v == self.root]
             pendant = [sum(not children[w] for w in kids) for kids in children]
             self._peel = inner, pendant
-        return self._peel
+        return (*self._peel, self.degree, self.parent, self.n)
 
     # -- structure queries --------------------------------------------------
 
@@ -227,10 +228,10 @@ class Tree:
     def rerooted(self, new_root):
         """The same tree rooted at index ``new_root``; indices and labels
         are kept."""
-        parent = self.parent
-        # the pairs of edges(), with no list of edges() beside them
+        # the edges from the parents, in vertex order, so that the source
+        # tree derives no children or postorder
         tree = Tree.from_edges(
-            [(min(v, parent[v]), max(v, parent[v])) for v in self.postorder if v != self.root],
+            [(min(v, p), max(v, p)) for v, p in enumerate(self.parent) if p is not None],
             root=new_root,
         )
         tree.labels = list(self.labels)
@@ -324,6 +325,24 @@ class Caterpillar:
     @property
     def vertex_count(self):
         return self.k + sum(self.counts)
+
+    def _peeled(self):
+        """The leaf-folded arrays of :meth:`Tree._peeled` for the tree the
+        caterpillar expands to (:func:`caterpillar_to_tree`), indexed by
+        backbone position: the backbone in order, position j for v_{j+1}
+        with counts[j] pendant leaves, its backbone neighbours in its
+        degree and v_{j+2} as its parent. A leafless v_1 is a pendant
+        leaf of v_2."""
+        counts = self.counts
+        k = len(counts)
+        pendant = list(counts)
+        first = 0
+        if not counts[0]:
+            first = 1
+            pendant[1] += 1
+        degree = [r + (j > 0) + (j < k - 1) for j, r in enumerate(counts)]
+        parent = list(range(1, k)) + [None]
+        return list(range(first, k)), pendant, degree, parent, k + sum(counts)
 
     @classmethod
     def parse(cls, text):

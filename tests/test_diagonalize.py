@@ -6,7 +6,8 @@ import pytest
 from mpmath.libmp import from_man_exp, mpf_mul, round_nearest
 
 from deflap.diagonalize import (
-    _fold,
+    _float_positive,
+    _float_start,
     _pivots,
     _radius_probe,
     approximate_radius,
@@ -15,7 +16,16 @@ from deflap.diagonalize import (
     gershgorin_cap,
 )
 from deflap.limits import s_star
-from deflap.scalar import BracketingError, DomainError, PrecisionContext, Scalar, _lift, find_root, halvings
+from deflap.scalar import (
+    BracketingError,
+    DomainError,
+    PrecisionContext,
+    Scalar,
+    _lift,
+    _on_grid,
+    find_root,
+    halvings,
+)
 from deflap.trees import (
     Caterpillar,
     Tree,
@@ -97,7 +107,7 @@ def test_backbone_matches_tree_sweep():
     tree = caterpillar_to_tree(cat)
     s2 = (s * s).raw()
     outs = [Scalar(from_man_exp(b, -g), CTX) for g in (CTX.prec + 64,)
-            for b, _ in _pivots(_fold(cat), _lift(s2, -g), _lift(c.raw(), -g), CTX.prec, False, g)]
+            for b, _ in _pivots(cat._peeled(), _lift(s2, -g), _lift(c.raw(), -g), CTX.prec, False, g)]
     assert len(outs) == cat.k
     # backbone negativity pattern pins the same inertia as the full sweep
     neg_backbone = sum(1 for b in outs if b.sign() < 0)
@@ -139,20 +149,56 @@ def _raw_outcome(result):
     return below, early, None if step is None else step.raw()
 
 
-def _probe_raw(fold, s, c, slope):
+def _probe_raw(arrays, s, c, slope):
     s2 = mpf_mul(s.raw(), s.raw(), s.ctx.prec, round_nearest)
-    return _raw_outcome(_radius_probe(fold, s2, s.ctx)(c, slope))
+    return _raw_outcome(_radius_probe(arrays, s2, s.ctx)(c, slope))
 
 
 def _bracket(est):
     return est.low.raw(), est.high.raw(), est.iterations
 
 
-def _assert_probes_match_reference(fold, s, points):
+def _assert_probes_match_reference(arrays, s, points):
     for c in points:
         for slope in (False, True):
-            want = _raw_outcome(_reference_probe_at(fold, s * s, c, slope))
-            assert _probe_raw(fold, s, c, slope) == want, c
+            want = _raw_outcome(_reference_probe_at(arrays, s * s, c, slope))
+            assert _probe_raw(arrays, s, c, slope) == want, c
+
+
+def _folded(arrays):
+    """Leaf-folded arrays with each inner vertex named by its place in the
+    order: (degree, pendant count, parent's place) per inner vertex, the
+    root's parent None, and the number of vertices."""
+    order, pendant, degree, parent, size = arrays
+    place = {v: j for j, v in enumerate(order)}
+    return [(degree[v], pendant[v], place.get(parent[v])) for v in order], size
+
+
+def _sweeps(arrays, s, points):
+    """Every sweep on the arrays at each point: the integer pivots with
+    their slopes, the float count and the float Laguerre start."""
+    prec = s.ctx.prec
+    s2 = mpf_mul(s.raw(), s.raw(), prec, round_nearest)
+    fs2 = s.to_float() ** 2
+    table = [1.0 + fs2 * (deg - 1) for deg in range(max(arrays[2]) + 1)]
+
+    def pivots(g, s2, c):
+        out = []
+        for b, db in _pivots(arrays, s2, c, prec, True, g):
+            out.append((b, db))
+            if b >= 0:
+                break
+        return out
+
+    out = []
+    for c in points:
+        try:
+            swept = _on_grid(pivots, prec, (s2, c.raw()))
+        except ZeroDivisionError:  # the pole of delta at c = 1
+            swept = None
+        out.append((swept, _float_positive(*arrays, table, fs2, c.to_float()),
+                    _float_start(arrays, s, c.to_float())))
+    return out
 
 
 def _random_caterpillars(rng, count):
@@ -165,29 +211,36 @@ def _random_caterpillars(rng, count):
 
 
 def test_caterpillar_fold_is_the_fold_of_its_tree():
+    # a caterpillar's leaf-folded arrays, built from its counts, are the
+    # arrays of the tree it expands to up to the names of the vertices,
+    # and every sweep on them gives that tree's values bit for bit
     rng = random.Random(27)
     cats = _random_caterpillars(rng, 600)
     assert sum(cat.counts[0] == 0 for cat in cats) > 100
+    s = PrecisionContext(20).scalar("0.7")
+    points = [s.ctx.scalar(t) for t in ("0.5", "2.5", "7")]
     for cat in cats:
-        assert _fold(cat) == _fold(caterpillar_to_tree(cat)), cat.counts
+        arrays, tree_arrays = cat._peeled(), caterpillar_to_tree(cat)._peeled()
+        assert _folded(arrays) == _folded(tree_arrays), cat.counts
+        assert _sweeps(arrays, s, points) == _sweeps(tree_arrays, s, points), cat.counts
 
 
 def test_tree_and_caterpillar_folds_share_one_kernel():
-    # a caterpillar folds as the tree it expands to: one node per backbone
-    # vertex with leaves or a backbone child, m its degree; the one kernel
-    # then probes it bit for bit as the Scalar loop of that fold, and its
-    # bracket is the tree's at the target the search promises, digits - 5,
-    # and at the default one
+    # a caterpillar folds as the tree it expands to: one inner vertex per
+    # backbone vertex with leaves or a backbone child, in backbone order,
+    # with its degree; the one kernel then probes it bit for bit as the
+    # Scalar loop of those arrays, and its bracket is the tree's at the
+    # target the search promises, digits - 5, and at the default one
     rng = random.Random(24)
     for digits in (20, 120):
         ctx = PrecisionContext(digits)
         for cat in _random_caterpillars(rng, 8):
             tree = caterpillar_to_tree(cat)
-            fold = _fold(cat)
-            assert fold == _fold(tree)
+            arrays = cat._peeled()
+            assert _folded(arrays) == _folded(tree._peeled())
             backbone = [v for v in range(sum(cat.counts), tree.n) if tree.children[v] or v == tree.root]
-            assert [m for m, _, _ in fold[0]] == [tree.degree[v] for v in backbone]
-            assert fold[1] == tree.n - len(backbone)
+            assert [arrays[2][j] for j in arrays[0]] == [tree.degree[v] for v in backbone]
+            assert arrays[4] == tree.n
             s = ctx.scalar("%.6g" % rng.uniform(-2, 2))
             hi = gershgorin_cap(s, tree.max_degree())
             for target in (digits - 5, None):
@@ -196,7 +249,27 @@ def test_tree_and_caterpillar_folds_share_one_kernel():
                     tree, s, ctx.zero(), hi, target_digits=target))
             pad = ctx.power_of_ten(8 - digits)
             points = (ctx.scalar("0.5"), ctx.scalar(1), est.low, est.high, est.low - pad, est.high + pad, hi)
-            _assert_probes_match_reference(fold, s, points)
+            _assert_probes_match_reference(arrays, s, points)
+            _assert_probes_match_reference(tree._peeled(), s, points)
+
+
+def test_radius_search_derives_no_children():
+    # the probe and the float start read the arrays the peel build made,
+    # so a radius search on a from_edges tree, or on the tree rerooted,
+    # derives neither children lists nor a postorder, and the bracket does
+    # not depend on the order the edges come in
+    rng = random.Random(31)
+    edges = [(rng.randrange(v), v) for v in range(1, 300)]
+    s = CTX.scalar("0.9")
+    tree = Tree.from_edges(edges)
+    hi = gershgorin_cap(s, tree.max_degree())
+    est = approximate_radius(tree, s, CTX.zero(), hi)
+    rerooted = tree.rerooted(0)
+    approximate_radius(rerooted, s, CTX.zero(), hi)
+    for t in (tree, rerooted):
+        assert t._children is None and t._postorder is None
+    rng.shuffle(edges)
+    assert _bracket(approximate_radius(Tree.from_edges(edges), s, CTX.zero(), hi)) == _bracket(est)
 
 
 def test_one_vertex_probe_has_no_leaf_pivot():
@@ -204,9 +277,9 @@ def test_one_vertex_probe_has_no_leaf_pivot():
     # its one pivot is 1 - s^2 - c = -s^2
     k1 = Tree.single_vertex()
     s = CTX.scalar("0.5")
-    assert _fold(k1) == ([(0, 0, [])], 0)
-    assert _probe_raw(_fold(k1), s, CTX.scalar(1), False) == (True, False, None)
-    assert _probe_raw(_fold(k1), s, CTX.scalar("0.75"), False) == (False, False, None)
+    assert k1._peeled() == ([0], [0], [0], [None], 1)
+    assert _probe_raw(k1._peeled(), s, CTX.scalar(1), False) == (True, False, None)
+    assert _probe_raw(k1._peeled(), s, CTX.scalar("0.75"), False) == (False, False, None)
     est = approximate_radius(k1, s, 0, 2)
     assert est.low <= CTX.scalar("0.75") <= est.high
 
@@ -214,17 +287,20 @@ def test_one_vertex_probe_has_no_leaf_pivot():
 def test_caterpillar_fold_makes_a_leafless_first_node_a_leaf():
     # v_1 with no leaves is a childless child of v_2, so it folds as one of
     # v_2's leaves, as in the tree the caterpillar expands to; the probes
-    # agree with the Scalar loop of that fold bit for bit
+    # agree with the Scalar loop of those arrays bit for bit, and every
+    # sweep with the tree's
     ctx = PrecisionContext(30)
     s = ctx.scalar("0.8")
     points = [ctx.scalar(c_text) for c_text in ("0.5", "1", "1.7", "2.9", "4.1")]
     for counts in ([0, 2, 1], [0, 0, 3, 0], [0, 4], [0, 0]):
         cat = Caterpillar(counts)
-        fold = _fold(cat)
-        assert fold == _fold(caterpillar_to_tree(cat))
-        assert len(fold[0]) == cat.k - 1
-        assert fold[0][0] == (counts[1] + 1 + (cat.k > 2), counts[1] + 1, [])
-        _assert_probes_match_reference(fold, s, points)
+        arrays = cat._peeled()
+        tree_arrays = caterpillar_to_tree(cat)._peeled()
+        assert _folded(arrays) == _folded(tree_arrays)
+        assert arrays[0] == list(range(1, cat.k))
+        assert _folded(arrays)[0][0] == (counts[1] + 1 + (cat.k > 2), counts[1] + 1, 1 if cat.k > 2 else None)
+        _assert_probes_match_reference(arrays, s, points)
+        assert _sweeps(arrays, s, points) == _sweeps(tree_arrays, s, points)
 
 
 # (counts, s, digits): searches whose default-target bracket left plain
@@ -240,7 +316,7 @@ def test_caterpillar_radius_is_plain_bisection_of_its_probe(counts, s_text, digi
     cat = Caterpillar(counts)
     lo, hi = ctx.zero(), gershgorin_cap(s, max(counts) + 2)
     s2 = mpf_mul(s.raw(), s.raw(), ctx.prec, round_nearest)
-    probe = _radius_probe(_fold(cat), s2, ctx)
+    probe = _radius_probe(cat._peeled(), s2, ctx)
 
     def side(c, slope):
         below, _, step = probe(c, slope)

@@ -8,7 +8,7 @@ libmp operation it stands for, bit for bit. The live probes built on them
 are checked against Scalar loops of the same formulas, also on grids
 coarse enough that every probe has to be rerun: a caterpillar probes bit
 for bit as the tree it expands to, so its probe is checked against the
-Scalar loop of the leaf-folded recurrence on its fold
+Scalar push-form loop of the leaf-folded recurrence on its arrays
 (``test_tree_kernel._reference_probe_at``), and tau0's probe against the
 Scalar form of its h.
 """
@@ -32,7 +32,7 @@ from mpmath.libmp import (
 import deflap.diagonalize
 import deflap.limits
 import deflap.scalar
-from deflap.diagonalize import _fold, _pivots, approximate_radius
+from deflap.diagonalize import _pivots, approximate_radius
 from deflap.limits import s_star, tau0
 from deflap.scalar import (
     PrecisionContext,
@@ -231,9 +231,9 @@ def _record_grids(monkeypatch):
     grids = []
     kernel = deflap.diagonalize._pivots
 
-    def recording(fold, s2, c, prec, slope, g):
+    def recording(arrays, s2, c, prec, slope, g):
         grids.append(g)
-        return kernel(fold, s2, c, prec, slope, g)
+        return kernel(arrays, s2, c, prec, slope, g)
 
     monkeypatch.setattr(deflap.diagonalize, "_pivots", recording)
     return grids
@@ -263,7 +263,7 @@ def test_backbone_on_a_coarse_grid_raises():
     s2, c = ctx.scalar("0.49").raw(), ctx.scalar("3.3").raw()
     g = max(-c[2], -s2[2])
     with pytest.raises(_OffGrid):
-        list(_pivots(_fold(Caterpillar([2, 3, 1])), _lift(s2, -g), _lift(c, -g), ctx.prec, False, g))
+        list(_pivots(Caterpillar([2, 3, 1])._peeled(), _lift(s2, -g), _lift(c, -g), ctx.prec, False, g))
 
 
 def _frozen_h(s):

@@ -61,6 +61,13 @@ def test_closed_form_matches_tau0_at_one():
     assert laplacian_closed_form(CTX).to_decimal_string(10) == "4.382975768"
 
 
+def test_tau0_at_one_is_the_root_of_its_cubic():
+    # at s = 1 the quartic is x (x^3 - 6x^2 + 8x - 4), the cubic that
+    # demos/limit_points.py names
+    t = tau0(CTX.scalar(1))
+    assert abs(((t - 6) * t + 8) * t - 4) < CTX.power_of_ten(5 - CTX.digits)
+
+
 def test_s_star_printed_values():
     # the published values are decimal truncations, so compare as prefixes
     assert s_star(CTX.scalar("1.5")).to_decimal_string(20).startswith("0.17869088")

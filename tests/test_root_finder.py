@@ -10,7 +10,7 @@ reference, which its bound must match to 1e-20 relative.
 A caterpillar probes bit for bit as the tree it expands to, so the
 probe those bisections call for a caterpillar is the Scalar loop of the
 leaf-folded recurrence (``test_tree_kernel._reference_probe_at``) on its
-fold; the references do not run the integer kernel under test
+arrays; the references do not run the integer kernel under test
 (``diagonalize._pivots``), and a grid test checks the live probe against
 that loop directly. The Shearer generation pass and its beta recurrence
 have frozen Scalar copies, checked value for value against the
@@ -33,7 +33,6 @@ import deflap.diagonalize
 import deflap.limits
 import deflap.scalar
 from deflap.diagonalize import (
-    _fold,
     _radius_probe,
     approximate_radius,
     diagonalize_tree,
@@ -82,7 +81,7 @@ def _raw_s2(s):
 def _probe(obj, s, c, slope):
     # one probe of the factory approximate_radius builds for a Tree or a
     # Caterpillar
-    return _radius_probe(_fold(obj), _raw_s2(s), s.ctx)(c, slope)
+    return _radius_probe(obj._peeled(), _raw_s2(s), s.ctx)(c, slope)
 
 
 # -- frozen eps_k level probe -----------------------------------------------
@@ -240,8 +239,8 @@ def _frozen_find_root(probe, lo, hi, iters, start, step):
 
 
 def _reference_caterpillar_probe(cat, s, c, slope):
-    # the Scalar loop of the folded recurrence on the caterpillar's fold
-    return _reference_probe_at(_fold(cat), s * s, c, slope)
+    # the Scalar loop of the folded recurrence on the caterpillar's arrays
+    return _reference_probe_at(cat._peeled(), s * s, c, slope)
 
 
 def _reference_probe(obj, s, c):

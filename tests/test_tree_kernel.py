@@ -5,8 +5,8 @@ recurrences.
 ``diagonalize_tree``) promises the pivots of ``_reference_diagonalize_tree``,
 the Scalar sweep ``diagonalize_tree`` ran before the kernel, bit for bit.
 The radius probe, ``diagonalize._radius_probe`` over the leaf-folded
-nodes of ``diagonalize._fold``, promises those of
-``_reference_probe_at``, a Scalar loop of the folded recurrence. Each
+arrays of ``Tree._peeled``, promises those of ``_reference_probe_at``,
+a Scalar push-form loop of the folded recurrence on the arrays. Each
 test runs both on the same inputs and asserts identical raw values, not
 merely close ones. The child-by-child Scalar loop the probe ran before
 the fold checks its verdicts wherever c is not an eigenvalue.
@@ -31,7 +31,6 @@ from mpmath.libmp import mpf_mul, round_nearest
 
 from deflap import diagonalize
 from deflap.diagonalize import (
-    _fold,
     _newton_step,
     _radius_probe,
     approximate_radius,
@@ -129,49 +128,52 @@ def _reference_diagonalize_tree(tree, s, x):
 
 
 def _reference_tree_all_negative(tree, s, c, slope):
-    return _reference_probe_at(_fold(tree), s * s, c, slope)
+    return _reference_probe_at(tree._peeled(), s * s, c, slope)
 
 
-def _reference_tree_probe(fold, s2, ctx):
+def _reference_tree_probe(arrays, s2, ctx):
     # the reference behind _radius_probe's signature
     s2 = Scalar(s2, ctx)
-    return lambda c, slope: _reference_probe_at(fold, s2, c, slope)
+    return lambda c, slope: _reference_probe_at(arrays, s2, c, slope)
 
 
-def _reference_probe_at(fold, s2, c, slope):
-    # the folded recurrence on Scalars: each node starts at
-    # 1 + s2 (m - 1) - c, less the sum of s2/d_w over its inner children,
-    # plus r delta, delta = s2/(c - 1)
+def _reference_probe_at(arrays, s2, c, slope):
+    # the folded recurrence on Scalars, in push form over the leaf-folded
+    # arrays: each inner vertex starts at 1 + s2 (m - 1) - c, less the sum
+    # of s2/d_w its inner children w add in order, plus r delta,
+    # delta = s2/(c - 1); every vertex but the root then adds to its
+    # parent's sums
     ctx = s2.ctx
-    nodes, leaves = fold
-    last = len(nodes) - 1
+    order, pendant, degree, parent, size = arrays
+    last = len(order) - 1
+    leaves = size - last - 1
     if leaves:
         if (1 - c).sign() >= 0:
             return False, True, None
         delta = s2 / (c - 1)
         ddelta = -s2 / ((c - 1) * (c - 1))
-    d = []
-    dd = []
+    acc = {}
+    dacc = {}
     total = None
-    for j, (m, r, inner) in enumerate(nodes):
-        v = 1 + s2 * (m - 1) - c
-        acc = dacc = None
-        for w in inner:
-            q = s2 / d[w]
-            acc = q if acc is None else acc + q
-            t = q * dd[w] / d[w]
-            dacc = t if dacc is None else dacc + t
-        if acc is not None:
-            v = v - acc
+    for j, v in enumerate(order):
+        d = 1 + s2 * (degree[v] - 1) - c
+        if v in acc:
+            d = d - acc[v]
+        r = pendant[v]
+        dd = dacc.get(v)
         if r:
-            v = v + delta * r
-            dacc = ddelta * r if dacc is None else dacc + ddelta * r
-        if v.sign() >= 0:
+            d = d + delta * r
+            dd = ddelta * r if dd is None else dd + ddelta * r
+        if d.sign() >= 0:
             return False, j < last, None
-        dv = ctx.scalar(-1) if dacc is None else dacc - 1
-        d.append(v)
-        dd.append(dv)
-        total = dv / v if total is None else total + dv / v
+        dd = ctx.scalar(-1) if dd is None else dd - 1
+        total = dd / d if total is None else total + dd / d
+        if j < last:
+            p = parent[v]
+            q = s2 / d
+            t = q * dd / d
+            acc[p] = q if p not in acc else acc[p] + q
+            dacc[p] = t if p not in dacc else dacc[p] + t
     if not slope:
         return True, False, None
     if leaves:
@@ -214,7 +216,7 @@ def _tree_all_negative(tree, s, c, slope):
     # one probe of the factory approximate_radius builds for M(s)
     ctx = s.ctx
     s2 = mpf_mul(s.raw(), s.raw(), ctx.prec, round_nearest)
-    return _radius_probe(_fold(tree), s2, ctx)(c, slope)
+    return _radius_probe(tree._peeled(), s2, ctx)(c, slope)
 
 
 def _raw_probe(result):
@@ -395,7 +397,7 @@ def test_float_start_capped_keeps_brackets(monkeypatch):
     got = _radius(tree, s, ctx)
     hi = 1 + 0.81 * (tree.max_degree() - 1) + 0.9 * tree.max_degree() + 1
     base = {deg: 1 + 0.81 * (deg - 1) for deg in set(tree.degree)}
-    start = diagonalize._laguerre_start(_fold(tree), base, 0.81, hi)
+    start = diagonalize._laguerre_start(tree._peeled(), base, 0.81, hi)
     assert got.high.to_float() + 1e-3 < start < hi
     _from_hi(monkeypatch)
     assert _bracket_raw(got) == _bracket_raw(_radius(tree, s, ctx))
@@ -405,12 +407,12 @@ def test_float_start_landing_on_the_root():
     # the start lands exactly: on 1 for one vertex at s = 0, and on
     # 1 + |s| in one step for the path P2, whose determinant is quadratic
     single = Tree.single_vertex()
-    assert diagonalize._laguerre_start(_fold(single), {0: 1.0}, 0.0, 2.0) == 1.0
+    assert diagonalize._laguerre_start(single._peeled(), {0: 1.0}, 0.0, 2.0) == 1.0
     p2 = Tree.from_edges([(0, 1)])
     for s_text in S_VALUES:
         s = float(s_text)
         rho = 1 + abs(s)
-        guess = diagonalize._laguerre_start(_fold(p2), {1: 1.0}, s * s, rho + 1)
+        guess = diagonalize._laguerre_start(p2._peeled(), {1: 1.0}, s * s, rho + 1)
         assert abs(guess - rho) <= 4 * math.ulp(rho)
 
 
@@ -450,9 +452,9 @@ def test_float_count_and_float_start_share_one_table(monkeypatch):
         tables.append(args[-3:-1])
         return positive(*args)
 
-    def recorded_start(fold, base, s2, hi):
+    def recorded_start(arrays, base, s2, hi):
         starts.append((base, s2))
-        return laguerre(fold, base, s2, hi)
+        return laguerre(arrays, base, s2, hi)
 
     monkeypatch.setattr(diagonalize, "_float_positive", recorded)
     monkeypatch.setattr(diagonalize, "_laguerre_start", recorded_start)
@@ -463,5 +465,5 @@ def test_float_count_and_float_start_share_one_table(monkeypatch):
         del tables[:], starts[:]
         count_eigenvalues(tree, s, ctx.scalar(2))
         assert tables == [want, want]
-        diagonalize._float_start(tree, s, _fold(tree), 10.0)
+        diagonalize._float_start(tree._peeled(), s, 10.0)
         assert starts == [want]
